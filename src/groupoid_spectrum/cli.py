@@ -575,11 +575,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 128 + 13  # shell status of a process ended by SIGPIPE
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Send what is still buffered to
+        # the null device, so the flush at shutdown cannot fail again, and
+        # exit as a process ended by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

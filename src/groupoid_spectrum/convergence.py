@@ -155,7 +155,7 @@ class PointSeqSpec:
         branch = obj["branch"]
         if branch == "i":
             branch = None
-        elif not isinstance(branch, int):
+        elif not _is_int(branch):
             raise FamilyFormatError(f"branch must be an integer or 'i': {branch!r}")
         try:
             return cls(branch, AffineSeq.from_json(obj["param"]))
@@ -632,10 +632,15 @@ class FamilySpec:
         return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass, so true must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_point(obj) -> PointY:
     if not isinstance(obj, dict) or "branch" not in obj or "param" not in obj:
         raise FamilyFormatError(f"point needs 'branch' and 'param': {obj!r}")
-    if not isinstance(obj["branch"], int) or not isinstance(obj["param"], int):
+    if not _is_int(obj["branch"]) or not _is_int(obj["param"]):
         raise FamilyFormatError(f"point branch and param must be integers: {obj!r}")
     return PointY(obj["branch"], obj["param"])
 

@@ -1,4 +1,4 @@
-"""Finite directed multigraphs, reachability, and cycle/entry analysis.
+"""Finite directed multigraphs, strongly connected components, and cycle/entry analysis.
 
 Conventions (fixed throughout the package):
 
@@ -25,14 +25,14 @@ __all__ = [
     "DiGraph",
     "FinPath",
     "CycleRep",
-    "ReachClosure",
+    "Components",
     "CycleAnalysis",
     "Violation",
     "InvalidGraphError",
     "GraphParseError",
     "validate_graph",
     "require_validated",
-    "reach_closure",
+    "strongly_connected_components",
     "entry_free_cycles",
     "cycle_vertices",
     "in_range_degrees",
@@ -106,6 +106,19 @@ class DiGraph:
         """Edges as (src index, rng index) pairs, in edge order."""
         vi = self.vertex_index
         return [(vi[e.src], vi[e.rng]) for e in self.edges]
+
+    @cached_property
+    def successors(self) -> list[list[int]]:
+        """Range index of every edge leaving each vertex, in edge order."""
+        succ: list[list[int]] = [[] for _ in self.vertices]
+        for s, d in self.arc_indices:
+            succ[s].append(d)
+        return succ
+
+    @cached_property
+    def components(self) -> "Components":
+        """Strongly connected components; shared by conditions A and B."""
+        return strongly_connected_components(self)
 
     def edges_into(self, v: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.rng == v)
@@ -226,29 +239,73 @@ class CycleRep:
 
 
 @dataclass(frozen=True)
-class ReachClosure:
-    """Reflexive-transitive reachability, one bitmask row per vertex."""
+class Components:
+    """Strongly connected components in topological order of the condensation.
 
-    vertices: tuple[str, ...]
-    masks: tuple[int, ...]
+    Component ids follow a topological order: every edge between two
+    components runs from a lower id to a higher one, so sources come first.
+    """
 
-    def reaches(self, v: str, u: str) -> bool:
-        """True iff some walk (possibly empty) leads from v to u."""
-        idx = self._index
-        return bool((self.masks[idx[v]] >> idx[u]) & 1)
-
-    def reach_set(self, v: str) -> tuple[str, ...]:
-        mask = self.masks[self._index[v]]
-        return tuple(u for i, u in enumerate(self.vertices) if (mask >> i) & 1)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    of: tuple[int, ...]  # component id per vertex index
+    members: tuple[tuple[int, ...], ...]  # vertex indices per component
+    cyclic: tuple[bool, ...]  # the component carries a cycle (>1 vertex or a loop)
 
 
-def reach_closure(g: DiGraph) -> ReachClosure:
-    masks = _kernels.reach_masks(len(g.vertices), g.arc_indices)
-    return ReachClosure(g.vertices, tuple(masks))
+def strongly_connected_components(g: DiGraph) -> Components:
+    """Tarjan's algorithm (1972), iterative, in O(V + E)."""
+    succ = g.successors
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    found: list[list[int]] = []  # reverse topological order
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    found.append(comp)
+    found.reverse()
+    of = [0] * n
+    for c, comp in enumerate(found):
+        for v in comp:
+            of[v] = c
+    cyclic = [len(comp) > 1 for comp in found]
+    for s, d in g.arc_indices:
+        if s == d:
+            cyclic[of[s]] = True
+    return Components(tuple(of), tuple(map(tuple, found)), tuple(cyclic))
 
 
 @dataclass(frozen=True)
@@ -264,7 +321,15 @@ class CycleAnalysis:
 
 
 def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
-    """Enumerate all simple cycles and every entry into each of them."""
+    """All simple cycles and every entry into each of them.
+
+    Condition A holds exactly when every vertex on a cycle has one in-range
+    edge; then each cyclic component is a single cycle, read off its in-edges.
+    Otherwise the cycles are enumerated and every entry listed.
+    """
+    cycles = _component_cycles(g)
+    if cycles is not None:
+        return CycleAnalysis(cycles, ())
     raw = _kernels.simple_cycles(len(g.vertices), g.arc_indices)
     cycles = []
     for arc_tuple in raw:
@@ -282,15 +347,42 @@ def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
     return CycleAnalysis(tuple(cycles), tuple(entries))
 
 
+def _component_cycles(g: DiGraph) -> tuple[CycleRep, ...] | None:
+    """The cycles when every cycle vertex has one in-range edge, else None."""
+    comps = g.components
+    in_edge: list[Edge | None] = [None] * len(g.vertices)
+    for e, (_, d) in zip(g.edges, g.arc_indices):
+        if comps.cyclic[comps.of[d]]:
+            if in_edge[d] is not None:
+                return None
+            in_edge[d] = e
+    vi = g.vertex_index
+    cycles = []
+    for members, cyclic in zip(comps.members, comps.cyclic):
+        if cyclic:
+            # follow the unique in-edges backwards: path order is head-first
+            edges = []
+            v = members[0]
+            while True:
+                e = in_edge[v]
+                edges.append(e)
+                v = vi[e.src]
+                if v == members[0]:
+                    break
+            cycles.append(CycleRep(tuple(edges)))
+    cycles.sort(key=CycleRep.sort_key)
+    return tuple(cycles)
+
+
 def cycle_vertices(g: DiGraph) -> frozenset[str]:
-    """Vertices lying on at least one cycle (via closure, no enumeration)."""
-    closure = reach_closure(g)
-    out = set()
-    for e in g.edges:
-        if closure.reaches(e.rng, e.src):
-            out.add(e.src)
-            out.add(e.rng)
-    return frozenset(out)
+    """Vertices lying on at least one cycle: those of cyclic components."""
+    comps = g.components
+    return frozenset(
+        g.vertices[v]
+        for members, cyclic in zip(comps.members, comps.cyclic)
+        if cyclic
+        for v in members
+    )
 
 
 def in_range_degrees(g: DiGraph) -> dict[str, int]:

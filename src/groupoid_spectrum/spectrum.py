@@ -13,6 +13,10 @@ The decision runs two graph conditions:
   (no w reaching both).  Certificates are the (u, v) pairs; a failure is
   refuted exhaustively.  Skipped when condition A fails.
 
+Both conditions read the strongly connected components of the graph: the
+cycle vertices are those of cyclic components, and two vertices have a
+common ancestor exactly when some source component reaches both.
+
 When both pass, the remaining separation condition for convergent character
 sequences holds automatically: an arrow between two characters in the same
 fiber conjugates one stabilizer character onto the other, and the limit
@@ -32,7 +36,6 @@ from .digraph import (
     Edge,
     _check_composable,
     entry_free_cycles,
-    reach_closure,
     require_validated,
 )
 from .exact import AffineSeq, format_rational
@@ -121,15 +124,17 @@ class ConditionAReport:
 
 
 def check_condition_a(g: DiGraph) -> ConditionAReport:
-    """Enumerate cycles and entries; build discontinuity certificates per entry."""
+    """Cycles and entries (see ``entry_free_cycles``); one certificate per entry."""
     analysis = entry_free_cycles(g)
-    certificates = []
-    for cycle, entry in analysis.entries:
+    certificates = ()
+    if analysis.entries:
+        # head period 0 on every approximant, whichever cycle and entry
         approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
-        certificates.append(StabilizerCertificate(cycle, entry, approx, len(cycle)))
-    return ConditionAReport(
-        analysis.entry_free, analysis.cycles, analysis.entries, tuple(certificates)
-    )
+        certificates = tuple(
+            StabilizerCertificate(cycle, entry, approx, len(cycle))
+            for cycle, entry in analysis.entries
+        )
+    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.entries, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -186,50 +191,96 @@ def check_condition_b(g: DiGraph, cycles: tuple[CycleRep, ...]) -> ConditionBRep
     """Search a separating vertex pair for every pair of distinct cycles.
 
     Candidates are scanned in sorted order, so the reported certificate per
-    pair is the lexicographically least one.  Pair checks are independent
-    pure lookups; results aggregate in sorted pair order.
+    pair is the lexicographically least one.  Every ancestor chain starts in
+    a source component of the condensation, so u and v are separated exactly
+    when their masks of reaching source components are disjoint; the scan
+    runs over the distinct masks of each reach set, not over its vertices.
     """
-    closure = reach_closure(g)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    # ancestor mask per vertex u: all w with a walk w -> u
-    ancestors = {v: 0 for v in g.vertices}
-    for w in g.vertices:
-        row = closure.masks[index[w]]
-        for i, u in enumerate(closure.vertices):
-            if (row >> i) & 1:
-                ancestors[u] |= 1 << index[w]
+    of = g.components.of
+    succ = g.successors
+    masks = _source_masks(g)
+    vi = g.vertex_index
 
-    def reach_union(c: CycleRep) -> list[str]:
-        out: set[str] = set()
-        for v in sorted(c.vertices):
-            out.update(closure.reach_set(v))
-        return sorted(out)
+    reach: dict[CycleRep, list[int]] = {}
+    firsts: dict[CycleRep, dict[int, int]] = {}
+    for c in cycles:
+        seen = {vi[v] for v in c.vertices}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in succ[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        reach[c] = sorted(seen, key=g.vertices.__getitem__)
+        # first vertex, in sorted order, of each distinct source mask
+        first: dict[int, int] = {}
+        for u in reach[c]:
+            first.setdefault(masks[of[u]], u)
+        firsts[c] = first
 
     certificates = []
     ordered = sorted(cycles, key=CycleRep.sort_key)
     for a_pos in range(len(ordered)):
         for b_pos in range(a_pos + 1, len(ordered)):
             c, d = ordered[a_pos], ordered[b_pos]
-            found = None
-            for u in reach_union(c):
-                for v in reach_union(d):
-                    if ancestors[u] & ancestors[v] == 0:
-                        found = (u, v)
-                        break
-                if found:
-                    break
+            found = _least_separated(firsts[c], firsts[d])
             if found is None:
+                ancestors = _ancestor_masks(g)
                 witnesses = []
-                for u in reach_union(c):
-                    for v in reach_union(d):
-                        mask = ancestors[u] & ancestors[v]
+                for u in reach[c]:
+                    for v in reach[d]:
+                        mask = ancestors[of[u]] & ancestors[of[v]]
                         w = g.vertices[(mask & -mask).bit_length() - 1]
-                        witnesses.append((u, v, w))
+                        witnesses.append((g.vertices[u], g.vertices[v], w))
                 return ConditionBReport(
                     "fail", tuple(certificates), Refutation((c, d), tuple(witnesses))
                 )
-            certificates.append(SeparationCertificate((c, d), *found))
+            u, v = found
+            certificates.append(SeparationCertificate((c, d), g.vertices[u], g.vertices[v]))
     return ConditionBReport("pass", tuple(certificates))
+
+
+def _least_separated(first_c: dict[int, int], first_d: dict[int, int]) -> tuple[int, int] | None:
+    """Least (u, v) with disjoint source masks; both maps are in vertex order."""
+    for mask_u, u in first_c.items():
+        for mask_v, v in first_d.items():
+            if mask_u & mask_v == 0:
+                return u, v
+    return None
+
+
+def _source_masks(g: DiGraph) -> list[int]:
+    """Per component, a bitmask of the source components that reach it."""
+    of = g.components.of
+    entered = {of[d] for s, d in g.arc_indices if of[s] != of[d]}
+    sources = [c for c in range(len(g.components.members)) if c not in entered]
+    masks = [0] * len(g.components.members)
+    for bit, c in enumerate(sources):
+        masks[c] = 1 << bit
+    return _push_down(g, masks)
+
+
+def _ancestor_masks(g: DiGraph) -> list[int]:
+    """Per component, a bitmask over vertex indices of all its ancestors."""
+    return _push_down(g, [sum(1 << v for v in members) for members in g.components.members])
+
+
+def _push_down(g: DiGraph, masks: list[int]) -> list[int]:
+    """OR each component's mask into every component it has an edge to."""
+    comps = g.components
+    of = comps.of
+    succ = g.successors
+    # ids are topological, so a component's mask is final before it is pushed
+    for c, members in enumerate(comps.members):
+        mask = masks[c]
+        for v in members:
+            for w in succ[v]:
+                if of[w] != c:
+                    masks[of[w]] |= mask
+    return masks
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,21 @@ def brute_reach(g: DiGraph) -> dict[str, frozenset[str]]:
     }
 
 
+def assert_components_match_reach(g: DiGraph, reach: dict[str, frozenset[str]]) -> None:
+    """The strongly connected components of g agree with a reachability table."""
+    comps = g.components
+    of = {v: comps.of[i] for i, v in enumerate(g.vertices)}
+    loops = {e.src for e in g.edges if e.src == e.rng}
+    for v in g.vertices:
+        for u in g.vertices:
+            assert (of[v] == of[u]) == (u in reach[v] and v in reach[u]), (v, u)
+            if u in reach[v]:
+                assert of[v] <= of[u], (v, u)  # ids are topological
+        on_cycle = v in loops or any(u != v and v in reach[u] for u in reach[v])
+        assert comps.cyclic[of[v]] == on_cycle, v
+    assert sorted(i for members in comps.members for i in members) == list(range(len(g.vertices)))
+
+
 def window_fell_probe(family: PeriodFamily, window: int):
     """Direct Fell-limit probe on {-window..window}.
 

@@ -1,12 +1,17 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
-from groupoid_spectrum.cli import main
-from groupoid_spectrum.digraph import graph_to_text
+import groupoid_spectrum
+from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, main
+from groupoid_spectrum.digraph import DiGraph, graph_to_text
 
 
 @pytest.fixture
@@ -275,6 +280,41 @@ class TestCheckFamily:
         code, _, err = run("check-family", str(path))
         assert code == 2
         assert "bad family file" in err
+
+    def test_boolean_branch_exits_2(self, run, tmp_path):
+        # true is a Python int; it must not pass for chart 1
+        obj = json.loads(json.dumps(DUAL_FAMILY))
+        obj["limits"]["chi"]["base"]["branch"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run("check-family", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert "must be integers" in err
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_not_an_error(self, tmp_path):
+        # 6,320 entries make a report far larger than a pipe buffer, so the
+        # child is still writing when the reader goes away
+        g = DiGraph.build(["a"], [(f"L{i:02d}", "a", "a") for i in range(80)])
+        path = tmp_path / "bouquet.graph"
+        path.write_text(graph_to_text(g))
+        package_root = str(Path(groupoid_spectrum.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "groupoid_spectrum.cli", "graph-analyze", str(path), "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == EXIT_BROKEN_PIPE, err
+        assert err == ""
 
 
 class TestDeterminism:

@@ -95,6 +95,7 @@ class TestPointSequences:
     def test_json_errors(self):
         for bad in (
             {"branch": "x", "param": 0},
+            {"branch": True, "param": 0},
             {"param": 0},
             {"branch": 1},
             {"branch": 1, "param": "affine:i"},

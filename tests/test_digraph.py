@@ -19,7 +19,6 @@ from groupoid_spectrum.digraph import (
     parse_graph,
     parse_graph_json,
     parse_graph_text,
-    reach_closure,
     require_validated,
     validate_graph,
 )
@@ -123,19 +122,19 @@ class TestTranspose:
 
 class TestReachability:
     def test_funnel_reach_sets(self):
-        closure = reach_closure(helpers.graph_two_loops_funnel())
-        assert set(closure.reach_set("a")) == {"a", "t"}
-        assert set(closure.reach_set("b")) == {"b", "t"}
-        assert set(closure.reach_set("t")) == {"t"}
-        assert closure.reaches("a", "a")
-        assert not closure.reaches("t", "a")
+        # a and b reach t and not each other: two loop components before t
+        g = helpers.graph_two_loops_funnel()
+        comps = g.components
+        of = dict(zip(g.vertices, comps.of))
+        assert len(set(of.values())) == 3
+        assert of["t"] > of["a"] and of["t"] > of["b"]
+        assert comps.cyclic[of["a"]] and comps.cyclic[of["b"]]
+        assert not comps.cyclic[of["t"]]
+        helpers.assert_components_match_reach(g, helpers.brute_reach(g))
 
     def test_matches_relational_composition(self):
         for g in small_corpus():
-            closure = reach_closure(g)
-            brute = helpers.brute_reach(g)
-            for v in g.vertices:
-                assert frozenset(closure.reach_set(v)) == brute[v]
+            helpers.assert_components_match_reach(g, helpers.brute_reach(g))
 
 
 class TestCycles:

@@ -1,98 +1,24 @@
-"""Backend parity: the compiled kernel must match the pure-Python one exactly."""
+"""The cycle enumeration kernel: one backend, deterministic output."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
+import random
 
 from groupoid_spectrum import _kernels
-from groupoid_spectrum._kernels import _graphcore_py
-from groupoid_spectrum.corpus import (
-    enumerate_validated_simple,
-    random_corpus,
-    random_validated_graph,
-)
-
-try:
-    from groupoid_spectrum._kernels import _graphcore as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-
-
-def parity_corpus():
-    yield from enumerate_validated_simple(3, 9)
-    yield from random_corpus(200, seed=3, max_vertices=8)
+from groupoid_spectrum.corpus import random_validated_graph
 
 
 class TestBackendSelection:
     def test_backend_is_named(self):
-        assert _kernels.BACKEND in ("python", "cython")
-
-    def test_env_var_forces_pure_python(self):
-        # The child inherits the parent's environment, with the directory the
-        # parent imported the package from put first on PYTHONPATH, so it
-        # imports exactly the code under test (also from an uninstalled
-        # checkout run with PYTHONPATH=src).
-        package_root = str(Path(_kernels.__file__).resolve().parents[2])
-        env = dict(os.environ, GROUPOID_SPECTRUM_PURE_PYTHON="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
-        code = (
-            "import groupoid_spectrum._kernels as k; "
-            "print(k.BACKEND); print(k.__file__)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        backend, child_file = out.stdout.splitlines()
-        assert backend == "python"
-        assert Path(child_file).resolve() == Path(_kernels.__file__).resolve()
-
-
-@needs_compiled
-class TestParity:
-    def test_reach_masks_equal(self):
-        for g in parity_corpus():
-            n, arcs = len(g.vertices), g.arc_indices
-            assert list(compiled.reach_masks(n, arcs)) == list(
-                _graphcore_py.reach_masks(n, arcs)
-            )
-
-    def test_simple_cycles_equal_including_order(self):
-        for g in parity_corpus():
-            n, arcs = len(g.vertices), g.arc_indices
-            assert list(compiled.simple_cycles(n, arcs)) == list(
-                _graphcore_py.simple_cycles(n, arcs)
-            )
-
-    def test_compiled_rejects_wide_graphs(self):
-        with pytest.raises(ValueError):
-            compiled.reach_masks(65, [])
+        assert _kernels.BACKEND == "python"
 
 
 class TestDispatch:
-    def test_wide_graph_falls_back(self):
-        # 70 vertices exceeds the 64-bit row width of the compiled kernel
+    def test_wide_ring(self):
+        # path bitsets are Python ints, so no width limit applies
         n = 70
-        arcs = [(i, (i + 1) % n) for i in range(n)]
-        masks = _kernels.reach_masks(n, arcs)
-        assert len(masks) == n
-        assert all(mask == (1 << n) - 1 for mask in masks)
-        cycles = _kernels.simple_cycles(n, arcs)
-        assert len(cycles) == 1 and len(cycles[0]) == n
+        cycles = _kernels.simple_cycles(n, [(i, (i + 1) % n) for i in range(n)])
+        assert cycles == [tuple(range(n))]
 
     def test_deterministic(self):
-        import random
-
         g = random_validated_graph(random.Random(99), max_vertices=8)
         n, arcs = len(g.vertices), g.arc_indices
         first = _kernels.simple_cycles(n, arcs)

@@ -2,7 +2,7 @@
 
 import helpers
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
-from groupoid_spectrum.digraph import entry_free_cycles, reach_closure
+from groupoid_spectrum.digraph import entry_free_cycles
 from groupoid_spectrum.oracle import (
     enumerate_eventual_paths,
     naive_entries,
@@ -40,10 +40,8 @@ class TestNaivePieces:
     def test_reach_matches_both_routes(self):
         for g in list(sample()) + FIXTURES:
             naive = naive_reach_sets(g)
-            brute = helpers.brute_reach(g)
-            closure = reach_closure(g)
-            for v in g.vertices:
-                assert naive[v] == brute[v] == frozenset(closure.reach_set(v))
+            assert naive == helpers.brute_reach(g)
+            helpers.assert_components_match_reach(g, naive)
 
 
 class TestPathEnumeration:

@@ -1,12 +1,18 @@
 """The spectrum decision, eventually periodic paths, and path characters."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
-from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
-from groupoid_spectrum.digraph import CycleRep, InvalidGraphError
+from groupoid_spectrum.corpus import (
+    enumerate_validated_simple,
+    random_corpus,
+    random_validated_graph,
+)
+from groupoid_spectrum.digraph import CycleRep, DiGraph, Edge, InvalidGraphError
+from groupoid_spectrum.oracle import naive_reach_sets
 from groupoid_spectrum.spectrum import (
     CONDITION_C_NOTE,
     ConditionARequired,
@@ -126,6 +132,103 @@ class TestDecision:
 def corpus_slice():
     yield from enumerate_validated_simple(3, 9)
     yield from random_corpus(300, seed=17, max_vertices=7)
+
+
+def brute_condition_b(g, cycles) -> dict:
+    """Condition B report by definition, from BFS reach sets.
+
+    Every pair of sorted reach sets is scanned in full: the certificate is
+    the least separated (u, v), the witness the lowest-index common ancestor.
+    """
+    reach = naive_reach_sets(g)
+    ancestors = {u: [w for w in g.vertices if u in reach[w]] for u in g.vertices}
+
+    def reach_of(c):
+        return sorted(set().union(*(reach[v] for v in c.vertices)))
+
+    certificates = []
+    ordered = sorted(cycles, key=CycleRep.sort_key)
+    for i, c in enumerate(ordered):
+        for d in ordered[i + 1 :]:
+            pair = [list(c.edge_ids()), list(d.edge_ids())]
+            separated = [
+                (u, v)
+                for u in reach_of(c)
+                for v in reach_of(d)
+                if not set(ancestors[u]) & set(ancestors[v])
+            ]
+            if not separated:
+                witnesses = [
+                    {"u": u, "v": v, "w": next(w for w in ancestors[u] if w in ancestors[v])}
+                    for u in reach_of(c)
+                    for v in reach_of(d)
+                ]
+                return {
+                    "pass": False,
+                    "certificates": certificates,
+                    "refutation": {"pair": pair, "common_ancestors": witnesses},
+                }
+            u, v = min(separated)
+            certificates.append({"pair": pair, "u": u, "v": v})
+    return {"pass": True, "certificates": certificates}
+
+
+def disjoint_union(*graphs) -> DiGraph:
+    vertices, edges = [], []
+    for k, part in enumerate(graphs):
+        vertices += [f"{k}{v}" for v in part.vertices]
+        edges += [Edge(f"{k}{e.id}", f"{k}{e.src}", f"{k}{e.rng}") for e in part.edges]
+    return DiGraph(tuple(vertices), tuple(edges))
+
+
+def entry_graphs():
+    """Graphs where condition A fails, with a sample of their cycles.
+
+    Disjoint parts give separated pairs; an extra source vertex feeding some
+    vertices gives a source component that is not a cycle.
+    """
+    rng = random.Random(31)
+    for _ in range(200):
+        parts = [random_validated_graph(rng, max_vertices=4) for _ in range(rng.randint(1, 3))]
+        g = disjoint_union(*parts)
+        if rng.random() < 0.3:
+            feeds = [Edge(f"x{t}", "s", t) for t in rng.sample(g.vertices, min(2, len(g.vertices)))]
+            g = DiGraph.build(g.vertices + ("s",), g.edges + tuple(feeds))
+        report = check_condition_a(g)
+        if not report.passed:
+            k = rng.randint(1, min(len(report.cycles), 5))
+            yield g, tuple(rng.sample(report.cycles, k))
+
+
+class TestConditionBReference:
+    def test_decisions_match_definition(self):
+        for g in corpus_slice():
+            verdict = decide_hausdorff_spectrum(g)
+            if verdict.condition_a.passed:
+                expected = brute_condition_b(g, verdict.condition_a.cycles)
+                assert verdict.condition_b.to_json() == expected
+
+    def test_direct_calls_without_condition_a(self):
+        outcomes = set()
+        for g, cycles in entry_graphs():
+            report = check_condition_b(g, cycles)
+            assert report.to_json() == brute_condition_b(g, cycles)
+            outcomes.add(report.status)
+        assert outcomes == {"pass", "fail"}
+
+    def test_hundred_thousand_vertices(self):
+        # two loops feeding one long chain whose names sort before theirs, so
+        # every early candidate u shares an ancestor with every v
+        n = 100_000
+        vertices = ["p", "q"] + [f"c{i:06d}" for i in range(n)]
+        edges = [("Lp", "p", "p"), ("Lq", "q", "q"), ("ep", "p", "c000000"), ("eq", "q", "c000000")]
+        edges += [(f"h{i:06d}", f"c{i:06d}", f"c{i + 1:06d}") for i in range(n - 1)]
+        verdict = decide_hausdorff_spectrum(DiGraph.build(vertices, edges))
+        assert [c.edge_ids() for c in verdict.condition_a.cycles] == [("Lp",), ("Lq",)]
+        assert verdict.condition_b.to_json()["certificates"] == [
+            {"pair": [["Lp"], ["Lq"]], "u": "p", "v": "q"}
+        ]
+        assert verdict.hausdorff
 
 
 class TestOrbits:
