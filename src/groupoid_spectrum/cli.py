@@ -16,6 +16,10 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from .convergence import (
     CharSeqSpec,
     DyadicArrowFamily,
     FamilyFormatError,
+    FellLimit,
     PointSeqSpec,
     condition_c_check,
     parse_family,
@@ -33,14 +38,16 @@ from .convergence import (
     run_family_truncated,
 )
 from .digraph import (
+    CycleRep,
     DiGraph,
+    Edge,
     GraphParseError,
     InvalidGraphError,
     parse_graph,
     require_validated,
     validate_graph,
 )
-from .exact import AffineSeq, DyadicSeq, format_rational, parse_rational
+from .exact import AffineSeq, CatalogError, DyadicSeq, format_rational, parse_rational
 from .models import (
     LINE_BRANCH,
     CharQ,
@@ -54,8 +61,10 @@ from .models import (
     so3_transport,
 )
 from .spectrum import (
+    CONDITION_C_NOTE,
     ConditionARequired,
     EventualPath,
+    StabilizerCertificate,
     check_condition_a,
     decide_hausdorff_spectrum,
     orbits,
@@ -72,9 +81,118 @@ class InputError(Exception):
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        _write_json(sys.stdout.write, report)
+        sys.stdout.write("\n")
     else:
         print("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# indent-2 JSON writer
+#
+# Writes exactly what ``json.dumps(report, indent=2)`` would, in pieces.  The
+# per-entry lists of a graph report are rendered from per-cycle templates
+# instead of one dict per entry; everything else goes through the stdlib.
+
+
+def _pad(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _write_json(write, value, depth: int = 0) -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2)`` renders it ``depth`` levels deep.
+
+    Dicts are opened here, so their values may be item renderers: functions
+    that take the depth of the items and yield blocks of rendered items, each
+    block one or more items joined by a comma and the item indent.
+    """
+    if callable(value):
+        opener = "["
+        for block in value(depth + 1):
+            write(opener + _pad(depth + 1))
+            write(block)
+            opener = ","
+        write("[]" if opener == "[" else _pad(depth) + "]")
+    elif isinstance(value, dict) and value:
+        opener = "{"
+        for key, item in value.items():
+            write(f"{opener}{_pad(depth + 1)}{_quote(key)}: ")
+            _write_json(write, item, depth + 1)
+            opener = ","
+        write(_pad(depth) + "}")
+    elif isinstance(value, (dict, list, tuple)):
+        write(json.dumps(value, indent=2).replace("\n", _pad(depth)))
+    else:
+        write(json.dumps(value))
+
+
+def _id_list(quoted: list[str], depth: int) -> str:
+    """A nonempty list of quoted ids, rendered ``depth`` deep."""
+    return "[" + _pad(depth + 1) + ("," + _pad(depth + 1)).join(quoted) + _pad(depth) + "]"
+
+
+def _quoted_ids(cycle: CycleRep) -> list[str]:
+    return list(map(_quote, cycle.edge_ids()))
+
+
+def _cycle_items(cycles: tuple[CycleRep, ...]):
+    """Item renderer of a list of cycles, one block per cycle."""
+
+    def render(depth: int):
+        for cycle in cycles:
+            yield _id_list(_quoted_ids(cycle), depth)
+
+    return render
+
+
+def _entry_items(entries: tuple[tuple[CycleRep, Edge], ...], approx_limit: FellLimit | None):
+    """Item renderers of the ``entries`` and ``stabilizer_discontinuity`` lists.
+
+    ``entries`` is ordered by cycle.  Items of both lists open with the cycle
+    and the entry; that head is rendered once per cycle and depth, and each
+    cycle's items are one join of the quoted entry ids with it.  An entries
+    item then closes; a stabilizer item goes on with the rest of its
+    certificate, which only depends on the cycle length.
+    """
+    runs = []
+    for cycle, group in groupby(entries, itemgetter(0)):
+        edges = list(map(itemgetter(1), group))
+        runs.append((cycle, edges[0], [_quote(e.id) for e in edges]))
+
+    @cache
+    def heads(depth: int) -> list[str]:
+        pad = _pad(depth + 1)
+        return [
+            f'{{{pad}"cycle": {_id_list(_quoted_ids(cycle), depth + 1)},{pad}"entry": '
+            for cycle, _, _ in runs
+        ]
+
+    def items(depth: int, tail):
+        """Per cycle, its items: the head, a quoted entry id and ``tail(cycle, entry)``."""
+        for head, (cycle, entry, ids) in zip(heads(depth), runs):
+            end = tail(cycle, entry)
+            yield head + (end + "," + _pad(depth) + head).join(ids) + end
+
+    def entry_items(depth: int):
+        close = _pad(depth) + "}"
+        return items(depth, lambda cycle, entry: close)
+
+    def discontinuity_items(depth: int):
+        tails: dict[int, str] = {}  # by cycle length
+
+        def tail(cycle: CycleRep, entry: Edge) -> str:
+            if len(cycle) not in tails:
+                cert = StabilizerCertificate(cycle, entry, approx_limit, len(cycle)).to_json()
+                del cert["cycle"], cert["entry"]
+                tails[len(cycle)] = "".join(
+                    f",{_pad(depth + 1)}{_quote(key)}: {json.dumps(value)}"
+                    for key, value in cert.items()
+                ) + _pad(depth) + "}"
+            return tails[len(cycle)]
+
+        return items(depth, tail)
+
+    return entry_items, discontinuity_items
 
 
 def _read_text(path: str) -> str:
@@ -115,12 +233,26 @@ def cmd_graph_analyze(args) -> int:
         _emit(report, lines, args.json)
         return 2
     verdict = decide_hausdorff_spectrum(g)
+    a, b = verdict.condition_a, verdict.condition_b
+    entry_items, discontinuity_items = _entry_items(a.entries, a.approx_limit)
+    condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": entry_items}
+    if not a.passed:
+        condition_a["stabilizer_discontinuity"] = discontinuity_items
     report = _envelope(
         "graph-analyze",
         input=args.graph,
         transpose=args.transpose,
-        **verdict.to_json(),
+        validated=True,
+        condition_a=condition_a,
+        condition_b=b.to_json(),
+        condition_c=CONDITION_C_NOTE,
+        hausdorff=verdict.hausdorff,
     )
+    _emit(report, [] if args.json else _analyze_lines(verdict), args.json)
+    return 0
+
+
+def _analyze_lines(verdict) -> list[str]:
     a, b = verdict.condition_a, verdict.condition_b
     lines = [
         "validated: yes",
@@ -131,10 +263,10 @@ def cmd_graph_analyze(args) -> int:
         lines.append(f"  cycle: {','.join(c.edge_ids())}")
     for c, e in a.entries:
         lines.append(f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}")
-    for cert in a.certificates:
+    for c, _ in a.entries:
         lines.append(
             f"  stabilizer discontinuity: approximating periods 0, "
-            f"Fell limit {cert.approx_limit.label()} vs {cert.limit_period}Z at the cycle"
+            f"Fell limit {a.approx_limit.label()} vs {len(c)}Z at the cycle"
         )
     if b.status == "skipped":
         lines.append("condition B: SKIPPED (condition A failed)")
@@ -145,10 +277,9 @@ def cmd_graph_analyze(args) -> int:
             lines.append(f"  pair ({pair}): u={cert.u} v={cert.v}")
         if b.refutation is not None:
             lines.append("  refuted: every candidate pair has a common ancestor")
-    lines.append(f"condition C: {report['condition_c']}")
+    lines.append(f"condition C: {CONDITION_C_NOTE}")
     lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
-    _emit(report, lines, args.json)
-    return 0
+    return lines
 
 
 def cmd_graph_orbits(args) -> int:
@@ -158,10 +289,7 @@ def cmd_graph_orbits(args) -> int:
     except InvalidGraphError as exc:
         raise InputError(str(exc)) from None
     except ConditionARequired as exc:
-        entries = [
-            {"cycle": list(c.edge_ids()), "entry": e.id}
-            for c, e in check_condition_a(g).entries
-        ]
+        entries = check_condition_a(g).entries
         report = _envelope(
             "graph-orbits",
             input=args.graph,
@@ -169,10 +297,10 @@ def cmd_graph_orbits(args) -> int:
             validated=True,
             refused=True,
             reason=str(exc),
-            entries=entries,
+            entries=_entry_items(entries, None)[0],
         )
-        lines = [f"refused: {exc}"] + [
-            f"  entry: {e['entry']} -> cycle {','.join(e['cycle'])}" for e in entries
+        lines = [] if args.json else [f"refused: {exc}"] + [
+            f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in entries
         ]
         _emit(report, lines, args.json)
         return 0
@@ -361,11 +489,27 @@ def cmd_dyadic_check_s(args) -> int:
         raise InputError(f"bad family file: {exc}") from None
     if spec.space != "S":
         raise InputError("family file declares the dual space; use check-family for it")
-    result = run_family_check(spec)
+    result = _run_family(spec)
     report = _envelope("model-dyadic check-c-on-s", input=args.family, **result)
     lines = _family_lines(result)
     _emit(report, lines, args.json)
     return 0
+
+
+def _run_family(spec, truncate: int | None = None, tol: float = 0.0) -> dict:
+    """The exact check of a parsed family, or its float probe at ``truncate``.
+
+    A family whose transported sequence leaves the exact catalog, and a
+    probe index the float probe cannot reach, are input errors.
+    """
+    try:
+        if truncate is None:
+            return run_family_check(spec)
+        return run_family_truncated(spec, truncate, tol)
+    except CatalogError as exc:
+        raise InputError(f"family leaves the exact sequence catalog: {exc}") from None
+    except FamilyFormatError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _family_lines(result: dict) -> list[str]:
@@ -480,10 +624,7 @@ def cmd_check_family(args) -> int:
             spec.space, spec.family, spec.seq, spec.limit_chi, spec.limit_omega,
             _parse_tests(args.tests),
         )
-    if args.truncate is not None:
-        result = run_family_truncated(spec, args.truncate, args.tol)
-    else:
-        result = run_family_check(spec)
+    result = _run_family(spec, args.truncate, args.tol)
     report = _envelope("check-family", input=args.family, **result)
     _emit(report, _family_lines(result), args.json)
     return 0
@@ -491,6 +632,23 @@ def cmd_check_family(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``.
+
+    A count below the minimum would run no rows or trials and report a
+    vacuous pass, so argparse rejects it with exit 2.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = green.add_parser("verify-eq3", help="verify the chart translation identity")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_int_at_least(0), default=20)
     add_output_flags(p)
     p.set_defaults(func=cmd_green_verify)
 
@@ -540,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = dyadic.add_parser("demo-c-failure", help="the dual-convergence counterexample")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_int_at_least(0), default=10)
     p.add_argument("--tests", help="comma separated rational test points")
     add_output_flags(p)
     p.set_defaults(func=cmd_dyadic_demo)
@@ -553,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = so3.add_parser("conj-test", help="random conjugation residuals")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-10)
     add_output_flags(p)

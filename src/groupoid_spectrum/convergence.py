@@ -38,6 +38,7 @@ from .exact import (
     AffineSeq,
     CatalogError,
     DyadicSeq,
+    _is_int,
     format_rational,
     parse_rational,
     scale_pow2_affine,
@@ -632,11 +633,6 @@ class FamilySpec:
         return out
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; bool is an int subclass, so true must not pass for 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_point(obj) -> PointY:
     if not isinstance(obj, dict) or "branch" not in obj or "param" not in obj:
         raise FamilyFormatError(f"point needs 'branch' and 'param': {obj!r}")
@@ -739,26 +735,31 @@ def run_family_truncated(spec: FamilySpec, truncate: int, tol: float) -> dict:
     if truncate < 0:
         raise FamilyFormatError("truncation index must be >= 0")
     i = truncate
-    param = float(spec.seq.parameter(i))
-    base = spec.seq.base.point_at(i)
-    trans_param = float(spec.seq.parameter(i)) * 2.0 ** (
-        (spec.family.n(i)) * (1 if spec.space == "S" else -1)
-    )
-    trans_base = spec.family.base.point_at(i)
 
     def embed_dist(p: PointY, q: PointY) -> float:
         pe, qe = p.embed(), q.embed()
         return max(abs(float(a) - float(b)) for a, b in zip(pe, qe))
 
-    row = {
-        "index": i,
-        "parameter": param,
-        "parameter_residual": abs(param - float(spec.limit_chi.r)),
-        "base_residual": embed_dist(base, spec.limit_chi.base),
-        "transported_parameter": trans_param,
-        "transported_residual": abs(trans_param - float(spec.limit_omega.r)),
-        "transported_base_residual": embed_dist(trans_base, spec.limit_omega.base),
-    }
+    try:
+        param = float(spec.seq.parameter(i))
+        base = spec.seq.base.point_at(i)
+        trans_param = float(spec.seq.parameter(i)) * 2.0 ** (
+            (spec.family.n(i)) * (1 if spec.space == "S" else -1)
+        )
+        trans_base = spec.family.base.point_at(i)
+        row = {
+            "index": i,
+            "parameter": param,
+            "parameter_residual": abs(param - float(spec.limit_chi.r)),
+            "base_residual": embed_dist(base, spec.limit_chi.base),
+            "transported_parameter": trans_param,
+            "transported_residual": abs(trans_param - float(spec.limit_omega.r)),
+            "transported_base_residual": embed_dist(trans_base, spec.limit_omega.base),
+        }
+    except OverflowError:
+        raise FamilyFormatError(
+            f"truncation index {i} is beyond the float range of the numeric probe"
+        ) from None
     within = all(
         row[k] <= tol
         for k in (

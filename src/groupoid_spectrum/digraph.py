@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 from . import _kernels
 
@@ -336,14 +338,17 @@ def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
         # kernel output is in traversal order; path convention is its reverse
         cycles.append(CycleRep(tuple(g.edges[j] for j in reversed(arc_tuple))))
     cycles.sort(key=CycleRep.sort_key)
+    # each cycle's entries in edge id order, walking the sorted cycles, give
+    # the pairs in (cycle, entry id) order without sorting the pairs
+    by_id = sorted(g.edges, key=attrgetter("id"))
+    into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
+    for rank, e in enumerate(by_id):
+        into.setdefault(e.rng, []).append(rank)
     entries = []
     for c in cycles:
         on_cycle = {e.id for e in c.edges}
-        verts = c.vertices
-        for e in g.edges:
-            if e.id not in on_cycle and e.rng in verts:
-                entries.append((c, e))
-    entries.sort(key=lambda pair: (pair[0].sort_key(), pair[1].id))
+        ranks = sorted(chain.from_iterable(into[v] for v in c.vertices))
+        entries += [(c, e) for e in map(by_id.__getitem__, ranks) if e.id not in on_cycle]
     return CycleAnalysis(tuple(cycles), tuple(entries))
 
 

@@ -82,6 +82,35 @@ def rational_inverse(r: Fraction) -> Fraction:
     return 1 / r
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass, so true must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT_RE = re.compile(r"-?\d+")
+
+
+def _json_int(obj) -> int:
+    """An integer given as a JSON integer or an integer string."""
+    if _is_int(obj):
+        return obj
+    if isinstance(obj, str) and _INT_RE.fullmatch(obj.strip()):
+        return int(obj)
+    raise CatalogError(f"not an integer: {obj!r}")
+
+
+def _json_rational(obj) -> Fraction:
+    """A rational given as a JSON integer or a "p/q" string."""
+    if _is_int(obj):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        try:
+            return parse_rational(obj)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CatalogError(f"not a rational: {obj!r}")
+
+
 @dataclass(frozen=True)
 class DyadicSeq:
     """The sequence i |-> alpha * 2**(beta*i + delta) + gamma for i >= 0.
@@ -134,10 +163,13 @@ class DyadicSeq:
 
     @classmethod
     def from_json(cls, obj) -> "DyadicSeq":
-        if isinstance(obj, (str, int)):
-            return cls.constant(obj)
+        if isinstance(obj, str) or _is_int(obj):
+            return cls.constant(_json_rational(obj))
         if isinstance(obj, (list, tuple)) and len(obj) == 4:
-            return cls(parse_rational(obj[0]), int(obj[1]), int(obj[2]), parse_rational(obj[3]))
+            alpha, beta, delta, gamma = obj
+            return cls(
+                _json_rational(alpha), _json_int(beta), _json_int(delta), _json_rational(gamma)
+            )
         raise CatalogError(f"not a dyadic sequence spec: {obj!r}")
 
 
@@ -196,12 +228,12 @@ class AffineSeq:
 
     @classmethod
     def from_json(cls, obj) -> "AffineSeq":
-        if isinstance(obj, int):
+        if _is_int(obj):
             return cls.constant(obj)
         if isinstance(obj, str):
             m = _AFFINE_RE.match(obj.replace(" ", ""))
             if m:
                 return cls(int(m.group(1)), int(m.group(2) or 0))
-            if re.fullmatch(r"-?\d+", obj.strip()):
+            if _INT_RE.fullmatch(obj.strip()):
                 return cls.constant(int(obj))
         raise CatalogError(f"not an affine sequence spec: {obj!r} (expected 'affine:a*i+b' or an integer)")

@@ -107,10 +107,23 @@ def _subgroup_label(period: int) -> str:
 
 @dataclass(frozen=True)
 class ConditionAReport:
+    """Cycles and entries; every entry shares one Fell limit of its approximants.
+
+    ``approx_limit`` is that limit, ``None`` when there are no entries; the
+    per-entry certificates are built only when asked for.
+    """
+
     passed: bool
     cycles: tuple[CycleRep, ...]
     entries: tuple[tuple[CycleRep, Edge], ...]
-    certificates: tuple[StabilizerCertificate, ...]
+    approx_limit: FellLimit | None
+
+    @property
+    def certificates(self) -> tuple[StabilizerCertificate, ...]:
+        return tuple(
+            StabilizerCertificate(cycle, entry, self.approx_limit, len(cycle))
+            for cycle, entry in self.entries
+        )
 
     def to_json(self) -> dict:
         out = {
@@ -124,17 +137,13 @@ class ConditionAReport:
 
 
 def check_condition_a(g: DiGraph) -> ConditionAReport:
-    """Cycles and entries (see ``entry_free_cycles``); one certificate per entry."""
+    """Cycles and entries (see ``entry_free_cycles``), with the entries' Fell limit."""
     analysis = entry_free_cycles(g)
-    certificates = ()
+    approx = None
     if analysis.entries:
         # head period 0 on every approximant, whichever cycle and entry
         approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
-        certificates = tuple(
-            StabilizerCertificate(cycle, entry, approx, len(cycle))
-            for cycle, entry in analysis.entries
-        )
-    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.entries, certificates)
+    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.entries, approx)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
+from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import DiGraph, Edge
 from groupoid_spectrum.exact import AffineSeq
 
@@ -13,6 +14,25 @@ def graph_two_loops_funnel() -> DiGraph:
         ["a", "b", "t"],
         [("La", "a", "a"), ("Lb", "b", "b"), ("f", "a", "t"), ("g", "b", "t")],
     )
+
+
+def corpus_slice():
+    """All validated simple graphs on 3 vertices and 300 random ones on up to 7."""
+    yield from enumerate_validated_simple(3, 9)
+    yield from random_corpus(300, seed=17, max_vertices=7)
+
+
+def complete_graph(n: int) -> DiGraph:
+    """K_n without loops: every cycle has an entry once n >= 3."""
+    return DiGraph.build(
+        [f"v{i}" for i in range(n)],
+        [(f"e{s}_{r}", f"v{s}", f"v{r}") for s in range(n) for r in range(n) if s != r],
+    )
+
+
+def bouquet(m: int) -> DiGraph:
+    """m loops on one vertex: each loop is an entry to every other."""
+    return DiGraph.build(["a"], [(f"L{i:03d}", "a", "a") for i in range(m)])
 
 
 def graph_single_loop() -> DiGraph:

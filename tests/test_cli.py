@@ -10,8 +10,14 @@ import pytest
 
 import helpers
 import groupoid_spectrum
-from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, main
+from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
 from groupoid_spectrum.digraph import DiGraph, graph_to_text
+from groupoid_spectrum.spectrum import (
+    ConditionARequired,
+    check_condition_a,
+    decide_hausdorff_spectrum,
+    orbits,
+)
 
 
 @pytest.fixture
@@ -134,6 +140,81 @@ class TestGraphAnalyze:
             blob.pop("input")
             blob.pop("transpose")
         assert lhs == rhs
+
+
+class TestReportBytes:
+    """Graph reports are written in pieces; the bytes must be those of json.dumps."""
+
+    @staticmethod
+    def graphs():
+        yield from helpers.corpus_slice()
+        yield helpers.complete_graph(5)
+        yield helpers.bouquet(30)
+        yield helpers.graph_two_loops_funnel()
+
+    def test_graph_analyze_json(self, run, tmp_path):
+        path = str(tmp_path / "g.graph")
+        outcomes = set()
+        for g in self.graphs():
+            Path(path).write_text(graph_to_text(g))
+            code, out, _ = run("graph-analyze", path, "--json")
+            verdict = decide_hausdorff_spectrum(g)
+            report = _envelope("graph-analyze", input=path, transpose=False) | verdict.to_json()
+            assert code == 0
+            assert out == json.dumps(report, indent=2) + "\n"
+            outcomes.add((verdict.condition_a.passed, len(verdict.condition_a.cycles) > 1))
+        # a validated graph with an entry has a second cycle feeding it
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_refused_graph_orbits_json(self, run, tmp_path):
+        path = str(tmp_path / "g.graph")
+        refused = 0
+        for g in self.graphs():
+            report_a = check_condition_a(g)
+            if report_a.passed:
+                continue
+            with pytest.raises(ConditionARequired) as refusal:
+                orbits(g)
+            Path(path).write_text(graph_to_text(g))
+            code, out, _ = run("graph-orbits", path, "--json")
+            report = _envelope(
+                "graph-orbits",
+                input=path,
+                transpose=False,
+                validated=True,
+                refused=True,
+                reason=str(refusal.value),
+                entries=report_a.to_json()["entries"],
+            )
+            assert code == 0
+            assert out == json.dumps(report, indent=2) + "\n"
+            refused += 1
+        assert refused > 100
+
+    def test_graph_analyze_text(self, run, tmp_path):
+        # two loops and the 2-cycle between them: every cycle has entries
+        path = tmp_path / "two.graph"
+        path.write_text("v a\nv b\ne La a a\ne ab a b\ne ba b a\ne Lb b b\n")
+        code, out, _ = run("graph-analyze", str(path))
+        assert code == 0
+        assert out == (
+            "validated: yes\n"
+            "condition A: FAIL (3 cycles, 4 entries)\n"
+            "  cycle: La\n"
+            "  cycle: Lb\n"
+            "  cycle: ab,ba\n"
+            "  entry: ba -> cycle La\n"
+            "  entry: ab -> cycle Lb\n"
+            "  entry: La -> cycle ab,ba\n"
+            "  entry: Lb -> cycle ab,ba\n"
+            "  stabilizer discontinuity: approximating periods 0, Fell limit {0} vs 1Z at the cycle\n"
+            "  stabilizer discontinuity: approximating periods 0, Fell limit {0} vs 1Z at the cycle\n"
+            "  stabilizer discontinuity: approximating periods 0, Fell limit {0} vs 2Z at the cycle\n"
+            "  stabilizer discontinuity: approximating periods 0, Fell limit {0} vs 2Z at the cycle\n"
+            "condition B: SKIPPED (condition A failed)\n"
+            "condition C: automatic (stabilizer conjugation argument)\n"
+            "hausdorff: NO\n"
+        )
 
 
 class TestGraphOrbits:
@@ -291,6 +372,78 @@ class TestCheckFamily:
         assert code == 2
         assert out == ""
         assert "must be integers" in err
+
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("gamma", "n", True),  # read as the affine constant 1
+            ("chi", "r", True),  # read as the dyadic constant 1
+            ("chi", "r", [1, 1.9, 0, 0]),  # exponent cut to 1
+        ],
+    )
+    def test_coerced_sequences_exit_2(self, run, tmp_path, section, key, value):
+        obj = json.loads(json.dumps(DUAL_FAMILY))
+        obj[section][key] = value
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run("check-family", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad family file: not ")
+
+    def test_family_leaving_the_catalog_exits_2(self, run, tmp_path):
+        # 2**-i + 1 transported by n = 2i+1 is no longer one dyadic sequence
+        obj = json.loads(json.dumps(DUAL_FAMILY))
+        obj["chi"]["r"] = [1, -1, 0, "1"]
+        path = tmp_path / "two_term.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run("check-family", str(path), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: family leaves the exact sequence catalog: ")
+        assert err.count("\n") == 1
+
+    def test_probe_beyond_float_range_exits_2(self, run, s_family_file):
+        # 2.0**(2i+1) overflows a float once the index passes 511
+        code, out, err = run("check-family", s_family_file, "--truncate", "10000000", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: truncation index 10000000 is beyond the float range of the numeric probe\n"
+
+    def test_negative_probe_index_exits_2(self, run, dual_family_file):
+        code, _, err = run("check-family", dual_family_file, "--truncate", "-1")
+        assert code == 2
+        assert err == "error: truncation index must be >= 0\n"
+
+
+class TestVacuousCounts:
+    """A count that runs no rows or trials must not report a pass."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("model-green", "verify-eq3", "--n-max", "-3"),
+            ("model-dyadic", "demo-c-failure", "--n-max", "-1"),
+            ("model-so3", "conj-test", "--trials", "-5"),
+            ("model-so3", "conj-test", "--trials", "0"),
+        ],
+    )
+    def test_exits_2(self, run, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--json")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+
+    def test_smallest_counts_still_run(self, run):
+        code, out, _ = run("model-green", "verify-eq3", "--n-max", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["confirmations"] == 1
+        code, out, _ = run("model-so3", "conj-test", "--trials", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["trials"] == 1
 
 
 class TestClosedPipe:

@@ -1,5 +1,7 @@
 """Graph parsing, validation, reachability, and cycle/entry analysis."""
 
+import random
+
 import pytest
 
 import helpers
@@ -162,6 +164,29 @@ class TestCycles:
             (("p",), "q"),
             (("q",), "p"),
         }
+
+    def test_entries_ordered_by_cycle_then_entry_id(self):
+        # reference: every (cycle, entry) pair by definition, in one global sort
+        rng = random.Random(5)
+        graphs = [*helpers.corpus_slice(), helpers.complete_graph(5), helpers.bouquet(12)]
+        for g in graphs[-152:]:
+            # edge ids in an order unrelated to the edge order
+            ids = [f"x{i:02d}" for i in range(len(g.edges))]
+            rng.shuffle(ids)
+            graphs.append(DiGraph.build(g.vertices, [(i, e.src, e.rng) for i, e in zip(ids, g.edges)]))
+        listed = 0
+        for g in graphs:
+            analysis = entry_free_cycles(g)
+            pairs = [
+                (c, e)
+                for c in analysis.cycles
+                for e in g.edges
+                if e not in c.edges and e.rng in c.vertices
+            ]
+            pairs.sort(key=lambda pair: (pair[0].sort_key(), pair[1].id))
+            assert analysis.entries == tuple(pairs)
+            listed += len(pairs)
+        assert listed > 1000
 
     def test_cycle_vertices(self):
         assert cycle_vertices(helpers.graph_two_loops_funnel()) == {"a", "b"}

@@ -126,6 +126,21 @@ class TestDyadicSeq:
         with pytest.raises(ValueError):
             DyadicSeq.from_json(["1", 2])
 
+    def test_json_rejects_boolean(self):
+        # true is a Python int; it must not pass for the constant 1
+        with pytest.raises(CatalogError):
+            DyadicSeq.from_json(True)
+
+    def test_json_rejects_fractional_exponent(self):
+        with pytest.raises(CatalogError):
+            DyadicSeq.from_json([1, 1.9, 0, 0])
+
+    def test_json_rejects_unreadable_terms(self):
+        for bad in (["x", 1, 0, 0], ["1/0", 1, 0, 0], [False, 1, 0, 0], ["1", "2.5", 0, 0]):
+            with pytest.raises(CatalogError):
+                DyadicSeq.from_json(bad)
+        assert DyadicSeq.from_json(["3/4", "-2", 1, "-5"]) == DyadicSeq(Fraction(3, 4), -2, 1, Fraction(-5))
+
     def test_constant_to_json(self):
         assert DyadicSeq.constant(42).to_json() == ["0", 0, 0, "42"]
 
@@ -184,6 +199,11 @@ class TestAffineSeq:
         assert AffineSeq.from_json("affine:0*i") == AffineSeq(0, 0)
         assert AffineSeq.from_json(5) == AffineSeq.constant(5)
         assert AffineSeq.from_json("-7") == AffineSeq.constant(-7)
+
+    def test_json_rejects_boolean(self):
+        # true is a Python int; it must not pass for the constant 1
+        with pytest.raises(CatalogError):
+            AffineSeq.from_json(True)
 
     def test_json_rejects_garbage(self):
         for bad in ("affine:i+1", "2i+1", "affine:2*i+1/2", [1, 2]):

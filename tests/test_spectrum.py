@@ -6,11 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from groupoid_spectrum.corpus import (
-    enumerate_validated_simple,
-    random_corpus,
-    random_validated_graph,
-)
+from groupoid_spectrum.corpus import random_validated_graph
 from groupoid_spectrum.digraph import CycleRep, DiGraph, Edge, InvalidGraphError
 from groupoid_spectrum.oracle import naive_reach_sets
 from groupoid_spectrum.spectrum import (
@@ -113,10 +109,21 @@ class TestDecision:
         assert cert.limit_period == 1
         assert cert.entry.id == "e"
 
+    def test_condition_a_shares_one_fell_limit(self):
+        # every entry has approximants of head period 0; without entries there is no limit
+        report = check_condition_a(helpers.complete_graph(4))
+        assert report.approx_limit.label() == "{0}"
+        assert len(report.certificates) == len(report.entries) > 0
+        for cert, (cycle, entry) in zip(report.certificates, report.entries):
+            assert (cert.cycle, cert.entry) == (cycle, entry)
+            assert cert.approx_limit is report.approx_limit
+            assert cert.limit_period == len(cycle)
+        assert check_condition_a(helpers.graph_two_loops_funnel()).approx_limit is None
+
     def test_entry_free_implies_separated(self):
         # under condition A distinct cycles are vertex disjoint and nothing
         # outside a cycle reaches it, so condition B always finds a pair
-        for g in corpus_slice():
+        for g in helpers.corpus_slice():
             verdict = decide_hausdorff_spectrum(g)
             if verdict.condition_a.passed:
                 assert verdict.condition_b.status == "pass"
@@ -127,11 +134,6 @@ class TestDecision:
 
     def test_condition_c_note(self):
         assert CONDITION_C_NOTE == "automatic (stabilizer conjugation argument)"
-
-
-def corpus_slice():
-    yield from enumerate_validated_simple(3, 9)
-    yield from random_corpus(300, seed=17, max_vertices=7)
 
 
 def brute_condition_b(g, cycles) -> dict:
@@ -202,7 +204,7 @@ def entry_graphs():
 
 class TestConditionBReference:
     def test_decisions_match_definition(self):
-        for g in corpus_slice():
+        for g in helpers.corpus_slice():
             verdict = decide_hausdorff_spectrum(g)
             if verdict.condition_a.passed:
                 expected = brute_condition_b(g, verdict.condition_a.cycles)
