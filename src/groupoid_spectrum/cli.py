@@ -62,12 +62,11 @@ from .models import (
 )
 from .spectrum import (
     CONDITION_C_NOTE,
-    ConditionARequired,
+    ORBIT_REFUSAL,
     EventualPath,
     StabilizerCertificate,
     check_condition_a,
     decide_hausdorff_spectrum,
-    orbits,
     shift_equivalent,
     stabilizer_of_path,
 )
@@ -271,12 +270,10 @@ def _analyze_lines(verdict) -> list[str]:
     if b.status == "skipped":
         lines.append("condition B: SKIPPED (condition A failed)")
     else:
-        lines.append(f"condition B: {b.status.upper()} ({len(b.certificates)} certificates)")
+        lines.append(f"condition B: PASS ({len(b.certificates)} certificates)")
         for cert in b.certificates:
             pair = " | ".join(",".join(ids) for ids in (cert.pair[0].edge_ids(), cert.pair[1].edge_ids()))
             lines.append(f"  pair ({pair}): u={cert.u} v={cert.v}")
-        if b.refutation is not None:
-            lines.append("  refuted: every candidate pair has a common ancestor")
     lines.append(f"condition C: {CONDITION_C_NOTE}")
     lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
     return lines
@@ -285,25 +282,26 @@ def _analyze_lines(verdict) -> list[str]:
 def cmd_graph_orbits(args) -> int:
     g = _load_graph(args.graph, args.transpose)
     try:
-        reps = orbits(g)
+        require_validated(g)
     except InvalidGraphError as exc:
         raise InputError(str(exc)) from None
-    except ConditionARequired as exc:
-        entries = check_condition_a(g).entries
+    report_a = check_condition_a(g)
+    if not report_a.passed:
         report = _envelope(
             "graph-orbits",
             input=args.graph,
             transpose=args.transpose,
             validated=True,
             refused=True,
-            reason=str(exc),
-            entries=_entry_items(entries, None)[0],
+            reason=ORBIT_REFUSAL,
+            entries=_entry_items(report_a.entries, None)[0],
         )
-        lines = [] if args.json else [f"refused: {exc}"] + [
-            f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in entries
+        lines = [] if args.json else [f"refused: {ORBIT_REFUSAL}"] + [
+            f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in report_a.entries
         ]
         _emit(report, lines, args.json)
         return 0
+    reps = report_a.cycles
     report = _envelope(
         "graph-orbits",
         input=args.graph,

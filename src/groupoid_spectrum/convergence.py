@@ -737,13 +737,12 @@ def run_family_truncated(spec: FamilySpec, truncate: int, tol: float) -> dict:
     i = truncate
 
     def embed_dist(p: PointY, q: PointY) -> float:
-        pe, qe = p.embed(), q.embed()
-        return max(abs(float(a) - float(b)) for a, b in zip(pe, qe))
+        return max(abs(a - b) for a, b in zip(p.embed_float(), q.embed_float()))
 
     try:
-        param = float(spec.seq.parameter(i))
+        param = spec.seq.parameter.float_at(i)
         base = spec.seq.base.point_at(i)
-        trans_param = float(spec.seq.parameter(i)) * 2.0 ** (
+        trans_param = param * 2.0 ** (
             (spec.family.n(i)) * (1 if spec.space == "S" else -1)
         )
         trans_base = spec.family.base.point_at(i)

@@ -122,12 +122,6 @@ class DiGraph:
         """Strongly connected components; shared by conditions A and B."""
         return strongly_connected_components(self)
 
-    def edges_into(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.rng == v)
-
-    def edges_from(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == v)
-
     def transpose(self) -> "DiGraph":
         """Same graph with every edge reversed."""
         return DiGraph(self.vertices, tuple(Edge(e.id, e.rng, e.src) for e in self.edges))

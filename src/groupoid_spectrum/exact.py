@@ -147,6 +147,27 @@ class DyadicSeq:
             raise ValueError("sequence index must be >= 0")
         return pow2_scale(self.alpha, self.beta * i + self.delta) + self.gamma
 
+    def float_at(self, i: int) -> float:
+        """``float(self(i))`` at a cost that does not grow with i.
+
+        Raises OverflowError when the term is beyond the float range.
+        """
+        if i < 0:
+            raise ValueError("sequence index must be >= 0")
+        alpha, gamma = self.alpha, self.gamma
+        e = self.beta * i + self.delta
+        # |alpha| > 2**-bits(den alpha) and |gamma| < 2**bits(num gamma), so
+        # past this exponent the term is at least 2**1024 in magnitude
+        if e - alpha.denominator.bit_length() > max(1024, abs(gamma.numerator).bit_length()):
+            raise OverflowError("dyadic term beyond the float range")
+        # Every rounding boundary of a float is a multiple of 2**-1075, and
+        # only gamma itself may lie within 1 / (den gamma * 2**1075) of gamma,
+        # so a power term smaller than that rounds as any other of its sign.
+        sticky = 1075 + gamma.denominator.bit_length()
+        if e + abs(alpha.numerator).bit_length() <= -sticky:
+            return float(gamma + Fraction(1 if alpha > 0 else -1, 1 << sticky))
+        return float(pow2_scale(alpha, e) + gamma)
+
     def is_eventually_constant(self) -> bool:
         return self.alpha == 0
 

@@ -66,10 +66,16 @@ def dyadic_chart(k: int, s: Fraction | int) -> tuple[Fraction, Fraction, Fractio
     if k < 0:
         raise ValueError("chart index must be >= 0")
     s = Fraction(s)
+    height, coord = _chart_parts(k, s)
+    return (pow2_scale(Fraction(1), height), coord, Fraction(0))
+
+
+def _chart_parts(k: int, s):
+    """Chart k at an off-band s as (exponent of the power-of-2 height, coordinate)."""
     if s <= k:
-        return (pow2_scale(Fraction(1), -2 * k), s, Fraction(0))
+        return -2 * k, s
     if s >= k + 1:
-        return (pow2_scale(Fraction(1), -2 * k - 1), s - 1 - 2 * k, Fraction(0))
+        return -2 * k - 1, s - 1 - 2 * k
     raise ValueError(f"parameter {s} lies in the non-exact band ({k}, {k + 1})")
 
 
@@ -116,6 +122,13 @@ class PointY:
         if self.branch == LINE_BRANCH:
             return (Fraction(0), Fraction(self.param), Fraction(0))
         return dyadic_chart(self.branch, self.param)
+
+    def embed_float(self) -> tuple[float, float, float]:
+        """``embed()`` rounded to floats, at a cost that does not grow with the chart index."""
+        if self.branch == LINE_BRANCH:
+            return (0.0, float(self.param), 0.0)
+        height, coord = _chart_parts(self.branch, self.param)
+        return (math.ldexp(1.0, height), float(coord), 0.0)
 
     def translate(self, n: int) -> "PointY":
         return PointY(self.branch, self.param + n)

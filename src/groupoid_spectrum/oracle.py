@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import CycleRep, DiGraph, Edge
-from .spectrum import (
-    EventualPath,
-    check_condition_a,
-    check_condition_b,
-    decide_hausdorff_spectrum,
-)
+from .spectrum import EventualPath, decide_hausdorff_spectrum
 
 __all__ = [
     "OracleReport",
@@ -185,7 +180,7 @@ def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
     non-equivalent paths against the cycle-representative decision.
     """
     verdict = decide_hausdorff_spectrum(g)
-    report_a = check_condition_a(g)
+    report_a = verdict.condition_a
 
     fast_cycles = {c.edge_ids() for c in report_a.cycles}
     slow_cycles = naive_simple_cycles(g)
@@ -229,7 +224,7 @@ def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
         for x in cls
         for y in other
     )
-    fast_b = check_condition_b(g, report_a.cycles).status == "pass"
-    condition_b_agrees = slow_b == fast_b and fast_b == (verdict.condition_b.status == "pass")
+    fast_b = verdict.condition_b.status == "pass"
+    condition_b_agrees = slow_b == fast_b
     details["condition_b"] = {"fast": fast_b, "paths": slow_b}
     return OracleReport(a_agrees, entries_agree, orbit_count_agrees, condition_b_agrees, details)

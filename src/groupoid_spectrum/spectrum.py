@@ -10,12 +10,14 @@ The decision runs two graph conditions:
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
-  (no w reaching both).  Certificates are the (u, v) pairs; a failure is
-  refuted exhaustively.  Skipped when condition A fails.
+  (no w reaching both).  It holds whenever condition A does, since then
+  the cycles are the source components of the condensation and each
+  cycle's own vertices have only that cycle as an ancestor; certificates
+  are the least (u, v) per pair.  Skipped when condition A fails.
 
 Both conditions read the strongly connected components of the graph: the
-cycle vertices are those of cyclic components, and two vertices have a
-common ancestor exactly when some source component reaches both.
+cycle vertices are those of cyclic components, and under condition A two
+vertices have a common ancestor exactly when some cycle reaches both.
 
 When both pass, the remaining separation condition for convergent character
 sequences holds automatically: an arrow between two characters in the same
@@ -44,7 +46,6 @@ __all__ = [
     "ConditionAReport",
     "ConditionBReport",
     "SeparationCertificate",
-    "Refutation",
     "StabilizerCertificate",
     "SpectrumVerdict",
     "EventualPath",
@@ -59,9 +60,11 @@ __all__ = [
     "stabilizer_of_path",
     "transport_char",
     "CONDITION_C_NOTE",
+    "ORBIT_REFUSAL",
 ]
 
 CONDITION_C_NOTE = "automatic (stabilizer conjugation argument)"
+ORBIT_REFUSAL = "orbit space is cycle-indexed only when no cycle has an entry"
 
 
 class ConditionARequired(RuntimeError):
@@ -165,130 +168,70 @@ class SeparationCertificate:
 
 
 @dataclass(frozen=True)
-class Refutation:
-    """Exhaustive failure record: a common ancestor for every candidate pair."""
-
-    pair: tuple[CycleRep, CycleRep]
-    common_ancestors: tuple[tuple[str, str, str], ...]  # (u, v, w)
+class ConditionBReport:
+    status: str  # "pass" | "skipped"
+    certificates: tuple[SeparationCertificate, ...]
 
     def to_json(self) -> dict:
         return {
-            "pair": [list(self.pair[0].edge_ids()), list(self.pair[1].edge_ids())],
-            "common_ancestors": [
-                {"u": u, "v": v, "w": w} for u, v, w in self.common_ancestors
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class ConditionBReport:
-    status: str  # "pass" | "fail" | "skipped"
-    certificates: tuple[SeparationCertificate, ...]
-    refutation: Refutation | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "pass": {"pass": True, "fail": False}.get(self.status, "skipped"),
+            "pass": True if self.status == "pass" else "skipped",
             "certificates": [c.to_json() for c in self.certificates],
         }
-        if self.refutation is not None:
-            out["refutation"] = self.refutation.to_json()
-        return out
 
 
-def check_condition_b(g: DiGraph, cycles: tuple[CycleRep, ...]) -> ConditionBReport:
-    """Search a separating vertex pair for every pair of distinct cycles.
+def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBReport:
+    """The least separating vertex pair of every pair of distinct cycles.
 
-    Candidates are scanned in sorted order, so the reported certificate per
-    pair is the lexicographically least one.  Every ancestor chain starts in
-    a source component of the condensation, so u and v are separated exactly
-    when their masks of reaching source components are disjoint; the scan
-    runs over the distinct masks of each reach set, not over its vertices.
+    Skipped unless condition A holds.  ``g`` must be validated, as
+    ``decide_hausdorff_spectrum`` ensures: then every source component of the
+    condensation carries a cycle, and under A nothing enters a cycle, so the
+    sources are exactly the cycles.  Every ancestor chain starts in one, so
+    u and v are separated exactly when no cycle reaches both: their masks of
+    reaching cycles are disjoint.  A cycle's own vertices carry only its own
+    bit, so every pair of cycles is separated.
     """
+    if not report_a.passed:
+        return ConditionBReport("skipped", ())
+    cycles = report_a.cycles  # sorted by CycleRep.sort_key
     of = g.components.of
-    succ = g.successors
-    masks = _source_masks(g)
-    vi = g.vertex_index
-
-    reach: dict[CycleRep, list[int]] = {}
-    firsts: dict[CycleRep, dict[int, int]] = {}
-    for c in cycles:
-        seen = {vi[v] for v in c.vertices}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in succ[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        reach[c] = sorted(seen, key=g.vertices.__getitem__)
-        # first vertex, in sorted order, of each distinct source mask
-        first: dict[int, int] = {}
-        for u in reach[c]:
-            first.setdefault(masks[of[u]], u)
-        firsts[c] = first
+    masks = _cycle_masks(g, cycles)
+    # first vertex, in sorted order, of each distinct mask; the candidates
+    # from a cycle's reach set are the masks holding its bit
+    first: dict[int, int] = {}
+    for u in sorted(range(len(g.vertices)), key=g.vertices.__getitem__):
+        first.setdefault(masks[of[u]], u)
+    firsts = [[(m, u) for m, u in first.items() if m >> bit & 1] for bit in range(len(cycles))]
 
     certificates = []
-    ordered = sorted(cycles, key=CycleRep.sort_key)
-    for a_pos in range(len(ordered)):
-        for b_pos in range(a_pos + 1, len(ordered)):
-            c, d = ordered[a_pos], ordered[b_pos]
-            found = _least_separated(firsts[c], firsts[d])
-            if found is None:
-                ancestors = _ancestor_masks(g)
-                witnesses = []
-                for u in reach[c]:
-                    for v in reach[d]:
-                        mask = ancestors[of[u]] & ancestors[of[v]]
-                        w = g.vertices[(mask & -mask).bit_length() - 1]
-                        witnesses.append((g.vertices[u], g.vertices[v], w))
-                return ConditionBReport(
-                    "fail", tuple(certificates), Refutation((c, d), tuple(witnesses))
-                )
-            u, v = found
-            certificates.append(SeparationCertificate((c, d), g.vertices[u], g.vertices[v]))
+    for a, c in enumerate(cycles):
+        for b in range(a + 1, len(cycles)):
+            u, v = _least_separated(firsts[a], firsts[b])
+            certificates.append(SeparationCertificate((c, cycles[b]), g.vertices[u], g.vertices[v]))
     return ConditionBReport("pass", tuple(certificates))
 
 
-def _least_separated(first_c: dict[int, int], first_d: dict[int, int]) -> tuple[int, int] | None:
-    """Least (u, v) with disjoint source masks; both maps are in vertex order."""
-    for mask_u, u in first_c.items():
-        for mask_v, v in first_d.items():
-            if mask_u & mask_v == 0:
-                return u, v
-    return None
+def _least_separated(
+    first_c: list[tuple[int, int]], first_d: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """Least (u, v) with disjoint masks; both lists are in vertex order."""
+    return next((u, v) for mask_u, u in first_c for mask_v, v in first_d if not mask_u & mask_v)
 
 
-def _source_masks(g: DiGraph) -> list[int]:
-    """Per component, a bitmask of the source components that reach it."""
-    of = g.components.of
-    entered = {of[d] for s, d in g.arc_indices if of[s] != of[d]}
-    sources = [c for c in range(len(g.components.members)) if c not in entered]
-    masks = [0] * len(g.components.members)
-    for bit, c in enumerate(sources):
-        masks[c] = 1 << bit
-    return _push_down(g, masks)
-
-
-def _ancestor_masks(g: DiGraph) -> list[int]:
-    """Per component, a bitmask over vertex indices of all its ancestors."""
-    return _push_down(g, [sum(1 << v for v in members) for members in g.components.members])
-
-
-def _push_down(g: DiGraph, masks: list[int]) -> list[int]:
-    """OR each component's mask into every component it has an edge to."""
+def _cycle_masks(g: DiGraph, cycles: tuple[CycleRep, ...]) -> list[int]:
+    """Per component, a bitmask of the cycles that reach it (bit k: cycles[k])."""
     comps = g.components
     of = comps.of
     succ = g.successors
+    vi = g.vertex_index
+    masks = [0] * len(comps.members)
+    for bit, c in enumerate(cycles):
+        masks[of[vi[c.edges[0].rng]]] = 1 << bit
     # ids are topological, so a component's mask is final before it is pushed
     for c, members in enumerate(comps.members):
         mask = masks[c]
         for v in members:
             for w in succ[v]:
-                if of[w] != c:
-                    masks[of[w]] |= mask
+                masks[of[w]] |= mask
     return masks
 
 
@@ -316,12 +259,7 @@ def decide_hausdorff_spectrum(g: DiGraph) -> SpectrumVerdict:
     """Full decision; raises InvalidGraphError when the graph fails validation."""
     require_validated(g)
     report_a = check_condition_a(g)
-    if report_a.passed:
-        report_b = check_condition_b(g, report_a.cycles)
-    else:
-        report_b = ConditionBReport("skipped", ())
-    hausdorff = report_a.passed and report_b.status == "pass"
-    return SpectrumVerdict(report_a, report_b, hausdorff)
+    return SpectrumVerdict(report_a, check_condition_b(g, report_a), report_a.passed)
 
 
 def orbits(g: DiGraph) -> tuple[CycleRep, ...]:
@@ -333,9 +271,7 @@ def orbits(g: DiGraph) -> tuple[CycleRep, ...]:
     require_validated(g)
     report = check_condition_a(g)
     if not report.passed:
-        raise ConditionARequired(
-            "orbit space is cycle-indexed only when no cycle has an entry"
-        )
+        raise ConditionARequired(ORBIT_REFUSAL)
     return report.cycles
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import helpers
 import groupoid_spectrum
+from groupoid_spectrum import cli, spectrum
 from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
 from groupoid_spectrum.digraph import DiGraph, graph_to_text
 from groupoid_spectrum.spectrum import (
@@ -18,6 +19,14 @@ from groupoid_spectrum.spectrum import (
     decide_hausdorff_spectrum,
     orbits,
 )
+
+
+def _child_env() -> dict:
+    """The environment with this package's root first on PYTHONPATH."""
+    package_root = str(Path(groupoid_spectrum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -233,6 +242,21 @@ class TestGraphOrbits:
         assert report["refused"] is True
         assert report["entries"] == [{"cycle": ["La"], "entry": "e"}]
 
+    def test_condition_a_runs_once(self, run, monkeypatch, funnel_file, entry_file):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return check_condition_a(g)
+
+        monkeypatch.setattr(cli, "check_condition_a", counted)
+        monkeypatch.setattr(spectrum, "check_condition_a", counted)
+        for path in (entry_file, funnel_file):
+            calls.clear()
+            code, _, _ = run("graph-orbits", path, "--json")
+            assert code == 0
+            assert len(calls) == 1
+
 
 class TestGraphEquiv:
     def test_equivalent_paths(self, run, funnel_file):
@@ -411,6 +435,37 @@ class TestCheckFamily:
         assert out == ""
         assert err == "error: truncation index 10000000 is beyond the float range of the numeric probe\n"
 
+    def test_far_probe_of_a_decaying_family_is_bounded(self, tmp_path):
+        # the exact parameter 2**-i and chart height 2**-(2i+1) have billions
+        # of bits here; the child's address space is capped, so a probe that
+        # builds them fails instead of swapping
+        obj = json.loads(json.dumps(DUAL_FAMILY))
+        obj["chi"]["r"] = [1, -1, 0, 0]
+        obj["limits"]["chi"]["r"] = "0"
+        path = tmp_path / "decaying.json"
+        path.write_text(json.dumps(obj))
+        child = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from groupoid_spectrum.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(f'{time.perf_counter() - start:.3f}', file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, "check-family", str(path), "--truncate", "3000000000", "--json"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert float(out.stderr) < 1.0
+        row = json.loads(out.stdout)["row"]
+        assert row["index"] == 3_000_000_000
+        assert row["parameter"] == row["base_residual"] == row["transported_parameter"] == 0.0
+
     def test_negative_probe_index_exits_2(self, run, dual_family_file):
         code, _, err = run("check-family", dual_family_file, "--truncate", "-1")
         assert code == 2
@@ -453,14 +508,11 @@ class TestClosedPipe:
         g = DiGraph.build(["a"], [(f"L{i:02d}", "a", "a") for i in range(80)])
         path = tmp_path / "bouquet.graph"
         path.write_text(graph_to_text(g))
-        package_root = str(Path(groupoid_spectrum.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         with subprocess.Popen(
             [sys.executable, "-m", "groupoid_spectrum.cli", "graph-analyze", str(path), "--json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         ) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()

@@ -440,6 +440,49 @@ class TestFamilyFiles:
         assert result["outcome"] == "hypothesis-failure"
         assert "never eventually constant" in result["hypothesis_failure"]
 
+    @pytest.mark.parametrize(
+        "space, r, base",
+        [
+            ("dual", "1", {"branch": "i", "param": "affine:2*i+1"}),
+            ("dual", [1, -1, 0, 0], {"branch": "i", "param": "affine:2*i+1"}),
+            ("dual", [-3, -1, 2, "1/3"], {"branch": 2, "param": "affine:-1*i+4"}),
+            ("dual", [5, 1, -3, "2/3"], {"branch": -1, "param": "affine:3*i+0"}),
+            ("S", "0", {"branch": "i", "param": "affine:2*i+1"}),
+            ("S", [-1, -3, 1, 0], {"branch": "i", "param": "affine:2*i+1"}),
+        ],
+    )
+    def test_truncated_rows_equal_exact_evaluation(self, space, r, base):
+        obj = json.loads(json.dumps(DUAL_FAMILY if space == "dual" else S_FAMILY_DIVERGENT))
+        obj["gamma"]["base"] = base
+        obj["chi" if space == "dual" else "s"]["r"] = r
+        spec = parse_family(obj)
+
+        def exact_dist(p, q):
+            return max(abs(float(a) - float(b)) for a, b in zip(p.embed(), q.embed()))
+
+        for i in range(2001):
+            try:
+                # the row from exact terms, rounded only at the end
+                param = float(spec.seq.parameter(i))
+                trans_param = param * 2.0 ** (spec.family.n(i) * (1 if space == "S" else -1))
+                expected = {
+                    "index": i,
+                    "parameter": param,
+                    "parameter_residual": abs(param - float(spec.limit_chi.r)),
+                    "base_residual": exact_dist(spec.seq.base.point_at(i), spec.limit_chi.base),
+                    "transported_parameter": trans_param,
+                    "transported_residual": abs(trans_param - float(spec.limit_omega.r)),
+                    "transported_base_residual": exact_dist(
+                        spec.family.base.point_at(i), spec.limit_omega.base
+                    ),
+                }
+            except OverflowError:
+                with pytest.raises(FamilyFormatError, match="beyond the float range"):
+                    run_family_truncated(spec, i, 1e-9)
+            else:
+                row = run_family_truncated(spec, i, 1e-9)["row"]
+                assert json.dumps(row) == json.dumps(expected), i
+
     def test_truncated_probe(self):
         spec = parse_family(DUAL_FAMILY)
         far = run_family_truncated(spec, 30, 1e-9)

@@ -111,6 +111,40 @@ class TestDyadicSeq:
         i0 = (k + abs(delta) + bits) // abs(beta) + 1
         assert abs(seq(i0) - seq.limit()) < Fraction(1, 2**k)
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            DyadicSeq(Fraction(1), -1, 0, Fraction(0)),
+            DyadicSeq(Fraction(-3, 7), -1, 5, Fraction(0)),  # ends at -0.0
+            DyadicSeq(Fraction(5), -3, 2, Fraction(1, 3)),
+            # gamma on a rounding tie (1 + 2**-53) and halfway to the least
+            # subnormal: the sign of the vanishing term decides the float
+            DyadicSeq(Fraction(1), -1, 0, Fraction(2**53 + 1, 2**53)),
+            DyadicSeq(Fraction(-1), -1, 0, Fraction(2**53 + 1, 2**53)),
+            DyadicSeq(Fraction(1), -1, 0, Fraction(1, 2**1075)),
+            DyadicSeq(Fraction(-1), -1, 0, Fraction(1, 2**1075)),
+            DyadicSeq(Fraction(7, 3), 1, -40, Fraction(-5)),  # leaves the float range
+            DyadicSeq(Fraction(-1), 1, 0, Fraction(2**1030)),  # back into it at i = 1030 only
+            DyadicSeq.constant(Fraction(2, 3)),
+        ],
+    )
+    def test_float_at_rounds_the_exact_term(self, seq):
+        for i in range(2001):
+            try:
+                expected = repr(float(seq(i)))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    seq.float_at(i)
+            else:
+                assert repr(seq.float_at(i)) == expected, i
+
+    def test_float_at_far_out(self):
+        # the exact terms have billions of bits
+        assert repr(DyadicSeq(Fraction(-1), -1, 0, Fraction(0)).float_at(3_000_000_000)) == "-0.0"
+        assert DyadicSeq(Fraction(1), -2, 0, Fraction(1, 3)).float_at(10**30) == 1 / 3
+        with pytest.raises(OverflowError):
+            DyadicSeq(Fraction(1), 1, 0, Fraction(0)).float_at(3_000_000_000)
+
     def test_json_roundtrip(self):
         seq = DyadicSeq(Fraction(3, 4), -2, 1, Fraction(-5))
         assert seq.to_json() == ["3/4", -2, 1, "-5"]
