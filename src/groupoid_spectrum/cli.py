@@ -45,7 +45,6 @@ from .digraph import (
     InvalidGraphError,
     parse_graph,
     require_validated,
-    validate_graph,
 )
 from .exact import AffineSeq, CatalogError, DyadicSeq, format_rational, parse_rational
 from .models import (
@@ -219,19 +218,19 @@ def _envelope(command: str, **fields) -> dict:
 
 def cmd_graph_analyze(args) -> int:
     g = _load_graph(args.graph, args.transpose)
-    violations = validate_graph(g)
-    if violations:
+    try:
+        verdict = decide_hausdorff_spectrum(g)
+    except InvalidGraphError as exc:
         report = _envelope(
             "graph-analyze",
             input=args.graph,
             transpose=args.transpose,
             validated=False,
-            violations=[v.to_json() for v in violations],
+            violations=[v.to_json() for v in exc.violations],
         )
-        lines = ["validated: no"] + [f"  {v.detail}" for v in violations]
+        lines = ["validated: no"] + [f"  {v.detail}" for v in exc.violations]
         _emit(report, lines, args.json)
         return 2
-    verdict = decide_hausdorff_spectrum(g)
     a, b = verdict.condition_a, verdict.condition_b
     entry_items, discontinuity_items = _entry_items(a.entries, a.approx_limit)
     condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": entry_items}

@@ -742,8 +742,8 @@ def run_family_truncated(spec: FamilySpec, truncate: int, tol: float) -> dict:
     try:
         param = spec.seq.parameter.float_at(i)
         base = spec.seq.base.point_at(i)
-        trans_param = param * 2.0 ** (
-            (spec.family.n(i)) * (1 if spec.space == "S" else -1)
+        trans_param = spec.seq.parameter.float_at(
+            i, spec.family.n(i) * (1 if spec.space == "S" else -1)
         )
         trans_base = spec.family.base.point_at(i)
         row = {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 
 from . import _kernels
@@ -248,52 +248,9 @@ class Components:
 
 
 def strongly_connected_components(g: DiGraph) -> Components:
-    """Tarjan's algorithm (1972), iterative, in O(V + E)."""
-    succ = g.successors
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    found: list[list[int]] = []  # reverse topological order
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    found.append(comp)
-    found.reverse()
-    of = [0] * n
+    """One Tarjan pass, in O(V + E)."""
+    found = _kernels.components(g.successors)
+    of = [0] * len(g.vertices)
     for c, comp in enumerate(found):
         for v in comp:
             of[v] = c
@@ -319,22 +276,21 @@ class CycleAnalysis:
 def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
     """All simple cycles and every entry into each of them.
 
-    Condition A holds exactly when every vertex on a cycle has one in-range
-    edge; then each cyclic component is a single cycle, read off its in-edges.
-    Otherwise the cycles are enumerated and every entry listed.
+    Cycles are enumerated inside the cyclic components, in time bounded by the
+    output.  Condition A holds iff no cycle vertex has a second in-range edge.
     """
-    cycles = _component_cycles(g)
-    if cycles is not None:
-        return CycleAnalysis(cycles, ())
-    raw = _kernels.simple_cycles(len(g.vertices), g.arc_indices)
-    cycles = []
-    for arc_tuple in raw:
+    comps = g.components
+    parts = list(compress(comps.members, comps.cyclic))
+    cycles = [
         # kernel output is in traversal order; path convention is its reverse
-        cycles.append(CycleRep(tuple(g.edges[j] for j in reversed(arc_tuple))))
+        CycleRep(tuple(g.edges[j] for j in reversed(arc_tuple)))
+        for arc_tuple in _kernels.simple_cycles(g.arc_indices, parts)
+    ]
     cycles.sort(key=CycleRep.sort_key)
     # each cycle's entries in edge id order, walking the sorted cycles, give
     # the pairs in (cycle, entry id) order without sorting the pairs
-    by_id = sorted(g.edges, key=attrgetter("id"))
+    on_cycles = cycle_vertices(g)
+    by_id = sorted((e for e in g.edges if e.rng in on_cycles), key=attrgetter("id"))
     into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
     for rank, e in enumerate(by_id):
         into.setdefault(e.rng, []).append(rank)
@@ -346,41 +302,11 @@ def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
     return CycleAnalysis(tuple(cycles), tuple(entries))
 
 
-def _component_cycles(g: DiGraph) -> tuple[CycleRep, ...] | None:
-    """The cycles when every cycle vertex has one in-range edge, else None."""
-    comps = g.components
-    in_edge: list[Edge | None] = [None] * len(g.vertices)
-    for e, (_, d) in zip(g.edges, g.arc_indices):
-        if comps.cyclic[comps.of[d]]:
-            if in_edge[d] is not None:
-                return None
-            in_edge[d] = e
-    vi = g.vertex_index
-    cycles = []
-    for members, cyclic in zip(comps.members, comps.cyclic):
-        if cyclic:
-            # follow the unique in-edges backwards: path order is head-first
-            edges = []
-            v = members[0]
-            while True:
-                e = in_edge[v]
-                edges.append(e)
-                v = vi[e.src]
-                if v == members[0]:
-                    break
-            cycles.append(CycleRep(tuple(edges)))
-    cycles.sort(key=CycleRep.sort_key)
-    return tuple(cycles)
-
-
 def cycle_vertices(g: DiGraph) -> frozenset[str]:
     """Vertices lying on at least one cycle: those of cyclic components."""
     comps = g.components
     return frozenset(
-        g.vertices[v]
-        for members, cyclic in zip(comps.members, comps.cyclic)
-        if cyclic
-        for v in members
+        g.vertices[v] for members in compress(comps.members, comps.cyclic) for v in members
     )
 
 

@@ -1,8 +1,9 @@
 """Exact rational arithmetic and a closed catalog of integer-indexed sequences.
 
-Rationals are ``fractions.Fraction`` throughout; nothing in this package ever
-rounds a rational.  The sequence catalog covers two families that are closed
-under the operations the model groupoids need:
+Rationals are ``fractions.Fraction`` throughout; only the float views of the
+numeric probe (``pow2_sum_float``) round, once, to the nearest float.  The
+sequence catalog covers two families that are closed under the operations
+the model groupoids need:
 
 * ``DyadicSeq``: i |-> alpha * 2**(beta*i + delta) + gamma
 * ``AffineSeq``: i |-> a*i + b  (integer coefficients)
@@ -13,6 +14,7 @@ either a rational or the ``DIVERGENT`` sentinel.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +28,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "pow2_scale",
+    "pow2_sum_float",
     "rational_inverse",
     "scale_pow2_affine",
 ]
@@ -72,6 +75,46 @@ def pow2_scale(r: Fraction, n: int) -> Fraction:
     if n >= 0:
         return r * (1 << n)
     return r / (1 << (-n))
+
+
+def _magnitude(r: Fraction, e: int) -> int:
+    """The m with 2**(m - 1) < |r * 2**e| < 2**(m + 1), for r != 0."""
+    return e + abs(r.numerator).bit_length() - r.denominator.bit_length()
+
+
+def pow2_sum_float(x: Fraction, p: int, y: Fraction, q: int) -> float:
+    """``float(x * 2**p + y * 2**q)``, rounded once, at a cost bounded by the
+    sizes of x and y, not by p and q.
+
+    Raises OverflowError when the sum is beyond the float range.
+    """
+    terms = sorted(((r, e) for r, e in ((x, p), (y, q)) if r), key=lambda t: -_magnitude(*t))
+    if len(terms) == 2 and _magnitude(*terms[1]) >= _magnitude(*terms[0]) - 3:
+        # terms of near magnitude may cancel: add them at the lower exponent,
+        # which differs from the higher by no more than their bit sizes
+        (r, e), (s, f) = terms
+        low = min(e, f)
+        total = pow2_scale(r, e - low) + pow2_scale(s, f - low)
+        terms = [(total, low)] if total else []
+    if not terms:
+        return 0.0
+    (r, e), *smaller = terms
+    m = _magnitude(r, e)
+    # a smaller term is below 2**(m - 3), so 2**(m - 2) < |sum| < 2**(m + 2)
+    if m - 2 >= 1024:
+        raise OverflowError("dyadic term beyond the float range")
+    if m + 2 <= -1075:
+        return math.copysign(0.0, r)
+    total = pow2_scale(r, e)
+    for s, f in smaller:
+        # Every rounding boundary of a float is a multiple of 2**-1075, and
+        # r * 2**e lies at least 2**k from any it is not on, so a smaller
+        # term below 2**k rounds as any other of its sign.
+        k = min(e, -1075) - r.denominator.bit_length()
+        if _magnitude(s, f) < k:
+            s, f = Fraction(1 if s > 0 else -1), k
+        total += pow2_scale(s, f)
+    return float(total)
 
 
 def rational_inverse(r: Fraction) -> Fraction:
@@ -147,26 +190,14 @@ class DyadicSeq:
             raise ValueError("sequence index must be >= 0")
         return pow2_scale(self.alpha, self.beta * i + self.delta) + self.gamma
 
-    def float_at(self, i: int) -> float:
-        """``float(self(i))`` at a cost that does not grow with i.
+    def float_at(self, i: int, shift: int = 0) -> float:
+        """``float(self(i) * 2**shift)`` at a cost that does not grow with i or shift.
 
         Raises OverflowError when the term is beyond the float range.
         """
         if i < 0:
             raise ValueError("sequence index must be >= 0")
-        alpha, gamma = self.alpha, self.gamma
-        e = self.beta * i + self.delta
-        # |alpha| > 2**-bits(den alpha) and |gamma| < 2**bits(num gamma), so
-        # past this exponent the term is at least 2**1024 in magnitude
-        if e - alpha.denominator.bit_length() > max(1024, abs(gamma.numerator).bit_length()):
-            raise OverflowError("dyadic term beyond the float range")
-        # Every rounding boundary of a float is a multiple of 2**-1075, and
-        # only gamma itself may lie within 1 / (den gamma * 2**1075) of gamma,
-        # so a power term smaller than that rounds as any other of its sign.
-        sticky = 1075 + gamma.denominator.bit_length()
-        if e + abs(alpha.numerator).bit_length() <= -sticky:
-            return float(gamma + Fraction(1 if alpha > 0 else -1, 1 << sticky))
-        return float(pow2_scale(alpha, e) + gamma)
+        return pow2_sum_float(self.alpha, self.beta * i + self.delta + shift, self.gamma, shift)
 
     def is_eventually_constant(self) -> bool:
         return self.alpha == 0

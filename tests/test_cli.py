@@ -10,9 +10,9 @@ import pytest
 
 import helpers
 import groupoid_spectrum
-from groupoid_spectrum import cli, spectrum
+from groupoid_spectrum import cli, digraph, spectrum
 from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
-from groupoid_spectrum.digraph import DiGraph, graph_to_text
+from groupoid_spectrum.digraph import DiGraph, graph_to_text, validate_graph
 from groupoid_spectrum.spectrum import (
     ConditionARequired,
     check_condition_a,
@@ -124,6 +124,23 @@ class TestGraphAnalyze:
         report = json.loads(out)
         assert report["validated"] is False
         assert report["violations"][0]["kind"] == "no-range-edge"
+
+    def test_validates_once(self, run, monkeypatch, tmp_path, funnel_file):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return validate_graph(g)
+
+        monkeypatch.setattr(digraph, "validate_graph", counted)
+        monkeypatch.setattr(cli, "validate_graph", counted, raising=False)
+        bad = tmp_path / "bad.graph"
+        bad.write_text("v a\nv b\ne l a a\n")
+        for path, expected in ((funnel_file, 0), (str(bad), 2)):
+            calls.clear()
+            code, _, _ = run("graph-analyze", path, "--json")
+            assert code == expected
+            assert len(calls) == 1
 
     def test_parse_error_exits_2(self, run, tmp_path):
         path = tmp_path / "syntax.graph"
@@ -434,6 +451,17 @@ class TestCheckFamily:
         assert code == 2
         assert out == ""
         assert err == "error: truncation index 10000000 is beyond the float range of the numeric probe\n"
+
+    @pytest.mark.parametrize("index", ["600", "10000000"])
+    def test_zero_family_probes_at_any_index(self, run, tmp_path, s_family_file, index):
+        # the transported parameter 0 * 2**(2i+1) is 0 at every index
+        obj = json.loads(Path(s_family_file).read_text())
+        obj["s"]["r"] = "0"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run("check-family", str(path), "--truncate", index, "--json")
+        assert code == 0, err
+        assert repr(json.loads(out)["row"]["transported_parameter"]) == "0.0"
 
     def test_far_probe_of_a_decaying_family_is_bounded(self, tmp_path):
         # the exact parameter 2**-i and chart height 2**-(2i+1) have billions

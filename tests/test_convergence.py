@@ -449,6 +449,8 @@ class TestFamilyFiles:
             ("dual", [5, 1, -3, "2/3"], {"branch": -1, "param": "affine:3*i+0"}),
             ("S", "0", {"branch": "i", "param": "affine:2*i+1"}),
             ("S", [-1, -3, 1, 0], {"branch": "i", "param": "affine:2*i+1"}),
+            ("S", [1, -2, 0, 0], {"branch": "i", "param": "affine:2*i+1"}),
+            ("dual", [3, 2, 1, "-1/5"], {"branch": 0, "param": "affine:1*i+0"}),
         ],
     )
     def test_truncated_rows_equal_exact_evaluation(self, space, r, base):
@@ -464,7 +466,8 @@ class TestFamilyFiles:
             try:
                 # the row from exact terms, rounded only at the end
                 param = float(spec.seq.parameter(i))
-                trans_param = param * 2.0 ** (spec.family.n(i) * (1 if space == "S" else -1))
+                shift = spec.family.n(i) * (1 if space == "S" else -1)
+                trans_param = float(spec.seq.parameter(i) * Fraction(2) ** shift)
                 expected = {
                     "index": i,
                     "parameter": param,

@@ -14,6 +14,7 @@ from groupoid_spectrum.exact import (
     format_rational,
     parse_rational,
     pow2_scale,
+    pow2_sum_float,
     rational_inverse,
     scale_pow2_affine,
 )
@@ -145,6 +146,13 @@ class TestDyadicSeq:
         with pytest.raises(OverflowError):
             DyadicSeq(Fraction(1), 1, 0, Fraction(0)).float_at(3_000_000_000)
 
+    def test_float_at_shift_scales_the_exact_term(self):
+        seq = DyadicSeq(Fraction(-1), -3, 1, Fraction(0))
+        assert repr(seq.float_at(400)) == "-0.0"
+        assert seq.float_at(400, 801) == -(2.0**-398)
+        assert DyadicSeq(Fraction(1), -2, 0, Fraction(0)).float_at(10**9, 2 * 10**9 + 1) == 2.0
+        assert DyadicSeq.constant(0).float_at(600, 1201) == 0.0
+
     def test_json_roundtrip(self):
         seq = DyadicSeq(Fraction(3, 4), -2, 1, Fraction(-5))
         assert seq.to_json() == ["3/4", -2, 1, "-5"]
@@ -243,3 +251,58 @@ class TestAffineSeq:
         for bad in ("affine:i+1", "2i+1", "affine:2*i+1/2", [1, 2]):
             with pytest.raises((CatalogError, TypeError)):
                 AffineSeq.from_json(bad)
+
+
+rationals = st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80))
+exponents = st.integers(-1300, 1300)
+
+
+def assert_rounds_once(x, p, y, q):
+    try:
+        expected = repr(float(pow2_scale(x, p) + pow2_scale(y, q)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pow2_sum_float(x, p, y, q)
+    else:
+        assert repr(pow2_sum_float(x, p, y, q)) == expected
+
+
+class TestPow2SumFloat:
+    @given(rationals, exponents, rationals, exponents)
+    def test_rounds_the_exact_sum(self, x, p, y, q):
+        assert_rounds_once(x, p, y, q)
+
+    @given(rationals, exponents, exponents, rationals, st.integers(-1300, 0))
+    def test_rounds_near_cancellation(self, x, p, q, eps, low):
+        # y * 2**q is -x * 2**p up to a term eps * 2**low far below both
+        assert_rounds_once(x, p, pow2_scale(-x, p - q) + pow2_scale(eps, low - q), q)
+
+    @pytest.mark.parametrize(
+        "x, p, y, q",
+        [
+            (1, 0, 1, -53),  # 1 + 2**-53 is a tie, rounded to even
+            (1, 0, 3, -55),  # just above the tie
+            (1, 1024, -1, 970),  # the largest float, exactly
+            (1, 1024, -1, 969),  # halfway above it: overflows
+            (1, -1075, 1, -3000),  # above half the least subnormal
+            (-1, -1075, 1, -3000),  # below minus half of it: -0.0
+            (Fraction(1, 3), 0, 1, -2000),
+            # magnitude bounds from bit lengths are loose by a factor of 2 each
+            # way: these terms sit at the loose ends of their bounds
+            (Fraction(1, 2**20 - 1), 1045, Fraction(-(2**20 - 1), 2**19), 1024),  # about 2**1006
+            (Fraction(1, 2**20 - 1), 1044, -1, 1021),  # pulled below the largest float
+            (Fraction(2**20 - 1, 2**19), -1076, 1, -1090),  # pushed past half the least subnormal
+        ],
+    )
+    def test_edges_of_the_float_range(self, x, p, y, q):
+        assert_rounds_once(Fraction(x), p, Fraction(y), q)
+
+    def test_far_exponents(self):
+        # the exact sums have billions of bits
+        assert pow2_sum_float(Fraction(0), 10**12, Fraction(0), -(10**12)) == 0.0
+        assert pow2_sum_float(Fraction(3), 10**10, Fraction(-3), 10**10) == 0.0
+        assert pow2_sum_float(Fraction(1), 10**10, Fraction(-1, 2), 10**10 + 1) == 0.0
+        assert pow2_sum_float(Fraction(5), -(10**10), Fraction(1, 3), 0) == 1 / 3
+        assert repr(pow2_sum_float(Fraction(-1), -(10**10), Fraction(1), -(10**10) - 1)) == "-0.0"
+        with pytest.raises(OverflowError):
+            pow2_sum_float(Fraction(1), 10**10, Fraction(-1), 10**10 - 1)

@@ -1,9 +1,35 @@
-"""The cycle enumeration kernel: one backend, deterministic output."""
+"""The graph kernels: Johnson's cycle search per component, deterministic output."""
 
 import random
 
 from groupoid_spectrum import _kernels
 from groupoid_spectrum.corpus import random_validated_graph
+from groupoid_spectrum.digraph import CycleRep, DiGraph
+from groupoid_spectrum.oracle import naive_simple_cycles
+
+
+def cyclic_parts(g: DiGraph) -> list[tuple[int, ...]]:
+    comps = g.components
+    return [m for m, cyclic in zip(comps.members, comps.cyclic) if cyclic]
+
+
+def kernel_cycle_ids(g: DiGraph, parts) -> list[tuple[str, ...]]:
+    return [
+        CycleRep(tuple(g.edges[j] for j in reversed(arcs))).edge_ids()
+        for arcs in _kernels.simple_cycles(g.arc_indices, parts)
+    ]
+
+
+def one_component_multigraph(rng: random.Random) -> DiGraph:
+    """A ring through every vertex plus random chords, loops and parallel arcs."""
+    n = rng.randint(1, 6)
+    vs = [f"v{i}" for i in range(n)]
+    order = rng.sample(vs, n)
+    arcs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    arcs += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 7))]
+    arcs += rng.sample(arcs, rng.randint(0, min(3, len(arcs))))  # parallel arcs
+    rng.shuffle(arcs)
+    return DiGraph.build(vs, [(f"e{j:02d}", s, d) for j, (s, d) in enumerate(arcs)])
 
 
 class TestBackendSelection:
@@ -13,14 +39,38 @@ class TestBackendSelection:
 
 class TestDispatch:
     def test_wide_ring(self):
-        # path bitsets are Python ints, so no width limit applies
         n = 70
-        cycles = _kernels.simple_cycles(n, [(i, (i + 1) % n) for i in range(n)])
+        cycles = _kernels.simple_cycles([(i, (i + 1) % n) for i in range(n)], [tuple(range(n))])
         assert cycles == [tuple(range(n))]
 
     def test_deterministic(self):
         g = random_validated_graph(random.Random(99), max_vertices=8)
-        n, arcs = len(g.vertices), g.arc_indices
-        first = _kernels.simple_cycles(n, arcs)
+        arcs, parts = g.arc_indices, cyclic_parts(g)
+        first = _kernels.simple_cycles(arcs, parts)
         for _ in range(3):
-            assert _kernels.simple_cycles(n, arcs) == first
+            assert _kernels.simple_cycles(arcs, parts) == first
+
+    def test_parts_leave_out_acyclic_vertices(self):
+        # loop at 0 feeds 1 -> 2 -> 3 -> 1 and then the acyclic tail 4 -> 5
+        arcs = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 5)]
+        assert sorted(_kernels.simple_cycles(arcs, [(0,), (1, 2, 3), (5,)])) == [
+            (0,),
+            (2, 3, 4),
+            (7,),
+        ]
+        # a part that is left out is not searched
+        assert _kernels.simple_cycles(arcs, [(2, 1, 3)]) == [(2, 3, 4)]
+
+
+class TestAgainstOracle:
+    def test_one_component_multigraphs(self):
+        rng = random.Random(2024)
+        total = 0
+        for _ in range(400):
+            g = one_component_multigraph(rng)
+            assert len(cyclic_parts(g)) == 1
+            found = kernel_cycle_ids(g, cyclic_parts(g))
+            assert len(found) == len(set(found))
+            assert set(found) == naive_simple_cycles(g)
+            total += len(found)
+        assert total > 2000

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial.transform import Rotation
 
 from groupoid_spectrum.models import (
     H_IDENTITY,
@@ -247,13 +246,22 @@ class TestCounterexampleFamily:
 
 
 class TestSO3:
-    def test_rotation_matches_scipy(self):
+    def test_rotation_matches_quaternion_formula(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             axis = rng.normal(size=3)
             theta = float(rng.uniform(0, 2 * math.pi))
             ours = so3_rotation(axis, theta)
-            ref = Rotation.from_rotvec(axis / np.linalg.norm(axis) * theta).as_matrix()
+            # the unit quaternion (w, x, y, z) of the rotation, and its matrix
+            w = math.cos(theta / 2)
+            x, y, z = math.sin(theta / 2) * axis / np.linalg.norm(axis)
+            ref = np.array(
+                [
+                    [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                    [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                    [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+                ]
+            )
             assert np.abs(ours - ref).max() < 1e-12
 
     def test_rotation_is_special_orthogonal(self):

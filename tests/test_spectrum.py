@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -214,6 +215,29 @@ class TestConditionBReference:
             {"pair": [["Lp"], ["Lq"]], "u": "p", "v": "q"}
         ]
         assert verdict.hausdorff
+
+    def test_ladder_is_bounded_by_its_output(self):
+        # a loop at a0 above 24 layers of two vertices, all edges between
+        # consecutive layers, plus a loop at w entering the loop at z: 3 cycles
+        # and 1 entry, though the layers hold 2**24 simple paths
+        layers = 24
+        vertices, edges, above = ["a0"], [("La", "a0", "a0")], ["a0"]
+        for k in range(1, layers + 1):
+            layer = [f"x{k}", f"y{k}"]
+            vertices += layer
+            edges += [(f"e{u}_{v}", u, v) for u in above for v in layer]
+            above = layer
+        vertices += ["w", "z"]
+        edges += [("Lw", "w", "w"), ("Lz", "z", "z"), ("wz", "w", "z")]
+        g = DiGraph.build(vertices, edges)
+        start = perf_counter()
+        verdict = decide_hausdorff_spectrum(g)
+        elapsed = perf_counter() - start
+        a = verdict.condition_a
+        assert [c.edge_ids() for c in a.cycles] == [("La",), ("Lw",), ("Lz",)]
+        assert [(c.edge_ids(), e.id) for c, e in a.entries] == [(("Lz",), "wz")]
+        assert not verdict.hausdorff
+        assert elapsed < 1.0
 
 
 class TestOrbits:
