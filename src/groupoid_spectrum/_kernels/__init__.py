@@ -63,8 +63,9 @@ def simple_cycles(arcs: list[tuple[int, int]], parts: list) -> list[tuple[int, .
 
     ``parts`` are disjoint strongly connected vertex sets, and only arcs inside
     one part are followed.  Johnson's algorithm (1975): search a part from its
-    least vertex with blocking, then the cyclic components of the rest, so each
-    search finds a cycle and the time is O((V + E)(C + 1)) for C cycles.
+    least vertex with blocking, then the cyclic components of the rest (a part
+    that is a single cycle has none), so each search finds a cycle and the time
+    is O((V + E)(C + 1)) for C cycles.
     Parallel arcs yield distinct cycles; the output order is deterministic.
     """
     dst = [d for _, d in arcs]
@@ -76,8 +77,11 @@ def simple_cycles(arcs: list[tuple[int, int]], parts: list) -> list[tuple[int, .
     todo = [sorted(part, reverse=True) for part in parts]
     while todo:
         part = todo.pop()
+        inside = set(part)
         s = part.pop()  # the least vertex: parts are sorted in descending order
-        _circuits(out, dst, set(part), s, cycles)
+        _circuits(out, dst, inside, s, cycles)
+        if sum(dst[j] in inside for v in inside for j in out[v]) == len(inside):
+            continue  # as many arcs as vertices: the part is one cycle, now found
         local = {v: k for k, v in enumerate(part)}
         succ = [[local[dst[j]] for j in out[v] if dst[j] in local] for v in part]
         todo += [

@@ -22,8 +22,6 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .convergence import (
     DEFAULT_TESTS,
@@ -321,11 +319,13 @@ def _parse_path_literal(g: DiGraph, literal: str) -> EventualPath:
         raise InputError(f"path literal needs ':' separating prefix and cycle: {literal!r}")
     prefix_part, cycle_part = literal.split(":", 1)
     def lookup(ids_csv: str) -> tuple:
+        if not ids_csv.strip():
+            return ()
         out = []
         for eid in ids_csv.split(","):
             eid = eid.strip()
             if not eid:
-                continue
+                raise InputError(f"path literal has an empty edge id: {literal!r}")
             if eid not in g.edge_by_id:
                 raise InputError(f"unknown edge id {eid!r}")
             out.append(g.edge_by_id[eid])
@@ -543,6 +543,8 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_so3_conj(args) -> int:
+    import numpy as np
+
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     max_residual = 0.0

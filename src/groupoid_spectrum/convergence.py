@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import (
     DIVERGENT,
@@ -53,6 +52,9 @@ from .models import (
     SElem,
     so3_transport,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_TESTS",
@@ -496,6 +498,8 @@ def condition_c_check_so3(
     within ``tol`` at the family tail.  Transport preserves the index, which
     is what makes the condition hold whenever the premises do.
     """
+    import numpy as np
+
     if len(rotations) != len(chi_family) or not chi_family:
         raise HypothesisFailure("family of rotations and characters must align and be nonempty")
     if chi_family[-1].k != chi.k:

@@ -67,7 +67,8 @@ class GraphParseError(ValueError):
 class Violation:
     """One reason a graph fails validation."""
 
-    kind: str  # "duplicate-vertex" | "duplicate-edge" | "undeclared-endpoint" | "no-range-edge"
+    # "empty-graph" | "duplicate-vertex" | "duplicate-edge" | "undeclared-endpoint" | "no-range-edge"
+    kind: str
     subject: str
     detail: str
 
@@ -130,6 +131,9 @@ class DiGraph:
 def validate_graph(g: DiGraph) -> list[Violation]:
     """All validation violations, in a deterministic order; empty means valid."""
     violations: list[Violation] = []
+    if not g.vertices:
+        # every graph property holds vacuously on the empty graph
+        violations.append(Violation("empty-graph", "", "graph has no vertices"))
     seen_v: set[str] = set()
     for v in g.vertices:
         if v in seen_v:
@@ -344,15 +348,29 @@ def parse_graph_text(text: str) -> DiGraph:
     return DiGraph(tuple(vertices), tuple(edges))
 
 
+def _json_id(value, where: str) -> str:
+    """An id the text format can hold: a nonempty string, no whitespace, no '#'."""
+    if not isinstance(value, str) or value.split() != [value] or "#" in value:
+        raise GraphParseError(
+            f"malformed graph JSON: {where} must be a nonempty string without "
+            f"whitespace or '#', got {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
 def parse_graph_json(obj) -> DiGraph:
     """JSON object form: {"vertices": [...], "edges": [{"id","src","rng"}, ...]}."""
     if not isinstance(obj, dict):
         raise GraphParseError("graph JSON must be an object")
-    try:
-        vertices = [str(v) for v in obj["vertices"]]
-        edges = [Edge(str(e["id"]), str(e["src"]), str(e["rng"])) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphParseError(f"malformed graph JSON: {exc}") from None
+    for key in ("vertices", "edges"):
+        if not isinstance(obj.get(key), list):
+            raise GraphParseError(f"malformed graph JSON: {key!r} must be a list")
+    vertices = [_json_id(v, f"vertex {k}") for k, v in enumerate(obj["vertices"])]
+    edges = []
+    for k, e in enumerate(obj["edges"]):
+        if not isinstance(e, dict):
+            raise GraphParseError(f"malformed graph JSON: edge {k} must be an object")
+        edges.append(Edge(*(_json_id(e.get(f), f"edge {k} {f!r}") for f in ("id", "src", "rng"))))
     return DiGraph(tuple(vertices), tuple(edges))
 
 

@@ -27,10 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import format_rational, pow2_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LINE_BRANCH",
@@ -270,10 +272,14 @@ def counterexample_family(i: int) -> tuple[ArrowDyadic, CharQ]:
 
 # ---------------------------------------------------------------------------
 # SO(3): the floating-point model
+#
+# numpy is imported inside each function, so that only SO(3) callers load it.
 
 
 def so3_rotation(axis, theta: float) -> np.ndarray:
     """Rotation matrix about ``axis`` (any nonzero vector) by angle theta."""
+    import numpy as np
+
     w = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
@@ -291,6 +297,8 @@ def so3_conj_residual(v_mat: np.ndarray, axis, theta: float, orth_tol: float = 1
     V must be orthogonal within ``orth_tol`` (its transpose is used as the
     inverse).
     """
+    import numpy as np
+
     v_mat = np.asarray(v_mat, dtype=float)
     if np.abs(v_mat @ v_mat.T - np.eye(3)).max() > orth_tol:
         raise ValueError("matrix is not orthogonal within tolerance")
@@ -308,6 +316,8 @@ class CharSO3:
 
     @classmethod
     def at(cls, v, k: int) -> "CharSO3":
+        import numpy as np
+
         arr = np.asarray(v, dtype=float)
         return cls((float(arr[0]), float(arr[1]), float(arr[2])), int(k))
 
@@ -317,16 +327,22 @@ class CharSO3:
 
 def so3_transport(u_mat: np.ndarray, chi: CharSO3) -> CharSO3:
     """Conjugation moves the base point and keeps the integer index."""
+    import numpy as np
+
     return CharSO3.at(np.asarray(u_mat, dtype=float) @ np.asarray(chi.v), chi.k)
 
 
 def so3_spectrum_point(chi: CharSO3) -> tuple[float, int]:
     """Orbit invariants (|v|, k); both are conjugation invariant."""
+    import numpy as np
+
     return (float(np.linalg.norm(np.asarray(chi.v))), chi.k)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation via a normalized Gaussian quaternion."""
+    import numpy as np
+
     q = rng.normal(size=4)
     q = q / np.linalg.norm(q)
     a, b, c, d = q

@@ -125,6 +125,38 @@ class TestGraphAnalyze:
         assert report["validated"] is False
         assert report["violations"][0]["kind"] == "no-range-edge"
 
+    @pytest.mark.parametrize(
+        "text", ["", "# nothing here\n\n", '{"vertices": [], "edges": []}']
+    )
+    def test_empty_graph_exits_2(self, run, tmp_path, text):
+        path = tmp_path / "empty.graph"
+        path.write_text(text)
+        code, out, _ = run("graph-analyze", str(path), "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["validated"] is False
+        assert [v["kind"] for v in report["violations"]] == ["empty-graph"]
+        for argv in (("graph-orbits",), ("graph-equiv", "--x", ":e", "--y", ":e")):
+            code, _, err = run(argv[0], str(path), *argv[1:])
+            assert code == 2
+            assert "graph has no vertices" in err
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": "ab", "edges": [{"id": "e", "src": "a", "rng": "a"}]},
+            {"vertices": ["a"], "edges": [{"id": None, "src": "a", "rng": "a"}]},
+            {"vertices": ["a"], "edges": [{"id": True, "src": "a", "rng": "a"}]},
+        ],
+    )
+    def test_json_type_coercion_exits_2(self, run, tmp_path, obj):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run("graph-analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed graph JSON")
+
     def test_validates_once(self, run, monkeypatch, tmp_path, funnel_file):
         calls = []
 
@@ -292,7 +324,7 @@ class TestGraphEquiv:
         assert json.loads(out)["shift_equivalent"] is False
 
     def test_bad_literals_exit_2(self, run, funnel_file):
-        for literal in ("La", ":Zz", "f,g:La", ":"):
+        for literal in ("La", ":Zz", "f,g:La", ":", ",:La", "f,:La", ":La,", ":La,,La", " , :La"):
             code, _, err = run("graph-equiv", funnel_file, "--x", literal, "--y", ":La")
             assert code == 2, literal
             assert err.startswith("error:")
@@ -527,6 +559,53 @@ class TestVacuousCounts:
         code, out, _ = run("model-so3", "conj-test", "--trials", "1", "--json")
         assert code == 0
         assert json.loads(out)["trials"] == 1
+
+
+class TestNumpyStaysOut:
+    """Only the SO(3) paths import numpy; every other command starts without it."""
+
+    CHILD = (
+        "import contextlib, io, json, sys\n"
+        "from groupoid_spectrum.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+        "main(['model-so3', 'conj-test', '--trials', '20', '--seed', '5'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    def test_only_model_so3_loads_numpy(self, funnel_file, dual_family_file, s_family_file):
+        commands = [
+            ["graph-analyze", funnel_file, "--json"],
+            ["graph-analyze", funnel_file],
+            ["graph-orbits", funnel_file, "--json"],
+            ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La", "--json"],
+            ["model-green", "verify-eq3", "--n-max", "8", "--json"],
+            ["model-dyadic", "demo-c-failure", "--n-max", "4", "--json"],
+            ["model-dyadic", "check-c-on-s", "--family", s_family_file, "--json"],
+            ["check-family", dual_family_file, "--json"],
+            ["check-family", dual_family_file, "--truncate", "30", "--json"],
+        ]
+        out = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(commands)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        # the seeded conj-test bytes are the ones numpy printed when it was
+        # imported with the package
+        assert out.stdout == (
+            "False\n"
+            "trials: 20 (seed 5)\n"
+            "max conjugation residual: 6.661e-16\n"
+            "max orbit invariant residual: 4.441e-16\n"
+            "integer index preserved: yes\n"
+            "PASS (tolerance 1.000e-10)\n"
+            "True\n"
+        )
 
 
 class TestClosedPipe:

@@ -71,6 +71,29 @@ class TestParsing:
         with pytest.raises(GraphParseError):
             parse_graph_json({"vertices": ["a"], "edges": [{"id": "e"}]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": "ab", "edges": []},
+            {"vertices": ["a"], "edges": {"id": "e", "src": "a", "rng": "a"}},
+            {"vertices": ["a"], "edges": [["e", "a", "a"]]},
+            {"vertices": ["a"], "edges": [{"id": None, "src": "a", "rng": "a"}]},
+            {"vertices": ["a"], "edges": [{"id": True, "src": "a", "rng": "a"}]},
+            {"vertices": [1], "edges": [{"id": "e", "src": "1", "rng": "1"}]},
+            {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "rng": 0}]},
+            {"vertices": [""], "edges": [{"id": "e", "src": "", "rng": ""}]},
+            {"vertices": ["a b"], "edges": [{"id": "e", "src": "a b", "rng": "a b"}]},
+            {"vertices": ["a"], "edges": [{"id": "e#1", "src": "a", "rng": "a"}]},
+        ],
+        ids=[
+            "vertices-string", "edges-object", "edge-list", "id-null", "id-true",
+            "vertex-number", "rng-number", "empty-id", "whitespace-id", "hash-id",
+        ],
+    )
+    def test_json_ids_are_text_format_strings(self, obj):
+        with pytest.raises(GraphParseError, match="malformed graph JSON"):
+            parse_graph_json(obj)
+
     def test_sniffing(self):
         g = helpers.graph_two_loops_funnel()
         assert parse_graph(graph_to_text(g)) == g
@@ -105,6 +128,13 @@ class TestValidation:
         violations = validate_graph(g)
         assert [v.kind for v in violations] == ["no-range-edge"]
         assert violations[0].subject == "b"
+
+    def test_empty_graph_is_a_violation(self):
+        for g in (DiGraph.build([], []), DiGraph.build([], [("e", "a", "a")])):
+            violations = validate_graph(g)
+            assert violations[0].kind == "empty-graph"
+            with pytest.raises(InvalidGraphError):
+                require_validated(g)
 
     def test_require_validated_raises(self):
         g = DiGraph.build(["a", "b"], [("l", "a", "a")])
