@@ -194,7 +194,7 @@ def _entry_items(entries: tuple[tuple[CycleRep, Edge], ...], approx_limit: FellL
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -478,12 +478,17 @@ def cmd_dyadic_demo(args) -> int:
     return 0
 
 
-def cmd_dyadic_check_s(args) -> int:
+def _load_family(path: str):
+    text = _read_text(path)
     try:
-        obj = json.loads(_read_text(args.family))
-        spec = parse_family(obj)
-    except (json.JSONDecodeError, FamilyFormatError) as exc:
+        return parse_family(json.loads(text))
+    except (ValueError, RecursionError, FamilyFormatError) as exc:
+        # ValueError covers malformed JSON and integers past the digit limit
         raise InputError(f"bad family file: {exc}") from None
+
+
+def cmd_dyadic_check_s(args) -> int:
+    spec = _load_family(args.family)
     if spec.space != "S":
         raise InputError("family file declares the dual space; use check-family for it")
     result = _run_family(spec)
@@ -536,9 +541,9 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+            return _int_at_least(0)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError(f"{SEED_ENV} must be an integer >= 0, got {env!r}") from None
     return 0
 
 
@@ -593,6 +598,8 @@ def cmd_so3_spectrum(args) -> int:
         raise InputError(f"bad --v value: {exc}") from None
     if len(coords) != 3:
         raise InputError("--v needs exactly three comma-separated coordinates")
+    if not math.isfinite(sum(c * c for c in coords)):  # NaN, an infinity, or |v| overflows
+        raise InputError(f"--v must be finite with |v|**2 in the float range, got {args.v!r}")
     chi = CharSO3.at(coords, args.k)
     norm, k = so3_spectrum_point(chi)
     report = _envelope(
@@ -611,11 +618,7 @@ def cmd_so3_spectrum(args) -> int:
 
 
 def cmd_check_family(args) -> int:
-    try:
-        obj = json.loads(_read_text(args.family))
-        spec = parse_family(obj)
-    except (json.JSONDecodeError, FamilyFormatError) as exc:
-        raise InputError(f"bad family file: {exc}") from None
+    spec = _load_family(args.family)
     if args.tests:
         if spec.space != "dual":
             raise InputError("--tests only applies to dual-space families")
@@ -650,7 +653,34 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float no smaller than 0.
+
+    An infinite tolerance would make every comparison a vacuous pass, and a
+    negative or NaN one would fail every comparison without saying why, so
+    argparse rejects them with exit 2.
+    """
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call.
+
+    Sharing it is safe because ``parse_args`` never mutates the parser, and
+    argparse looks up ``sys.stdout`` and ``sys.stderr`` when it writes help,
+    usage and errors, not when the parser is built, so redirected streams
+    still capture them.  ``prog`` is fixed.  Callers must not modify the
+    returned parser.  The ``func`` defaults bind the ``cmd_*`` handlers at the
+    first build, so replacing ``cli.cmd_*`` afterwards has no effect on
+    ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="groupoid-spectrum",
         description="Exact checks for Hausdorff spectra of groupoid algebras",
@@ -711,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = so3.add_parser("conj-test", help="random conjugation residuals")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     add_output_flags(p)
     p.set_defaults(func=cmd_so3_conj)
     p = so3.add_parser("spectrum", help="orbit invariants of a character datum")
@@ -725,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--tests", help="comma separated rational test points")
     p.add_argument("--truncate", type=int, default=None, help="non-certifying probe index")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for --truncate")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for --truncate")
     add_output_flags(p)
     p.set_defaults(func=cmd_check_family)
 

@@ -158,8 +158,10 @@ class PointSeqSpec:
         branch = obj["branch"]
         if branch == "i":
             branch = None
-        elif not _is_int(branch):
-            raise FamilyFormatError(f"branch must be an integer or 'i': {branch!r}")
+        elif not _is_int(branch) or branch < LINE_BRANCH:
+            raise FamilyFormatError(
+                f"branch must be a chart index >= 0, {LINE_BRANCH} or 'i': {branch!r}"
+            )
         try:
             return cls(branch, AffineSeq.from_json(obj["param"]))
         except CatalogError as exc:

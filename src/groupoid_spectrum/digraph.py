@@ -380,7 +380,8 @@ def parse_graph(text: str) -> DiGraph:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and integers past the digit limit
             raise GraphParseError(f"invalid JSON: {exc}") from None
         return parse_graph_json(obj)
     return parse_graph_text(text)

@@ -58,9 +58,15 @@ DIVERGENT = _Divergent()
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or "p" (also accepts a plain int)."""
-    if isinstance(text, int):
+    """Parse "p/q" or "p" (also accepts a plain int); raises ValueError otherwise.
+
+    Decimals such as "0.5" are exact and accepted.  Exponent notation is not:
+    "1e999999999" would build a billion-digit integer from twelve characters.
+    """
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
+    if not isinstance(text, str) or "e" in text.lower():
+        raise ValueError(f"not a rational: {text!r}")
     return Fraction(text.strip())
 
 

@@ -2,10 +2,62 @@
 
 from __future__ import annotations
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from groupoid_spectrum.cli import main
 from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import DiGraph, Edge
 from groupoid_spectrum.exact import AffineSeq
+
+
+# The documented dual-space counterexample, and the same arrows in the S space.
+DUAL_FAMILY = {
+    "model": "dyadic",
+    "space": "dual",
+    "gamma": {
+        "q": "0",
+        "n": "affine:2*i+1",
+        "base": {"branch": "i", "param": "affine:2*i+1"},
+    },
+    "chi": {"r": "1"},
+    "limits": {
+        "chi": {"r": "1", "base": {"branch": -1, "param": 0}},
+        "omega": {"r": "0", "base": {"branch": -1, "param": 0}},
+    },
+}
+S_FAMILY = {
+    "model": "dyadic",
+    "space": "S",
+    "gamma": DUAL_FAMILY["gamma"],
+    "s": {"r": "1"},
+    "limits": {
+        "s": {"r": "1", "base": {"branch": -1, "param": 0}},
+        "t": {"r": "0", "base": {"branch": -1, "param": 0}},
+    },
+}
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help and usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON (RFC 8259)."""
+
+    def reject(constant: str):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def graph_two_loops_funnel() -> DiGraph:

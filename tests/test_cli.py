@@ -19,6 +19,7 @@ from groupoid_spectrum.spectrum import (
     decide_hausdorff_spectrum,
     orbits,
 )
+from helpers import DUAL_FAMILY, S_FAMILY, run_main, strict_json
 
 
 def _child_env() -> dict:
@@ -53,22 +54,6 @@ def entry_file(tmp_path):
     return str(path)
 
 
-DUAL_FAMILY = {
-    "model": "dyadic",
-    "space": "dual",
-    "gamma": {
-        "q": "0",
-        "n": "affine:2*i+1",
-        "base": {"branch": "i", "param": "affine:2*i+1"},
-    },
-    "chi": {"r": "1"},
-    "limits": {
-        "chi": {"r": "1", "base": {"branch": -1, "param": 0}},
-        "omega": {"r": "0", "base": {"branch": -1, "param": 0}},
-    },
-}
-
-
 @pytest.fixture
 def dual_family_file(tmp_path):
     path = tmp_path / "dual.json"
@@ -78,16 +63,8 @@ def dual_family_file(tmp_path):
 
 @pytest.fixture
 def s_family_file(tmp_path):
-    obj = dict(DUAL_FAMILY)
-    del obj["chi"]
-    obj["space"] = "S"
-    obj["s"] = {"r": "1"}
-    obj["limits"] = {
-        "s": {"r": "1", "base": {"branch": -1, "param": 0}},
-        "t": {"r": "0", "base": {"branch": -1, "param": 0}},
-    }
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(S_FAMILY))
     return str(path)
 
 
@@ -407,6 +384,31 @@ class TestModelSO3:
         code, _, _ = run("model-so3", "spectrum", "--v", "1,2", "--k", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("v", ["nan,1,1", "inf,1,1", "1,-inf,1", "1e400,1,1", "1e200,1e200,1e200"])
+    def test_non_finite_coordinates_exit_2(self, run, v):
+        # json.dumps would write NaN or Infinity, which is not JSON; the last
+        # vector's norm overflows
+        code, out, err = run("model-so3", "spectrum", f"--v={v}", "--k=1", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_finite_coordinates_give_strict_json(self, run):
+        code, out, _ = run("model-so3", "spectrum", "--v=1e150,-0,5e-324", "--k=-2", "--json")
+        assert code == 0
+        assert strict_json(out)["v"] == [1e150, -0.0, 5e-324]
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_2(self, run, capsys, monkeypatch, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            run("model-so3", "conj-test", "--trials", "2", "--seed", seed)
+        assert exit_info.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+        monkeypatch.setenv("GROUPOID_SPECTRUM_SEED", seed)
+        code, out, err = run("model-so3", "conj-test", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: GROUPOID_SPECTRUM_SEED must be an integer >= 0")
+
 
 class TestCheckFamily:
     def test_dual_verdict(self, run, dual_family_file):
@@ -561,6 +563,87 @@ class TestVacuousCounts:
         assert json.loads(out)["trials"] == 1
 
 
+class TestTolerance:
+    """``--tol`` must be finite and at least 0: inf passes anything, nan and -1 nothing."""
+
+    @staticmethod
+    def commands(family: str) -> list[list[str]]:
+        return [
+            ["model-so3", "conj-test", "--trials", "3"],
+            ["check-family", family, "--truncate", "30"],
+        ]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_exits_2(self, run, capsys, dual_family_file, tol):
+        for argv in self.commands(dual_family_file):
+            with pytest.raises(SystemExit) as exit_info:
+                run(*argv, "--tol", tol, "--json")
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --tol: must be finite and at least 0, got '{tol}'" in captured.err
+
+    def test_default_and_zero_still_run(self, run, dual_family_file):
+        for argv in self.commands(dual_family_file):
+            for tol in ([], ["--tol", "0"]):
+                code, out, _ = run(*argv, *tol, "--json")
+                assert code == 0
+                report = strict_json(out)
+                assert "pass" in report or "within_tolerance" in report
+
+
+class TestHostileInputs:
+    """Inputs the parsers must refuse with exit 2, not a traceback or unbounded work."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"vertices": ["a"], "edges": [], "n": ' + b"1" * 5000 + b"}",  # past the digit limit
+            b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nested past the recursion limit
+            b"v a\xff\ne L a a\n",  # not UTF-8
+        ],
+        ids=["long-integer", "deep-nesting", "not-utf-8"],
+    )
+    def test_graph_files(self, run, tmp_path, content):
+        path = tmp_path / "hostile.graph"
+        path.write_bytes(content)
+        code, out, err = run("graph-analyze", str(path), "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("chi", "r", "1e999999999"),  # exponent notation would build a billion digits
+            ("limits", "chi", {"r": "1e5000", "base": {"branch": -1, "param": 0}}),
+            ("limits", "chi", {"r": [1, 2], "base": {"branch": -1, "param": 0}}),
+            ("limits", "chi", {"r": True, "base": {"branch": -1, "param": 0}}),
+            ("gamma", "base", {"branch": -2, "param": 0}),  # below the limit line
+            ("gamma", "n", "<5000 digits>"),  # an integer past the digit limit
+        ],
+        ids=["exponent", "long-exponent", "list-limit", "boolean-limit", "low-branch", "long-integer"],
+    )
+    def test_family_files(self, run, tmp_path, section, key, value):
+        obj = json.loads(json.dumps(DUAL_FAMILY))
+        obj[section][key] = value
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(obj).replace('"<5000 digits>"', "1" * 5000))
+        for extra in ([], ["--truncate", "0"]):
+            code, out, err = run("check-family", str(path), *extra, "--json")
+            assert (code, out) == (2, ""), extra
+            assert err.startswith("error: bad family file: ") and err.count("\n") == 1
+
+    def test_tests_in_exponent_notation(self, run):
+        code, out, err = run("model-dyadic", "demo-c-failure", "--tests", "1e999999999")
+        assert (code, out) == (2, "")
+        assert err == "error: bad --tests value: not a rational: '1e999999999'\n"
+
+    def test_nul_in_a_path(self, run):
+        code, out, err = run("graph-analyze", "g\x00.graph")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ")
+
+
 class TestNumpyStaysOut:
     """Only the SO(3) paths import numpy; every other command starts without it."""
 
@@ -606,6 +689,42 @@ class TestNumpyStaysOut:
             "PASS (tolerance 1.000e-10)\n"
             "True\n"
         )
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reuse must not change any output."""
+
+    def test_interleaved_calls_match_fresh_processes(
+        self, monkeypatch, funnel_file, entry_file, dual_family_file
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        calls = [
+            ["graph-analyze", funnel_file, "--json"],
+            ["graph-orbits", entry_file, "--json"],  # refused
+            ["--help"],
+            ["graph-analyze", entry_file],
+            ["check-family", dual_family_file, "--json"],
+            ["no-such-command"],
+            ["graph-analyze"],  # missing positional
+            ["model-green", "verify-eq3", "--n-max", "-3"],
+            ["graph-analyze", funnel_file, "--json"],
+        ]
+        seen = []
+        for argv in calls:
+            code, out, err = run_main(argv)
+            child = subprocess.run(
+                [sys.executable, "-m", "groupoid_spectrum.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=_child_env(),
+                timeout=60,
+            )
+            assert (code, out, err) == (child.returncode, child.stdout, child.stderr), argv
+            seen.append((code, bool(out), err[:6]))
+        assert seen[2] == (0, True, "")  # help on stdout
+        assert seen[5] == seen[6] == (2, False, "usage:")
+        assert seen[7] == (2, False, "usage:")
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestClosedPipe:

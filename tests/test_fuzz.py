@@ -1,0 +1,270 @@
+"""Hypothesis fuzz of the inputs: any input gives a report or exits 2.
+
+Graph files, family files and argument vectors are generated and run through
+``cli.main`` in this process, as a user's command line would run them.  The
+invariant is the CLI's exit contract: exit 0 with a report (strict JSON under
+``--json``), or exit 2 with a message on stderr, within the example deadline;
+never exit 1 and never a traceback.  Sizes stay small (graphs of a few
+vertices, ``--n-max`` and ``--trials`` below 40, whose reports grow with them),
+so the whole module adds about two seconds to the suite.
+"""
+
+import json
+from datetime import timedelta
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import DUAL_FAMILY, S_FAMILY, run_main, strict_json
+
+# derandomized, so the suite runs the same examples every time
+FUZZ = settings(
+    max_examples=50,
+    deadline=timedelta(seconds=2),
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def assert_contract(argv: list[str], as_json: bool = True) -> None:
+    """Exit 0 with a report, or exit 2 with an error line or a report of the violations."""
+    code, out, err = run_main(argv)
+    assert "Traceback" not in err, (argv, err)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2 and not out:
+        assert err.strip(), argv  # a message, not a silent refusal
+    elif as_json:
+        strict_json(out)
+
+
+edge_ids = st.sampled_from(["e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7"])
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def graph_commands(path: str, x: str, y: str) -> list[list[str]]:
+    return [
+        ["graph-analyze", path, "--json"],
+        ["graph-orbits", path, "--transpose", "--json"],
+        ["graph-equiv", path, "--x", x, "--y", y, "--json"],
+    ]
+
+
+@st.composite
+def graphs(draw):
+    """A validated graph on up to four vertices: an in-edge for each vertex, then more edges."""
+    vertices = ["a", "b", "c", "d"][: draw(st.integers(1, 4))]
+    vertex = st.sampled_from(vertices)
+    arcs = [(draw(vertex), v) for v in vertices]
+    arcs += draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+    return vertices, [(f"e{k}", s, r) for k, (s, r) in enumerate(arcs)]
+
+
+def csv(part):
+    return st.lists(part, max_size=4).map(",".join)
+
+
+path_literals = st.one_of(
+    st.builds("{}:{}".format, csv(edge_ids | st.just("")), csv(edge_ids | st.just(""))),
+    st.text(max_size=6),
+)
+junk_lines = st.one_of(
+    st.sampled_from(["", "# comment", "v", "v a", "e e0 a a", "e e9 a z", "e e9 a", "x a", "v a b"]),
+    st.text(max_size=10),
+)
+insertions = st.lists(st.tuples(st.integers(0, 12), junk_lines), max_size=2)
+
+
+class TestGraphFiles:
+    @FUZZ
+    @given(graph=graphs(), junk=insertions, x=path_literals, y=path_literals)
+    def test_line_format(self, workdir, graph, junk, x, y):
+        vertices, edges = graph
+        lines = [f"v {v}" for v in vertices] + [f"e {e} {s} {r}" for e, s, r in edges]
+        for at, line in junk:
+            lines.insert(at, line)
+        path = workdir / "g.graph"
+        path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+        for argv in graph_commands(str(path), x, y):
+            assert_contract(argv)
+
+    @FUZZ
+    @given(graph=graphs(), changes=st.lists(st.tuples(st.integers(0, 12), json_value), max_size=2))
+    def test_json_format(self, workdir, graph, changes):
+        vertices, edges = graph
+        obj = {"vertices": vertices, "edges": [{"id": e, "src": s, "rng": r} for e, s, r in edges]}
+        # each change replaces one item: the whole object, a list, a vertex or an edge field
+        slots = [(obj, "vertices"), (obj, "edges")]
+        slots += [(vertices, k) for k in range(len(vertices))]
+        slots += [(edge, field) for edge in obj["edges"] for field in ("id", "src", "rng")]
+        for at, value in changes:
+            if at == 0:
+                obj = value
+            else:
+                owner, key = slots[at % len(slots)]
+                owner[key] = value
+        path = workdir / "g.json"
+        path.write_text(json.dumps(obj), encoding="utf-8", errors="surrogatepass")
+        for argv in graph_commands(str(path), ":e0", "e1:e0"):
+            assert_contract(argv)
+
+    @FUZZ
+    @given(
+        data=st.binary(max_size=24)
+        | st.text(max_size=24).map(lambda t: ("{" + t).encode("utf-8", "surrogatepass"))
+    )
+    def test_raw_bytes(self, workdir, data):
+        path = workdir / "raw.graph"
+        path.write_bytes(data)
+        for argv in graph_commands(str(path), ":e0", ":e0"):
+            assert_contract(argv)
+
+
+def _key_paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _key_paths(value, prefix + (key,))
+
+
+KEY_PATHS = sorted(set(_key_paths(DUAL_FAMILY)) | set(_key_paths(S_FAMILY)))[1:]
+small = st.integers(-12, 12)
+catalog_values = st.one_of(
+    st.sampled_from(["0", "1", "-3/4", "1/0", "0.5", "1e9", "i", "affine:2*i+1", "affine:-1*i+0", "affine:x"]),
+    st.builds("affine:{}*i+{}".format, small, small),
+    st.lists(st.one_of(small, st.builds("{}/{}".format, small, small)), min_size=4, max_size=4),
+    small,
+)
+mutations = st.lists(
+    st.tuples(st.sampled_from(KEY_PATHS), st.one_of(st.none(), catalog_values, json_value)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(template: dict, changes) -> dict:
+    """``template`` with each path set to a value (or deleted, for None)."""
+    obj = json.loads(json.dumps(template))
+    for path, value in changes:
+        owner = obj
+        for key in path[:-1]:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict):
+            continue
+        if value is None:
+            owner.pop(path[-1], None)
+        else:
+            owner[path[-1]] = value
+    return obj
+
+
+class TestFamilyFiles:
+    @FUZZ
+    @given(
+        template=st.sampled_from([DUAL_FAMILY, S_FAMILY]),
+        changes=mutations,
+        truncate=st.one_of(st.none(), st.integers(), st.integers(0, 600)),
+    )
+    def test_mutated_family(self, workdir, template, changes, truncate):
+        path = workdir / "family.json"
+        path.write_text(json.dumps(mutate(template, changes)), encoding="utf-8", errors="surrogatepass")
+        assert_contract(["check-family", str(path), "--json"])
+        assert_contract(["model-dyadic", "check-c-on-s", "--family", str(path), "--json"])
+        if truncate is not None:
+            assert_contract(["check-family", str(path), "--truncate", str(truncate), "--json"])
+
+
+def as_text(strategy):
+    """Mostly the strategy's values as text, sometimes any text."""
+    return st.one_of(strategy.map(str), strategy.map(str), st.text(max_size=6))
+
+
+floats_text = st.one_of(st.floats().map(repr), st.sampled_from(["1e400", "-0", "1_0", ""]))
+rational_text = st.one_of(
+    st.builds("{}/{}".format, small, small), small.map(str), floats_text, st.text(max_size=5)
+)
+vectors = st.lists(floats_text, min_size=3, max_size=3).map(",".join) | csv(floats_text)
+
+
+@st.composite
+def argvs(draw, workdir):
+    """A subcommand with its positionals and options, sometimes broken, and maybe a junk token.
+
+    Hypothesis favours the least value of a draw, so that value picks the well-formed branch.
+    """
+
+    def file(name):  # mostly the right file, sometimes another or none
+        files = [str(workdir / f) for f in ("funnel.graph", "dual.json", "s.json", "missing")]
+        return st.one_of(*[st.just(str(workdir / name))] * 3, st.sampled_from(files), st.text(max_size=6))
+
+    counts = as_text(st.integers(-3, 39))
+    graph = [file("funnel.graph")]
+    command, positionals, required, optional = draw(
+        st.sampled_from(
+            [
+                (["graph-analyze"], graph, [], [("--transpose", None)]),
+                (["graph-orbits"], graph, [], [("--transpose", None)]),
+                (["graph-equiv"], graph, [("--x", path_literals), ("--y", path_literals)], [("--transpose", None)]),
+                (["model-green", "verify-eq3"], [], [], [("--n-max", counts)]),
+                (
+                    ["model-dyadic", "demo-c-failure"],
+                    [],
+                    [],
+                    [("--n-max", counts), ("--tests", csv(rational_text))],
+                ),
+                (["model-dyadic", "check-c-on-s"], [], [("--family", file("s.json"))], []),
+                (
+                    ["model-so3", "conj-test"],
+                    [],
+                    [],
+                    [("--trials", counts), ("--seed", as_text(st.integers())), ("--tol", floats_text)],
+                ),
+                (["model-so3", "spectrum"], [], [("--v", vectors), ("--k", as_text(st.integers()))], []),
+                (
+                    ["check-family"],
+                    [file("dual.json")],
+                    [],
+                    [("--tests", csv(rational_text)), ("--truncate", as_text(st.integers())), ("--tol", floats_text)],
+                ),
+            ]
+        )
+    )
+    argv = list(command) + [draw(p) for p in positionals]
+    options = [(o, draw(st.integers(0, 7)) < 7) for o in required]
+    options += [(o, draw(st.booleans())) for o in optional]
+    for (flag, values), present in draw(st.permutations(options)):
+        if present:
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 3)) == 3:
+        argv.insert(
+            draw(st.integers(0, len(argv))),
+            draw(st.sampled_from(["--nope", "-x", "--", "extra", "--json", "--text"])),
+        )
+    as_json = draw(st.booleans())
+    return argv + (["--json"] if as_json else []), as_json
+
+
+class TestArguments:
+    @pytest.fixture(scope="class", autouse=True)
+    def inputs(self, workdir):
+        (workdir / "funnel.graph").write_text("v a\nv b\nv t\ne La a a\ne Lb b b\ne f a t\ne g b t\n")
+        (workdir / "dual.json").write_text(json.dumps(DUAL_FAMILY))
+        (workdir / "s.json").write_text(json.dumps(S_FAMILY))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_argv(self, workdir, data):
+        argv, as_json = data.draw(argvs(workdir))
+        assert_contract(argv, as_json and "--text" not in argv)
