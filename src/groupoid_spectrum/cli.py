@@ -10,13 +10,14 @@ invalid input, 1 for an internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import traceback
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from operator import itemgetter
@@ -27,8 +28,6 @@ from .convergence import (
     DEFAULT_TESTS,
     CharSeqSpec,
     DyadicArrowFamily,
-    FamilyFormatError,
-    FellLimit,
     PointSeqSpec,
     condition_c_check,
     parse_family,
@@ -39,12 +38,18 @@ from .digraph import (
     CycleRep,
     DiGraph,
     Edge,
-    GraphParseError,
     InvalidGraphError,
     parse_graph,
     require_validated,
 )
-from .exact import AffineSeq, CatalogError, DyadicSeq, format_rational, parse_rational
+from .exact import (
+    AffineSeq,
+    CatalogError,
+    DyadicSeq,
+    InputError,
+    format_rational,
+    parse_rational,
+)
 from .models import (
     LINE_BRANCH,
     CharQ,
@@ -61,18 +66,14 @@ from .spectrum import (
     CONDITION_C_NOTE,
     ORBIT_REFUSAL,
     EventualPath,
-    StabilizerCertificate,
     check_condition_a,
     decide_hausdorff_spectrum,
     shift_equivalent,
     stabilizer_of_path,
+    stabilizer_record,
 )
 
 SEED_ENV = "GROUPOID_SPECTRUM_SEED"
-
-
-class InputError(Exception):
-    """Invalid input; maps to exit code 2."""
 
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
@@ -141,54 +142,41 @@ def _cycle_items(cycles: tuple[CycleRep, ...]):
     return render
 
 
-def _entry_items(entries: tuple[tuple[CycleRep, Edge], ...], approx_limit: FellLimit | None):
-    """Item renderers of the ``entries`` and ``stabilizer_discontinuity`` lists.
+def _entry_runs(entries: tuple[tuple[CycleRep, Edge], ...]) -> list[tuple[CycleRep, list[str]]]:
+    """Per cycle, in order, the cycle and the quoted ids of its entries.
 
-    ``entries`` is ordered by cycle.  Items of both lists open with the cycle
-    and the entry; that head is rendered once per cycle and depth, and each
-    cycle's items are one join of the quoted entry ids with it.  An entries
-    item then closes; a stabilizer item goes on with the rest of its
-    certificate, which only depends on the cycle length.
+    ``entries`` is ordered by cycle, as ``ConditionAReport`` lists them.
     """
-    runs = []
-    for cycle, group in groupby(entries, itemgetter(0)):
-        edges = list(map(itemgetter(1), group))
-        runs.append((cycle, edges[0], [_quote(e.id) for e in edges]))
+    groups = groupby(entries, itemgetter(0))
+    return [(cycle, [_quote(e.id) for _, e in group]) for cycle, group in groups]
 
-    @cache
-    def heads(depth: int) -> list[str]:
+
+def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
+    """Item renderer of the ``entries`` list, or of ``stabilizer_discontinuity`` given ``record``.
+
+    ``runs`` comes from ``_entry_runs``, so both lists share one pass over the
+    entries.  Every item opens with the cycle and the entry, so each cycle's
+    items are one join of its quoted entry ids between that head and a tail.
+    The tail closes an entries item; ``record`` maps a cycle length to the
+    rest of a stabilizer item, which the tail renders first.  Tails are
+    rendered once per cycle length.
+    """
+
+    def render(depth: int):
         pad = _pad(depth + 1)
-        return [
-            f'{{{pad}"cycle": {_id_list(_quoted_ids(cycle), depth + 1)},{pad}"entry": '
-            for cycle, _, _ in runs
-        ]
-
-    def items(depth: int, tail):
-        """Per cycle, its items: the head, a quoted entry id and ``tail(cycle, entry)``."""
-        for head, (cycle, entry, ids) in zip(heads(depth), runs):
-            end = tail(cycle, entry)
-            yield head + (end + "," + _pad(depth) + head).join(ids) + end
-
-    def entry_items(depth: int):
         close = _pad(depth) + "}"
-        return items(depth, lambda cycle, entry: close)
-
-    def discontinuity_items(depth: int):
-        tails: dict[int, str] = {}  # by cycle length
-
-        def tail(cycle: CycleRep, entry: Edge) -> str:
+        tails: dict[int, str] = {}
+        for cycle, ids in runs:
+            head = f'{{{pad}"cycle": {_id_list(_quoted_ids(cycle), depth + 1)},{pad}"entry": '
             if len(cycle) not in tails:
-                cert = StabilizerCertificate(cycle, entry, approx_limit, len(cycle)).to_json()
-                del cert["cycle"], cert["entry"]
+                rest = record(len(cycle)) if record else {}
                 tails[len(cycle)] = "".join(
-                    f",{_pad(depth + 1)}{_quote(key)}: {json.dumps(value)}"
-                    for key, value in cert.items()
-                ) + _pad(depth) + "}"
-            return tails[len(cycle)]
+                    f",{pad}{_quote(key)}: {json.dumps(value)}" for key, value in rest.items()
+                ) + close
+            tail = tails[len(cycle)]
+            yield head + (tail + "," + _pad(depth) + head).join(ids) + tail
 
-        return items(depth, tail)
-
-    return entry_items, discontinuity_items
+    return render
 
 
 def _read_text(path: str) -> str:
@@ -199,10 +187,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(path: str, transpose: bool) -> DiGraph:
-    try:
-        g = parse_graph(_read_text(path))
-    except GraphParseError as exc:
-        raise InputError(str(exc)) from None
+    g = parse_graph(_read_text(path))
     return g.transpose() if transpose else g
 
 
@@ -230,10 +215,12 @@ def cmd_graph_analyze(args) -> int:
         _emit(report, lines, args.json)
         return 2
     a, b = verdict.condition_a, verdict.condition_b
-    entry_items, discontinuity_items = _entry_items(a.entries, a.approx_limit)
-    condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": entry_items}
+    runs = _entry_runs(a.entries)
+    condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": _entry_items(runs)}
     if not a.passed:
-        condition_a["stabilizer_discontinuity"] = discontinuity_items
+        condition_a["stabilizer_discontinuity"] = _entry_items(
+            runs, partial(stabilizer_record, a.approx_limit)
+        )
     report = _envelope(
         "graph-analyze",
         input=args.graph,
@@ -259,11 +246,15 @@ def _analyze_lines(verdict) -> list[str]:
         lines.append(f"  cycle: {','.join(c.edge_ids())}")
     for c, e in a.entries:
         lines.append(f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}")
+    discontinuity: dict[int, str] = {}  # the line per cycle length
     for c, _ in a.entries:
-        lines.append(
-            f"  stabilizer discontinuity: approximating periods 0, "
-            f"Fell limit {a.approx_limit.label()} vs {len(c)}Z at the cycle"
-        )
+        if len(c) not in discontinuity:
+            record = stabilizer_record(a.approx_limit, len(c))
+            discontinuity[len(c)] = (
+                f"  stabilizer discontinuity: approximating periods 0, "
+                f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
+            )
+        lines.append(discontinuity[len(c)])
     if b.status == "skipped":
         lines.append("condition B: SKIPPED (condition A failed)")
     else:
@@ -278,10 +269,7 @@ def _analyze_lines(verdict) -> list[str]:
 
 def cmd_graph_orbits(args) -> int:
     g = _load_graph(args.graph, args.transpose)
-    try:
-        require_validated(g)
-    except InvalidGraphError as exc:
-        raise InputError(str(exc)) from None
+    require_validated(g)
     report_a = check_condition_a(g)
     if not report_a.passed:
         report = _envelope(
@@ -291,7 +279,7 @@ def cmd_graph_orbits(args) -> int:
             validated=True,
             refused=True,
             reason=ORBIT_REFUSAL,
-            entries=_entry_items(report_a.entries, None)[0],
+            entries=_entry_items(_entry_runs(report_a.entries)),
         )
         lines = [] if args.json else [f"refused: {ORBIT_REFUSAL}"] + [
             f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in report_a.entries
@@ -341,10 +329,7 @@ def _parse_path_literal(g: DiGraph, literal: str) -> EventualPath:
 
 def cmd_graph_equiv(args) -> int:
     g = _load_graph(args.graph, args.transpose)
-    try:
-        require_validated(g)
-    except InvalidGraphError as exc:
-        raise InputError(str(exc)) from None
+    require_validated(g)
     x = _parse_path_literal(g, args.x)
     y = _parse_path_literal(g, args.y)
     equivalent = shift_equivalent(x, y)
@@ -441,7 +426,7 @@ def cmd_dyadic_demo(args) -> int:
     rows = []
     for n in range(args.n_max + 1):
         gamma = family.arrow_at(n)
-        chi_n = CharQ(chi_spec.parameter(n), chi_spec.base.point_at(n))
+        chi_n = chi_spec.char_at(n)
         moved = dyadic_act_dual(gamma, chi_n)
         rows.append(
             {
@@ -482,7 +467,7 @@ def _load_family(path: str):
     text = _read_text(path)
     try:
         return parse_family(json.loads(text))
-    except (ValueError, RecursionError, FamilyFormatError) as exc:
+    except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past the digit limit
         raise InputError(f"bad family file: {exc}") from None
 
@@ -510,8 +495,6 @@ def _run_family(spec, truncate: int | None = None, tol: float = 0.0) -> dict:
         return run_family_truncated(spec, truncate, tol)
     except CatalogError as exc:
         raise InputError(f"family leaves the exact sequence catalog: {exc}") from None
-    except FamilyFormatError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _family_lines(result: dict) -> list[str]:
@@ -541,7 +524,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return _int_at_least(0)(env)
+            return _int_in(0)(env)
         except (ValueError, argparse.ArgumentTypeError):
             raise InputError(f"{SEED_ENV} must be an integer >= 0, got {env!r}") from None
     return 0
@@ -598,8 +581,12 @@ def cmd_so3_spectrum(args) -> int:
         raise InputError(f"bad --v value: {exc}") from None
     if len(coords) != 3:
         raise InputError("--v needs exactly three comma-separated coordinates")
-    if not math.isfinite(sum(c * c for c in coords)):  # NaN, an infinity, or |v| overflows
-        raise InputError(f"--v must be finite with |v|**2 in the float range, got {args.v!r}")
+    squares = sum(c * c for c in coords)
+    # NaN, an infinity or an overflow; or a nonzero vector whose |v| would underflow
+    if not (math.isfinite(squares) and (squares >= sys.float_info.min or not any(coords))):
+        raise InputError(
+            f"--v must be finite with |v|**2 zero or in the normal float range, got {args.v!r}"
+        )
     chi = CharSO3.at(coords, args.k)
     norm, k = so3_spectrum_point(chi)
     report = _envelope(
@@ -622,10 +609,7 @@ def cmd_check_family(args) -> int:
     if args.tests:
         if spec.space != "dual":
             raise InputError("--tests only applies to dual-space families")
-        spec = type(spec)(
-            spec.space, spec.family, spec.seq, spec.limit_chi, spec.limit_omega,
-            _parse_tests(args.tests),
-        )
+        spec = dataclasses.replace(spec, tests=_parse_tests(args.tests))
     result = _run_family(spec, args.truncate, args.tol)
     report = _envelope("check-family", input=args.family, **result)
     _emit(report, _family_lines(result), args.json)
@@ -636,17 +620,24 @@ def cmd_check_family(args) -> int:
 # argument parsing
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``.
+MAX_N = 1000  # --n-max: the report grows quadratically, 1.2 MB of JSON at 1000
+MAX_TRIALS = 10_000  # --trials: about 2 s of SO(3) trials
+
+
+def _int_in(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer no smaller than ``minimum`` and no larger than ``maximum``.
 
     A count below the minimum would run no rows or trials and report a
-    vacuous pass, so argparse rejects it with exit 2.
+    vacuous pass, and one above the maximum would run without a useful
+    bound on time or output, so argparse rejects both with exit 2.
     """
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -719,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = green.add_parser("verify-eq3", help="verify the chart translation identity")
-    p.add_argument("--n-max", type=_int_at_least(0), default=20)
+    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=20)
     add_output_flags(p)
     p.set_defaults(func=cmd_green_verify)
 
@@ -727,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = dyadic.add_parser("demo-c-failure", help="the dual-convergence counterexample")
-    p.add_argument("--n-max", type=_int_at_least(0), default=10)
+    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=10)
     p.add_argument("--tests", help="comma separated rational test points")
     add_output_flags(p)
     p.set_defaults(func=cmd_dyadic_demo)
@@ -740,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="verb", required=True
     )
     p = so3.add_parser("conj-test", help="random conjugation residuals")
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1000)
+    p.add_argument("--seed", type=_int_in(0), default=None)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     add_output_flags(p)
     p.set_defaults(func=cmd_so3_conj)
@@ -782,9 +773,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidGraphError as exc:
-        print(f"error: invalid graph: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal errors
         traceback.print_exc()

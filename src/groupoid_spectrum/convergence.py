@@ -37,6 +37,7 @@ from .exact import (
     AffineSeq,
     CatalogError,
     DyadicSeq,
+    InputError,
     _is_int,
     format_rational,
     parse_rational,
@@ -102,7 +103,7 @@ class HypothesisFailure(Exception):
         return {"hypothesis_failure": self.reason, "details": self.details}
 
 
-class FamilyFormatError(ValueError):
+class FamilyFormatError(InputError):
     """Malformed family description (JSON schema violation)."""
 
 
@@ -370,9 +371,6 @@ class SElemSeqSpec:
 
     base: PointSeqSpec
     parameter: DyadicSeq
-
-    def elem_at(self, i: int) -> SElem:
-        return SElem(self.parameter(i), self.base.point_at(i))
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "r": self.parameter.to_json()}

@@ -21,6 +21,7 @@ from itertools import chain, compress
 from operator import attrgetter
 
 from . import _kernels
+from .exact import InputError
 
 __all__ = [
     "Edge",
@@ -53,7 +54,7 @@ class Edge:
     rng: str
 
 
-class GraphParseError(ValueError):
+class GraphParseError(InputError):
     """Malformed graph input; carries a line number for text input."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -76,7 +77,7 @@ class Violation:
         return {"kind": self.kind, "subject": self.subject, "detail": self.detail}
 
 
-class InvalidGraphError(ValueError):
+class InvalidGraphError(InputError):
     def __init__(self, violations: list[Violation]):
         self.violations = violations
         super().__init__("; ".join(v.detail for v in violations))

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 __all__ = [
     "CatalogError",
+    "InputError",
     "DIVERGENT",
     "Rational",
     "DyadicSeq",
@@ -36,7 +37,11 @@ __all__ = [
 Rational = Fraction
 
 
-class CatalogError(ValueError):
+class InputError(ValueError):
+    """Invalid input: the base of every input error, which the CLI maps to exit code 2."""
+
+
+class CatalogError(InputError):
     """An operation would leave the closed sequence catalog."""
 
 

@@ -4,9 +4,10 @@ The decision runs two graph conditions:
 
 * Condition A: no simple cycle has an entry (an edge off the cycle whose
   range lies on it).  Failure witnesses are (cycle, entry) pairs, each
-  augmented with a stabilizer-discontinuity certificate: walking into the
-  cycle through the entry approximates the cycle's periodic path by paths of
-  head period 0, so the period subgroups converge to {0} instead of nZ.
+  augmented with a stabilizer-discontinuity record: walking into the cycle
+  through the entry approximates the cycle's periodic path by paths of head
+  period 0, so the period subgroups converge to {0} instead of nZ.  The
+  record depends only on the cycle length n.
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
@@ -46,7 +47,6 @@ __all__ = [
     "ConditionAReport",
     "ConditionBReport",
     "SeparationCertificate",
-    "StabilizerCertificate",
     "SpectrumVerdict",
     "EventualPath",
     "PathChar",
@@ -58,6 +58,7 @@ __all__ = [
     "orbits",
     "shift_equivalent",
     "stabilizer_of_path",
+    "stabilizer_record",
     "transport_char",
     "CONDITION_C_NOTE",
     "ORBIT_REFUSAL",
@@ -79,54 +80,35 @@ class FiberMismatchError(ValueError):
 # Condition A
 
 
-@dataclass(frozen=True)
-class StabilizerCertificate:
-    """Why an entry breaks continuity of the period subgroups.
+def stabilizer_record(approx_limit: FellLimit, period: int) -> dict:
+    """Why an entry into a cycle of length ``period`` breaks continuity of the period subgroups.
 
     The paths x_i that follow the cycle i times before leaving through the
-    entry converge to the cycle's periodic path, but each has head period 0
-    while the limit has period len(cycle).
+    entry converge to the cycle's periodic path, but each has head period 0,
+    so their subgroups converge to ``approx_limit``, while the limit has
+    period ``period``.  The record depends on nothing else.
     """
-
-    cycle: CycleRep
-    entry: Edge
-    approx_limit: FellLimit
-    limit_period: int
-
-    def to_json(self) -> dict:
-        return {
-            "cycle": list(self.cycle.edge_ids()),
-            "entry": self.entry.id,
-            "approx_periods": "constant 0",
-            "approx_fell_limit": self.approx_limit.label(),
-            "period_at_limit": _subgroup_label(self.limit_period),
-            "continuous": self.approx_limit.period == self.limit_period,
-        }
-
-
-def _subgroup_label(period: int) -> str:
-    return "{0}" if period == 0 else f"{period}Z"
+    return {
+        "approx_periods": "constant 0",
+        "approx_fell_limit": approx_limit.label(),
+        "period_at_limit": FellLimit(True, period).label(),
+        "continuous": approx_limit.period == period,
+    }
 
 
 @dataclass(frozen=True)
 class ConditionAReport:
     """Cycles and entries; every entry shares one Fell limit of its approximants.
 
-    ``approx_limit`` is that limit, ``None`` when there are no entries; the
-    per-entry certificates are built only when asked for.
+    ``entries`` is ordered by cycle.  ``approx_limit`` is that shared limit,
+    ``None`` when there are no entries; with the cycle length it fixes each
+    entry's stabilizer record (``stabilizer_record``).
     """
 
     passed: bool
     cycles: tuple[CycleRep, ...]
     entries: tuple[tuple[CycleRep, Edge], ...]
     approx_limit: FellLimit | None
-
-    @property
-    def certificates(self) -> tuple[StabilizerCertificate, ...]:
-        return tuple(
-            StabilizerCertificate(cycle, entry, self.approx_limit, len(cycle))
-            for cycle, entry in self.entries
-        )
 
     def to_json(self) -> dict:
         out = {
@@ -135,7 +117,14 @@ class ConditionAReport:
             "entries": [{"cycle": list(c.edge_ids()), "entry": e.id} for c, e in self.entries],
         }
         if not self.passed:
-            out["stabilizer_discontinuity"] = [cert.to_json() for cert in self.certificates]
+            out["stabilizer_discontinuity"] = [
+                {
+                    "cycle": list(c.edge_ids()),
+                    "entry": e.id,
+                    **stabilizer_record(self.approx_limit, len(c)),
+                }
+                for c, e in self.entries
+            ]
         return out
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import groupoid_spectrum
 from groupoid_spectrum.cli import main
 from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
@@ -38,6 +41,14 @@ S_FAMILY = {
         "t": {"r": "0", "base": {"branch": -1, "param": 0}},
     },
 }
+
+
+def child_env() -> dict:
+    """The environment with this package's root first on PYTHONPATH, for child interpreters."""
+    package_root = str(Path(groupoid_spectrum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

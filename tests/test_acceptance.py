@@ -61,6 +61,7 @@ def _cli(*args: str):
     proc = subprocess.run(
         [sys.executable, "-m", "groupoid_spectrum.cli", *args],
         capture_output=True,
+        env=helpers.child_env(),
     )
     return proc, perf_counter() - start
 

@@ -1,7 +1,6 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import helpers
-import groupoid_spectrum
 from groupoid_spectrum import cli, digraph, spectrum
 from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
 from groupoid_spectrum.digraph import DiGraph, graph_to_text, validate_graph
@@ -19,15 +17,7 @@ from groupoid_spectrum.spectrum import (
     decide_hausdorff_spectrum,
     orbits,
 )
-from helpers import DUAL_FAMILY, S_FAMILY, run_main, strict_json
-
-
-def _child_env() -> dict:
-    """The environment with this package's root first on PYTHONPATH."""
-    package_root = str(Path(groupoid_spectrum.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
+from helpers import DUAL_FAMILY, S_FAMILY, child_env, run_main, strict_json
 
 
 @pytest.fixture
@@ -101,6 +91,14 @@ class TestGraphAnalyze:
         report = json.loads(out)
         assert report["validated"] is False
         assert report["violations"][0]["kind"] == "no-range-edge"
+
+    def test_invalid_graph_stderr_of_orbits_and_equiv(self, run, tmp_path):
+        # these commands write no report of the violations, only one error line
+        path = tmp_path / "bad.graph"
+        path.write_text("v a\nv b\ne l a a\n")
+        for argv in (["graph-orbits", str(path)], ["graph-equiv", str(path), "--x", ":l", "--y", ":l"]):
+            for fmt in ("--json", "--text"):
+                assert run(*argv, fmt) == (2, "", "error: vertex 'b' has no edge with range 'b'\n")
 
     @pytest.mark.parametrize(
         "text", ["", "# nothing here\n\n", '{"vertices": [], "edges": []}']
@@ -393,6 +391,22 @@ class TestModelSO3:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("v", ["1e-170,1e-170,0", "1e-160,0,0", "0,-1e-320,0"])
+    def test_underflowing_norm_exits_2(self, run, v):
+        # |v|**2 is 0 or subnormal, so the reported |v| would be 0 or inexact
+        code, out, err = run("model-so3", "spectrum", f"--v={v}", "--k=1", "--json")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --v must be finite with |v|**2 zero or in the normal float range, got {v!r}\n"
+        )
+
+    def test_zero_and_small_normal_vectors_still_run(self, run):
+        for v, norm in (("0,0,0", "0.000000000000e+00"), ("-0,0,0", "0.000000000000e+00"),
+                        ("1e-150,0,0", "1.000000000000e-150")):
+            code, out, _ = run("model-so3", "spectrum", f"--v={v}", "--k=1", "--json")
+            assert code == 0
+            assert strict_json(out)["invariants"]["norm"] == norm
+
     def test_finite_coordinates_give_strict_json(self, run):
         code, out, _ = run("model-so3", "spectrum", "--v=1e150,-0,5e-324", "--k=-2", "--json")
         assert code == 0
@@ -519,7 +533,7 @@ class TestCheckFamily:
             [sys.executable, "-c", child, "check-family", str(path), "--truncate", "3000000000", "--json"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
@@ -553,6 +567,30 @@ class TestVacuousCounts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be at least" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("model-green", "verify-eq3", "--n-max", "1001"), 1000),
+            (("model-dyadic", "demo-c-failure", "--n-max", "100000"), 1000),
+            (("model-so3", "conj-test", "--trials", "10001"), 10000),
+        ],
+    )
+    def test_counts_above_the_limit_exit_2(self, run, capsys, argv, limit):
+        # the reports grow with the counts (quadratically for --n-max), so they are bounded
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv, "--json")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at most {limit}, got {argv[-1]}" in captured.err
+
+    def test_largest_counts_parse(self):
+        # running them takes seconds, so only the argument types are checked
+        parser = cli.build_parser()
+        assert parser.parse_args(["model-green", "verify-eq3", "--n-max", "1000"]).n_max == 1000
+        assert parser.parse_args(["model-dyadic", "demo-c-failure", "--n-max", "1000"]).n_max == 1000
+        assert parser.parse_args(["model-so3", "conj-test", "--trials", "10000"]).trials == 10000
 
     def test_smallest_counts_still_run(self, run):
         code, out, _ = run("model-green", "verify-eq3", "--n-max", "0", "--json")
@@ -674,7 +712,7 @@ class TestNumpyStaysOut:
             [sys.executable, "-c", self.CHILD, json.dumps(commands)],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
@@ -716,7 +754,7 @@ class TestParserReuse:
                 [sys.executable, "-m", "groupoid_spectrum.cli", *argv],
                 capture_output=True,
                 text=True,
-                env=_child_env(),
+                env=child_env(),
                 timeout=60,
             )
             assert (code, out, err) == (child.returncode, child.stdout, child.stderr), argv
@@ -738,7 +776,7 @@ class TestClosedPipe:
             [sys.executable, "-m", "groupoid_spectrum.cli", "graph-analyze", str(path), "--json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=_child_env(),
+            env=child_env(),
         ) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()

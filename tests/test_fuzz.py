@@ -5,8 +5,9 @@ Graph files, family files and argument vectors are generated and run through
 invariant is the CLI's exit contract: exit 0 with a report (strict JSON under
 ``--json``), or exit 2 with a message on stderr, within the example deadline;
 never exit 1 and never a traceback.  Sizes stay small (graphs of a few
-vertices, ``--n-max`` and ``--trials`` below 40, whose reports grow with them),
-so the whole module adds about two seconds to the suite.
+vertices, ``--n-max`` and ``--trials`` below 40, whose reports grow with them,
+or above their limits, where they must exit 2), so the whole module adds about
+two seconds to the suite.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from groupoid_spectrum.cli import MAX_N, MAX_TRIALS
 from helpers import DUAL_FAMILY, S_FAMILY, run_main, strict_json
 
 # derandomized, so the suite runs the same examples every time
@@ -196,6 +198,7 @@ rational_text = st.one_of(
     st.builds("{}/{}".format, small, small), small.map(str), floats_text, st.text(max_size=5)
 )
 vectors = st.lists(floats_text, min_size=3, max_size=3).map(",".join) | csv(floats_text)
+above_limits = st.integers(MAX_TRIALS + 1, 10**30)  # above both count limits
 
 
 @st.composite
@@ -209,7 +212,7 @@ def argvs(draw, workdir):
         files = [str(workdir / f) for f in ("funnel.graph", "dual.json", "s.json", "missing")]
         return st.one_of(*[st.just(str(workdir / name))] * 3, st.sampled_from(files), st.text(max_size=6))
 
-    counts = as_text(st.integers(-3, 39))
+    counts = as_text(st.integers(-3, 39) | above_limits)
     graph = [file("funnel.graph")]
     command, positionals, required, optional = draw(
         st.sampled_from(
@@ -268,3 +271,24 @@ class TestArguments:
     def test_argv(self, workdir, data):
         argv, as_json = data.draw(argvs(workdir))
         assert_contract(argv, as_json and "--text" not in argv)
+
+
+class TestCountLimits:
+    @FUZZ
+    @given(
+        command=st.sampled_from(
+            [
+                (["model-green", "verify-eq3", "--n-max"], MAX_N),
+                (["model-dyadic", "demo-c-failure", "--n-max"], MAX_N),
+                (["model-so3", "conj-test", "--trials"], MAX_TRIALS),
+            ]
+        ),
+        excess=st.integers(1, 10**30),
+        as_json=st.booleans(),
+    )
+    def test_counts_above_the_limit_exit_2(self, command, excess, as_json):
+        argv, limit = command
+        count = str(limit + excess)
+        code, out, err = run_main(argv + [count] + (["--json"] if as_json else []))
+        assert (code, out) == (2, "")
+        assert f"must be at most {limit}, got {count}" in err

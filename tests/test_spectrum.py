@@ -21,6 +21,7 @@ from groupoid_spectrum.spectrum import (
     orbits,
     shift_equivalent,
     stabilizer_of_path,
+    stabilizer_record,
     transport_char,
 )
 
@@ -84,23 +85,23 @@ class TestDecision:
         with pytest.raises(InvalidGraphError):
             decide_hausdorff_spectrum(DiGraph.build(["a", "b"], [("l", "a", "a")]))
 
-    def test_condition_a_certificates(self):
-        report = check_condition_a(helpers.graph_loop_with_entry())
-        assert not report.passed
-        (cert,) = report.certificates
-        assert cert.approx_limit.label() == "{0}"
-        assert cert.limit_period == 1
-        assert cert.entry.id == "e"
-
-    def test_condition_a_shares_one_fell_limit(self):
-        # every entry has approximants of head period 0; without entries there is no limit
+    def test_stabilizer_record(self):
+        # approximants of head period 0 converge to {0}; the limit path has period n
+        limit = check_condition_a(helpers.graph_loop_with_entry()).approx_limit
+        for period in (1, 3):
+            assert stabilizer_record(limit, period) == {
+                "approx_periods": "constant 0",
+                "approx_fell_limit": "{0}",
+                "period_at_limit": f"{period}Z",
+                "continuous": False,
+            }
+        # each discontinuity item is its entries item with the record of its cycle length
         report = check_condition_a(helpers.complete_graph(4))
-        assert report.approx_limit.label() == "{0}"
-        assert len(report.certificates) == len(report.entries) > 0
-        for cert, (cycle, entry) in zip(report.certificates, report.entries):
-            assert (cert.cycle, cert.entry) == (cycle, entry)
-            assert cert.approx_limit is report.approx_limit
-            assert cert.limit_period == len(cycle)
+        blob = report.to_json()
+        assert len(blob["stabilizer_discontinuity"]) == len(blob["entries"]) == len(report.entries) > 0
+        for item, entry, (cycle, _) in zip(blob["stabilizer_discontinuity"], blob["entries"], report.entries):
+            assert item == {**entry, **stabilizer_record(report.approx_limit, len(cycle))}
+        # without entries there is no limit
         assert check_condition_a(helpers.graph_two_loops_funnel()).approx_limit is None
 
     def test_entry_free_implies_separated(self):
