@@ -85,18 +85,24 @@ class TestDecision:
         with pytest.raises(InvalidGraphError):
             decide_hausdorff_spectrum(DiGraph.build(["a", "b"], [("l", "a", "a")]))
 
-    def test_stabilizer_record(self):
+    def test_condition_a_certificates(self):
         # approximants of head period 0 converge to {0}; the limit path has period n
-        limit = check_condition_a(helpers.graph_loop_with_entry()).approx_limit
+        report = check_condition_a(helpers.graph_loop_with_entry())
+        assert not report.passed
+        ((cycle, entry),) = report.entries
+        assert (len(cycle), entry.id) == (1, "e")
         for period in (1, 3):
-            assert stabilizer_record(limit, period) == {
+            assert stabilizer_record(report.approx_limit, period) == {
                 "approx_periods": "constant 0",
                 "approx_fell_limit": "{0}",
                 "period_at_limit": f"{period}Z",
                 "continuous": False,
             }
+
+    def test_condition_a_shares_one_fell_limit(self):
         # each discontinuity item is its entries item with the record of its cycle length
         report = check_condition_a(helpers.complete_graph(4))
+        assert report.approx_limit.label() == "{0}"
         blob = report.to_json()
         assert len(blob["stabilizer_discontinuity"]) == len(blob["entries"]) == len(report.entries) > 0
         for item, entry, (cycle, _) in zip(blob["stabilizer_discontinuity"], blob["entries"], report.entries):
