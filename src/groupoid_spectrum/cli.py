@@ -18,9 +18,7 @@ import sys
 import traceback
 from fractions import Fraction
 from functools import cache, partial
-from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -142,13 +140,14 @@ def _cycle_items(cycles: tuple[CycleRep, ...]):
     return render
 
 
-def _entry_runs(entries: tuple[tuple[CycleRep, Edge], ...]) -> list[tuple[CycleRep, list[str]]]:
+def _entry_runs(
+    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...],
+) -> list[tuple[CycleRep, list[str]]]:
     """Per cycle, in order, the cycle and the quoted ids of its entries.
 
-    ``entries`` is ordered by cycle, as ``ConditionAReport`` lists them.
+    ``runs`` are a ``ConditionAReport``'s runs: each cycle with its entries.
     """
-    groups = groupby(entries, itemgetter(0))
-    return [(cycle, [_quote(e.id) for _, e in group]) for cycle, group in groups]
+    return [(cycle, [_quote(e.id) for e in run]) for cycle, run in runs]
 
 
 def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
@@ -215,7 +214,7 @@ def cmd_graph_analyze(args) -> int:
         _emit(report, lines, args.json)
         return 2
     a, b = verdict.condition_a, verdict.condition_b
-    runs = _entry_runs(a.entries)
+    runs = _entry_runs(a.runs)
     condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": _entry_items(runs)}
     if not a.passed:
         condition_a["stabilizer_discontinuity"] = _entry_items(
@@ -240,21 +239,20 @@ def _analyze_lines(verdict) -> list[str]:
     lines = [
         "validated: yes",
         f"condition A: {'PASS' if a.passed else 'FAIL'} "
-        f"({len(a.cycles)} cycles, {len(a.entries)} entries)",
+        f"({len(a.cycles)} cycles, {sum(len(run) for _, run in a.runs)} entries)",
     ]
     for c in a.cycles:
         lines.append(f"  cycle: {','.join(c.edge_ids())}")
-    for c, e in a.entries:
-        lines.append(f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}")
+    lines += _entry_lines(a.runs)
     discontinuity: dict[int, str] = {}  # the line per cycle length
-    for c, _ in a.entries:
+    for c, run in a.runs:
         if len(c) not in discontinuity:
             record = stabilizer_record(a.approx_limit, len(c))
             discontinuity[len(c)] = (
                 f"  stabilizer discontinuity: approximating periods 0, "
                 f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
             )
-        lines.append(discontinuity[len(c)])
+        lines += [discontinuity[len(c)]] * len(run)
     if b.status == "skipped":
         lines.append("condition B: SKIPPED (condition A failed)")
     else:
@@ -264,6 +262,15 @@ def _analyze_lines(verdict) -> list[str]:
             lines.append(f"  pair ({pair}): u={cert.u} v={cert.v}")
     lines.append(f"condition C: {CONDITION_C_NOTE}")
     lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
+    return lines
+
+
+def _entry_lines(runs) -> list[str]:
+    """The text lines of the entries, one per entry; each cycle's ids are joined once."""
+    lines = []
+    for c, run in runs:
+        cycle = ",".join(c.edge_ids())
+        lines += [f"  entry: {e.id} -> cycle {cycle}" for e in run]
     return lines
 
 
@@ -279,11 +286,9 @@ def cmd_graph_orbits(args) -> int:
             validated=True,
             refused=True,
             reason=ORBIT_REFUSAL,
-            entries=_entry_items(_entry_runs(report_a.entries)),
+            entries=_entry_items(_entry_runs(report_a.runs)),
         )
-        lines = [] if args.json else [f"refused: {ORBIT_REFUSAL}"] + [
-            f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in report_a.entries
-        ]
+        lines = [] if args.json else [f"refused: {ORBIT_REFUSAL}", *_entry_lines(report_a.runs)]
         _emit(report, lines, args.json)
         return 0
     reps = report_a.cycles

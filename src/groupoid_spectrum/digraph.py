@@ -222,7 +222,8 @@ class CycleRep:
         verts = [e.rng for e in edges]
         if len(set(verts)) != len(verts):
             raise ValueError("cycle is not simple: repeated vertex")
-        k = min(range(len(edges)), key=lambda i: edges[i].id)
+        ids = [e.id for e in edges]
+        k = ids.index(min(ids))
         object.__setattr__(self, "edges", edges[k:] + edges[:k])
 
     @property
@@ -268,14 +269,23 @@ def strongly_connected_components(g: DiGraph) -> Components:
 
 @dataclass(frozen=True)
 class CycleAnalysis:
-    """Simple cycles of a graph together with their entries."""
+    """Simple cycles of a graph together with their entries.
+
+    ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
+    the cycle and its entry edges in edge id order; no run is empty.
+    """
 
     cycles: tuple[CycleRep, ...]
-    entries: tuple[tuple[CycleRep, Edge], ...]
+    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...]
 
     @property
     def entry_free(self) -> bool:
-        return not self.entries
+        return not self.runs
+
+    @cached_property
+    def entries(self) -> tuple[tuple[CycleRep, Edge], ...]:
+        """Every (cycle, entry) pair, in run order; built on first access."""
+        return tuple((c, e) for c, run in self.runs for e in run)
 
 
 def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
@@ -288,23 +298,25 @@ def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
     parts = list(compress(comps.members, comps.cyclic))
     cycles = [
         # kernel output is in traversal order; path convention is its reverse
-        CycleRep(tuple(g.edges[j] for j in reversed(arc_tuple)))
+        CycleRep(tuple(map(g.edges.__getitem__, reversed(arc_tuple))))
         for arc_tuple in _kernels.simple_cycles(g.arc_indices, parts)
     ]
     cycles.sort(key=CycleRep.sort_key)
     # each cycle's entries in edge id order, walking the sorted cycles, give
-    # the pairs in (cycle, entry id) order without sorting the pairs
+    # the runs in (cycle, entry id) order without sorting across cycles
     on_cycles = cycle_vertices(g)
     by_id = sorted((e for e in g.edges if e.rng in on_cycles), key=attrgetter("id"))
     into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
     for rank, e in enumerate(by_id):
         into.setdefault(e.rng, []).append(rank)
-    entries = []
+    runs = []
     for c in cycles:
         on_cycle = {e.id for e in c.edges}
-        ranks = sorted(chain.from_iterable(into[v] for v in c.vertices))
-        entries += [(c, e) for e in map(by_id.__getitem__, ranks) if e.id not in on_cycle]
-    return CycleAnalysis(tuple(cycles), tuple(entries))
+        ranks = sorted(chain.from_iterable(into[e.rng] for e in c.edges))
+        run = tuple(e for e in map(by_id.__getitem__, ranks) if e.id not in on_cycle)
+        if run:
+            runs.append((c, run))
+    return CycleAnalysis(tuple(cycles), tuple(runs))
 
 
 def cycle_vertices(g: DiGraph) -> frozenset[str]:

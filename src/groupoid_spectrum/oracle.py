@@ -184,7 +184,7 @@ def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
 
     fast_cycles = {c.edge_ids() for c in report_a.cycles}
     slow_cycles = naive_simple_cycles(g)
-    fast_entries = {(c.edge_ids(), e.id) for c, e in report_a.entries}
+    fast_entries = {(c.edge_ids(), e.id) for c, run in report_a.runs for e in run}
     slow_entries = naive_entries(g)
     a_agrees = (not slow_entries) == report_a.passed and fast_cycles == slow_cycles
     entries_agree = fast_entries == slow_entries

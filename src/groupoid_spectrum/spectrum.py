@@ -7,7 +7,8 @@ The decision runs two graph conditions:
   augmented with a stabilizer-discontinuity record: walking into the cycle
   through the entry approximates the cycle's periodic path by paths of head
   period 0, so the period subgroups converge to {0} instead of nZ.  The
-  record depends only on the cycle length n.
+  record depends only on the cycle length n, so the entries are carried
+  grouped per cycle.
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .convergence import FellLimit, PeriodFamily, fell_subgroup_limit
@@ -100,42 +102,52 @@ def stabilizer_record(approx_limit: FellLimit, period: int) -> dict:
 class ConditionAReport:
     """Cycles and entries; every entry shares one Fell limit of its approximants.
 
-    ``entries`` is ordered by cycle.  ``approx_limit`` is that shared limit,
-    ``None`` when there are no entries; with the cycle length it fixes each
-    entry's stabilizer record (``stabilizer_record``).
+    ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
+    the cycle and its entry edges in edge id order, as ``entry_free_cycles``
+    builds them.  ``approx_limit`` is the shared limit, ``None`` when there
+    are no entries; with the cycle length it fixes each entry's stabilizer
+    record (``stabilizer_record``).
     """
 
     passed: bool
     cycles: tuple[CycleRep, ...]
-    entries: tuple[tuple[CycleRep, Edge], ...]
+    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...]
     approx_limit: FellLimit | None
 
+    @cached_property
+    def entries(self) -> tuple[tuple[CycleRep, Edge], ...]:
+        """Every (cycle, entry) pair, ordered by cycle; built on first access."""
+        return tuple((c, e) for c, run in self.runs for e in run)
+
     def to_json(self) -> dict:
+        """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item."""
+        entries, discontinuity = [], []
+        records: dict[int, dict] = {}  # stabilizer record per cycle length
+        for c, run in self.runs:
+            ids = c.edge_ids()
+            if len(ids) not in records:
+                records[len(ids)] = stabilizer_record(self.approx_limit, len(ids))
+            record = records[len(ids)]
+            entries += [{"cycle": list(ids), "entry": e.id} for e in run]
+            discontinuity += [{"cycle": list(ids), "entry": e.id, **record} for e in run]
         out = {
             "pass": self.passed,
             "cycles": [list(c.edge_ids()) for c in self.cycles],
-            "entries": [{"cycle": list(c.edge_ids()), "entry": e.id} for c, e in self.entries],
+            "entries": entries,
         }
         if not self.passed:
-            out["stabilizer_discontinuity"] = [
-                {
-                    "cycle": list(c.edge_ids()),
-                    "entry": e.id,
-                    **stabilizer_record(self.approx_limit, len(c)),
-                }
-                for c, e in self.entries
-            ]
+            out["stabilizer_discontinuity"] = discontinuity
         return out
 
 
 def check_condition_a(g: DiGraph) -> ConditionAReport:
-    """Cycles and entries (see ``entry_free_cycles``), with the entries' Fell limit."""
+    """Cycles and entry runs (see ``entry_free_cycles``), with the entries' Fell limit."""
     analysis = entry_free_cycles(g)
     approx = None
-    if analysis.entries:
+    if analysis.runs:
         # head period 0 on every approximant, whichever cycle and entry
         approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
-    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.entries, approx)
+    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.runs, approx)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import DiGraph, Edge
 from groupoid_spectrum.exact import AffineSeq
+from groupoid_spectrum.spectrum import stabilizer_record
 
 
 # The documented dual-space counterexample, and the same arrows in the S space.
@@ -60,6 +61,29 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse: help and usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def condition_a_json(report) -> dict:
+    """``ConditionAReport.to_json`` by definition: every item built from its own (cycle, entry) pair.
+
+    The reference the report's bytes are checked against, kept apart from the
+    per-cycle rendering of the library and the CLI.
+    """
+    out = {
+        "pass": report.passed,
+        "cycles": [list(c.edge_ids()) for c in report.cycles],
+        "entries": [{"cycle": list(c.edge_ids()), "entry": e.id} for c, e in report.entries],
+    }
+    if not report.passed:
+        out["stabilizer_discontinuity"] = [
+            {
+                "cycle": list(c.edge_ids()),
+                "entry": e.id,
+                **stabilizer_record(report.approx_limit, len(c)),
+            }
+            for c, e in report.entries
+        ]
+    return out
 
 
 def strict_json(text: str):

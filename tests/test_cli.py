@@ -193,6 +193,7 @@ class TestReportBytes:
             code, out, _ = run("graph-analyze", path, "--json")
             verdict = decide_hausdorff_spectrum(g)
             report = _envelope("graph-analyze", input=path, transpose=False) | verdict.to_json()
+            report["condition_a"] = helpers.condition_a_json(verdict.condition_a)
             assert code == 0
             assert out == json.dumps(report, indent=2) + "\n"
             outcomes.add((verdict.condition_a.passed, len(verdict.condition_a.cycles) > 1))
@@ -217,7 +218,7 @@ class TestReportBytes:
                 validated=True,
                 refused=True,
                 reason=str(refusal.value),
-                entries=report_a.to_json()["entries"],
+                entries=helpers.condition_a_json(report_a)["entries"],
             )
             assert code == 0
             assert out == json.dumps(report, indent=2) + "\n"
@@ -248,6 +249,51 @@ class TestReportBytes:
             "condition C: automatic (stabilizer conjugation argument)\n"
             "hausdorff: NO\n"
         )
+
+    @pytest.mark.parametrize("graph", [helpers.complete_graph(4), helpers.graph_loop_with_entry()])
+    def test_entry_lines_text(self, run, tmp_path, graph):
+        # reference: one line per (cycle, entry) pair, the cycle's ids joined for each
+        path = tmp_path / "g.graph"
+        path.write_text(graph_to_text(graph))
+        report_a = check_condition_a(graph)
+        assert not report_a.passed
+        entry_lines = [
+            f"  entry: {e.id} -> cycle {','.join(c.edge_ids())}" for c, e in report_a.entries
+        ]
+        analyze = [
+            "validated: yes",
+            f"condition A: FAIL ({len(report_a.cycles)} cycles, {len(report_a.entries)} entries)",
+            *(f"  cycle: {','.join(c.edge_ids())}" for c in report_a.cycles),
+            *entry_lines,
+        ]
+        for c, _ in report_a.entries:
+            record = spectrum.stabilizer_record(report_a.approx_limit, len(c))
+            analyze.append(
+                "  stabilizer discontinuity: approximating periods 0, Fell limit "
+                f"{record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
+            )
+        analyze += [
+            "condition B: SKIPPED (condition A failed)",
+            f"condition C: {spectrum.CONDITION_C_NOTE}",
+            "hausdorff: NO",
+        ]
+        assert run("graph-analyze", str(path)) == (0, "\n".join(analyze) + "\n", "")
+        refused = [f"refused: {spectrum.ORBIT_REFUSAL}", *entry_lines]
+        assert run("graph-orbits", str(path)) == (0, "\n".join(refused) + "\n", "")
+
+    def test_reports_never_build_the_flat_entries(self, run, tmp_path, monkeypatch):
+        # the CLI renders condition A from the runs alone
+        def flat(report):
+            raise AssertionError("the flat entries view was built")
+
+        monkeypatch.setattr(spectrum.ConditionAReport, "entries", property(flat))
+        path = tmp_path / "k4.graph"
+        path.write_text(graph_to_text(helpers.complete_graph(4)))
+        for command in ("graph-analyze", "graph-orbits"):
+            for flags in ([], ["--json"]):
+                code, out, err = run(command, str(path), *flags)
+                assert (code, err) == (0, ""), (command, flags)
+                assert "entry" in out
 
 
 class TestGraphOrbits:

@@ -1,10 +1,12 @@
 """Graph parsing, validation, reachability, and cycle/entry analysis."""
 
 import random
+from math import comb, factorial
 
 import pytest
 
 import helpers
+from groupoid_spectrum import _kernels
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import (
     CycleRep,
@@ -217,6 +219,38 @@ class TestCycles:
             assert analysis.entries == tuple(pairs)
             listed += len(pairs)
         assert listed > 1000
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_complete_graph_runs(self, n):
+        # past the oracle's reach: K_n has C(n, k) (k - 1)! cycles of length k,
+        # and each of the k vertices of one has n - 2 in-edges off it
+        g = helpers.complete_graph(n)
+        analysis = entry_free_cycles(g)
+        assert len(analysis.cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+        assert [c.sort_key() for c in analysis.cycles] == sorted(c.sort_key() for c in analysis.cycles)
+        # every cycle has entries, so there is one run per cycle, in cycle order
+        assert [c for c, _ in analysis.runs] == list(analysis.cycles)
+        for c, run in analysis.runs:
+            ids = [e.id for e in run]
+            assert len(run) == len(c) * (n - 2)
+            assert ids == sorted(set(ids))
+            assert all(e.rng in c.vertices and e not in c.edges for e in run)
+        assert len(analysis.entries) == sum(len(run) for _, run in analysis.runs)
+
+    def test_runs_skip_cycles_without_entries(self):
+        # the funnel's loops have no entries; the loop at b enters nothing
+        assert entry_free_cycles(helpers.graph_two_loops_funnel()).runs == ()
+        analysis = entry_free_cycles(helpers.graph_loop_with_entry())
+        ((cycle, run),) = analysis.runs
+        assert (cycle.edge_ids(), [e.id for e in run]) == (("La",), ["e"])
+
+    def test_kernel_cycles_are_validated(self, monkeypatch):
+        # a cycle from the kernel runs every CycleRep check
+        g = DiGraph.build(["a", "b"], [("x", "a", "b"), ("y", "b", "a"), ("p", "a", "a")])
+        for arcs, message in [((0,), "close"), ((2, 2), "not simple"), ((0, 0), "compose")]:
+            monkeypatch.setattr(_kernels, "simple_cycles", lambda *_, arcs=arcs: [arcs])
+            with pytest.raises(ValueError, match=message):
+                entry_free_cycles(g)
 
     def test_cycle_vertices(self):
         assert cycle_vertices(helpers.graph_two_loops_funnel()) == {"a", "b"}

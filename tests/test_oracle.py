@@ -1,6 +1,9 @@
 """The naive route must agree with the fast route everywhere it is defined."""
 
+import dataclasses
+
 import helpers
+from groupoid_spectrum import oracle, spectrum
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import entry_free_cycles
 from groupoid_spectrum.oracle import (
@@ -90,3 +93,28 @@ class TestSuite:
             for budget in (0, 2):
                 report = oracle_suite(g, max_prefix=budget)
                 assert report.all_agree, (g, budget, report.details)
+
+    def test_entries_come_from_the_runs(self, monkeypatch):
+        def flat(report):
+            raise AssertionError("the flat entries view was built")
+
+        monkeypatch.setattr(spectrum.ConditionAReport, "entries", property(flat))
+        for g in (
+            helpers.graph_loop_with_entry(),
+            helpers.graph_common_ancestor(),
+            helpers.complete_graph(4),
+        ):
+            report = oracle_suite(g, max_prefix=1)
+            assert report.entries_agree and report.details["entry_count"] > 0
+        # a run missing its last entry is caught
+        decide = oracle.decide_hausdorff_spectrum
+
+        def drop_last_entry(g):
+            verdict = decide(g)
+            a = verdict.condition_a
+            *runs, (cycle, run) = a.runs
+            short = dataclasses.replace(a, runs=(*runs, (cycle, run[:-1])))
+            return dataclasses.replace(verdict, condition_a=short)
+
+        monkeypatch.setattr(oracle, "decide_hausdorff_spectrum", drop_last_entry)
+        assert not oracle_suite(helpers.complete_graph(4), max_prefix=1).entries_agree

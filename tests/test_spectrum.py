@@ -110,6 +110,20 @@ class TestDecision:
         # without entries there is no limit
         assert check_condition_a(helpers.graph_two_loops_funnel()).approx_limit is None
 
+    def test_condition_a_json_matches_per_entry_reference(self):
+        graphs = [*helpers.corpus_slice(), helpers.complete_graph(5), helpers.bouquet(12)]
+        failed = 0
+        for g in graphs:
+            report = check_condition_a(g)
+            assert report.to_json() == helpers.condition_a_json(report)
+            failed += not report.passed
+        assert failed > 100
+        # every item owns its list and dict, so changing one changes no other
+        blob = check_condition_a(helpers.complete_graph(4)).to_json()
+        items = blob["entries"] + blob["stabilizer_discontinuity"]
+        assert len({id(item) for item in items}) == len(items)
+        assert len({id(item["cycle"]) for item in items}) == len(items)
+
     def test_entry_free_implies_separated(self):
         # under condition A distinct cycles are vertex disjoint and nothing
         # outside a cycle reaches it, so condition B always finds a pair
