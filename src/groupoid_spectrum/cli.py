@@ -17,7 +17,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
@@ -79,7 +79,11 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
         _write_json(sys.stdout.write, report)
         sys.stdout.write("\n")
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+        if encoding := getattr(sys.stdout, "encoding", None):  # None for a StringIO
+            # what stdout cannot encode is written as a backslash escape, as on stderr
+            text = text.encode(encoding, "backslashreplace").decode(encoding)
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -217,9 +221,7 @@ def cmd_graph_analyze(args) -> int:
     runs = _entry_runs(a.runs)
     condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": _entry_items(runs)}
     if not a.passed:
-        condition_a["stabilizer_discontinuity"] = _entry_items(
-            runs, partial(stabilizer_record, a.approx_limit)
-        )
+        condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
     report = _envelope(
         "graph-analyze",
         input=args.graph,
@@ -247,7 +249,7 @@ def _analyze_lines(verdict) -> list[str]:
     discontinuity: dict[int, str] = {}  # the line per cycle length
     for c, run in a.runs:
         if len(c) not in discontinuity:
-            record = stabilizer_record(a.approx_limit, len(c))
+            record = stabilizer_record(len(c))
             discontinuity[len(c)] = (
                 f"  stabilizer discontinuity: approximating periods 0, "
                 f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"

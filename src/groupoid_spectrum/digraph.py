@@ -29,7 +29,6 @@ __all__ = [
     "FinPath",
     "CycleRep",
     "Components",
-    "CycleAnalysis",
     "Violation",
     "InvalidGraphError",
     "GraphParseError",
@@ -267,32 +266,15 @@ def strongly_connected_components(g: DiGraph) -> Components:
     return Components(tuple(of), tuple(map(tuple, found)), tuple(cyclic))
 
 
-@dataclass(frozen=True)
-class CycleAnalysis:
-    """Simple cycles of a graph together with their entries.
+def entry_free_cycles(
+    g: DiGraph,
+) -> tuple[tuple[CycleRep, ...], tuple[tuple[CycleRep, tuple[Edge, ...]], ...]]:
+    """All simple cycles, sorted by ``CycleRep.sort_key``, and their entry runs.
 
-    ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
-    the cycle and its entry edges in edge id order; no run is empty.
-    """
-
-    cycles: tuple[CycleRep, ...]
-    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...]
-
-    @property
-    def entry_free(self) -> bool:
-        return not self.runs
-
-    @cached_property
-    def entries(self) -> tuple[tuple[CycleRep, Edge], ...]:
-        """Every (cycle, entry) pair, in run order; built on first access."""
-        return tuple((c, e) for c, run in self.runs for e in run)
-
-
-def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
-    """All simple cycles and every entry into each of them.
-
-    Cycles are enumerated inside the cyclic components, in time bounded by the
-    output.  Condition A holds iff no cycle vertex has a second in-range edge.
+    Each run is a cycle with entries, in cycle order, and its entry edges in
+    edge id order; no run is empty.  Cycles are enumerated inside the cyclic
+    components, in time bounded by the output.  Condition A holds iff there
+    are no runs: iff no cycle vertex has a second in-range edge.
     """
     comps = g.components
     parts = list(compress(comps.members, comps.cyclic))
@@ -316,7 +298,7 @@ def entry_free_cycles(g: DiGraph) -> CycleAnalysis:
         run = tuple(e for e in map(by_id.__getitem__, ranks) if e.id not in on_cycle)
         if run:
             runs.append((c, run))
-    return CycleAnalysis(tuple(cycles), tuple(runs))
+    return tuple(cycles), tuple(runs)
 
 
 def cycle_vertices(g: DiGraph) -> frozenset[str]:
@@ -339,11 +321,22 @@ def in_range_degrees(g: DiGraph) -> dict[str, int]:
 # Input/output formats
 
 
+def _numbered_records(text: str):
+    """(line number, record) pairs, where lines end only at \\n, \\r\\n and \\r.
+
+    Records also end where ``str.splitlines`` breaks: \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029.
+    """
+    if not any(c in text for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        return enumerate(text.splitlines(), start=1)
+    by_line = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return ((n, record) for n, line in enumerate(by_line, start=1) for record in line.splitlines())
+
+
 def parse_graph_text(text: str) -> DiGraph:
     """Line format: 'v <id>' and 'e <id> <src> <rng>'; '#' starts a comment."""
     vertices: list[str] = []
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_records(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,7 +8,8 @@ The decision runs two graph conditions:
   through the entry approximates the cycle's periodic path by paths of head
   period 0, so the period subgroups converge to {0} instead of nZ.  The
   record depends only on the cycle length n, so the entries are carried
-  grouped per cycle.
+  grouped per cycle, and ``ConditionAReport`` holds nothing but the cycles
+  and those runs; the verdict is whether there are any.
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
@@ -82,37 +83,39 @@ class FiberMismatchError(ValueError):
 # Condition A
 
 
-def stabilizer_record(approx_limit: FellLimit, period: int) -> dict:
+def stabilizer_record(period: int) -> dict:
     """Why an entry into a cycle of length ``period`` breaks continuity of the period subgroups.
 
     The paths x_i that follow the cycle i times before leaving through the
     entry converge to the cycle's periodic path, but each has head period 0,
-    so their subgroups converge to ``approx_limit``, while the limit has
-    period ``period``.  The record depends on nothing else.
+    so their subgroups converge to {0}, while the limit has period
+    ``period``.  The record depends on nothing else.
     """
+    approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
     return {
         "approx_periods": "constant 0",
-        "approx_fell_limit": approx_limit.label(),
+        "approx_fell_limit": approx.label(),
         "period_at_limit": FellLimit(True, period).label(),
-        "continuous": approx_limit.period == period,
+        "continuous": approx.period == period,
     }
 
 
 @dataclass(frozen=True)
 class ConditionAReport:
-    """Cycles and entries; every entry shares one Fell limit of its approximants.
+    """Cycles and their entries, as ``entry_free_cycles`` returns them.
 
     ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
-    the cycle and its entry edges in edge id order, as ``entry_free_cycles``
-    builds them.  ``approx_limit`` is the shared limit, ``None`` when there
-    are no entries; with the cycle length it fixes each entry's stabilizer
-    record (``stabilizer_record``).
+    the cycle and its entry edges in edge id order.  Condition A holds iff
+    there are none.  Every entry's certificate is the stabilizer record of
+    its cycle's length (``stabilizer_record``).
     """
 
-    passed: bool
     cycles: tuple[CycleRep, ...]
     runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...]
-    approx_limit: FellLimit | None
+
+    @property
+    def passed(self) -> bool:
+        return not self.runs
 
     @cached_property
     def entries(self) -> tuple[tuple[CycleRep, Edge], ...]:
@@ -126,7 +129,7 @@ class ConditionAReport:
         for c, run in self.runs:
             ids = c.edge_ids()
             if len(ids) not in records:
-                records[len(ids)] = stabilizer_record(self.approx_limit, len(ids))
+                records[len(ids)] = stabilizer_record(len(ids))
             record = records[len(ids)]
             entries += [{"cycle": list(ids), "entry": e.id} for e in run]
             discontinuity += [{"cycle": list(ids), "entry": e.id, **record} for e in run]
@@ -141,13 +144,8 @@ class ConditionAReport:
 
 
 def check_condition_a(g: DiGraph) -> ConditionAReport:
-    """Cycles and entry runs (see ``entry_free_cycles``), with the entries' Fell limit."""
-    analysis = entry_free_cycles(g)
-    approx = None
-    if analysis.runs:
-        # head period 0 on every approximant, whichever cycle and entry
-        approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
-    return ConditionAReport(analysis.entry_free, analysis.cycles, analysis.runs, approx)
+    """Cycles and entry runs (see ``entry_free_cycles``)."""
+    return ConditionAReport(*entry_free_cycles(g))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,11 @@ def _cycle_masks(g: DiGraph, cycles: tuple[CycleRep, ...]) -> list[int]:
 class SpectrumVerdict:
     condition_a: ConditionAReport
     condition_b: ConditionBReport
-    hausdorff: bool
+
+    @property
+    def hausdorff(self) -> bool:
+        """Condition A decides: B follows from it, and C holds always."""
+        return self.condition_a.passed
 
     def to_json(self) -> dict:
         return {
@@ -260,7 +262,7 @@ def decide_hausdorff_spectrum(g: DiGraph) -> SpectrumVerdict:
     """Full decision; raises InvalidGraphError when the graph fails validation."""
     require_validated(g)
     report_a = check_condition_a(g)
-    return SpectrumVerdict(report_a, check_condition_b(g, report_a), report_a.passed)
+    return SpectrumVerdict(report_a, check_condition_b(g, report_a))
 
 
 def orbits(g: DiGraph) -> tuple[CycleRep, ...]:

@@ -52,14 +52,23 @@ def child_env() -> dict:
     return env
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
-    out, err = io.StringIO(), io.StringIO()
+def run_main(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call.
+
+    With ``ascii_stdout``, stdout is an ASCII stream that refuses every other
+    character, as a C locale's stdout does, instead of a ``StringIO``.
+    """
+    buffer = io.BytesIO()
+    out = io.TextIOWrapper(buffer, encoding="ascii", errors="strict") if ascii_stdout else io.StringIO()
+    err = io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: help and usage errors
             code = exc.code
+    if ascii_stdout:
+        out.flush()
+        return code, buffer.getvalue().decode("ascii"), err.getvalue()
     return code, out.getvalue(), err.getvalue()
 
 
@@ -79,7 +88,7 @@ def condition_a_json(report) -> dict:
             {
                 "cycle": list(c.edge_ids()),
                 "entry": e.id,
-                **stabilizer_record(report.approx_limit, len(c)),
+                **stabilizer_record(len(c)),
             }
             for c, e in report.entries
         ]

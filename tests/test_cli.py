@@ -267,7 +267,7 @@ class TestReportBytes:
             *entry_lines,
         ]
         for c, _ in report_a.entries:
-            record = spectrum.stabilizer_record(report_a.approx_limit, len(c))
+            record = spectrum.stabilizer_record(len(c))
             analyze.append(
                 "  stabilizer discontinuity: approximating periods 0, Fell limit "
                 f"{record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
@@ -726,6 +726,49 @@ class TestHostileInputs:
         code, out, err = run("graph-analyze", "g\x00.graph")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read ")
+
+
+class TestLocale:
+    """Non-ASCII ids under locales and streams that are not UTF-8, in child processes."""
+
+    def child(self, argv: list[str], **env) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True,
+            env={**child_env(), **env},
+            timeout=60,
+        )
+
+    def test_files_are_read_as_utf8_on_any_locale(self, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text("v café\nv b\ne x café café\ne y b b\n", encoding="utf-8")
+        out = self.child(
+            ["-X", "utf8=0", "-m", "groupoid_spectrum.cli", "graph-analyze", str(path), "--json"],
+            LC_ALL="C",
+            PYTHONUTF8="0",
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.isascii()
+        (cert,) = json.loads(out.stdout)["condition_b"]["certificates"]
+        assert (cert["u"], cert["v"]) == ("café", "b")
+
+    def test_text_reports_escape_what_stdout_cannot_encode(self, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["café", "b"],
+                    "edges": [{"id": "x", "src": "café", "rng": "café"}, {"id": "y", "src": "b", "rng": "b"}],
+                }
+            )
+        )
+        command = ["-m", "groupoid_spectrum.cli", "graph-analyze", str(path)]
+        out = self.child(command, PYTHONIOENCODING="ascii")
+        assert (out.returncode, out.stderr) == (0, b"")
+        assert b"  pair (x | y): u=caf\\xe9 v=b\n" in out.stdout
+        # --json is ASCII already, so its bytes are the in-process ones
+        as_json = self.child([*command, "--json"], PYTHONIOENCODING="ascii")
+        assert (as_json.returncode, as_json.stdout) == (0, run_main(command[2:] + ["--json"])[1].encode())
 
 
 class TestNumpyStaysOut:

@@ -26,6 +26,7 @@ from groupoid_spectrum.digraph import (
     require_validated,
     validate_graph,
 )
+from groupoid_spectrum.spectrum import ConditionAReport, check_condition_a
 
 G3_TEXT = """\
 # two loops feeding a common sink
@@ -62,6 +63,26 @@ class TestParsing:
         with pytest.raises(GraphParseError) as exc:
             parse_graph_text("v a\n\ne La a\n")
         assert exc.value.line == 3
+
+    def test_line_numbers_count_only_line_breaks(self):
+        # \f and the other splitlines separators still end a record, but not a line
+        text = "v a\fv b\ne x a a\ne y a b\nbogus\n"
+        with pytest.raises(GraphParseError, match="^line 4: unknown record 'bogus'$") as exc:
+            parse_graph_text(text)
+        assert exc.value.line == 4
+        for sep in ("\v", "\x1c", "\x85", "\u2028", "\u2029"):
+            with pytest.raises(GraphParseError) as exc:
+                parse_graph_text(text.replace("\f", sep))
+            assert exc.value.line == 4, repr(sep)
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph_text("v a\r\nv b\rbogus\n")
+        assert exc.value.line == 3
+
+    def test_crlf_and_cr_line_breaks(self):
+        g = helpers.graph_two_loops_funnel()
+        for newline in ("\r\n", "\r"):
+            assert parse_graph_text(G3_TEXT.replace("\n", newline)) == g
+        assert parse_graph_text(G3_TEXT.replace("v b\nv t\n", "v b\fv t\n")) == g
 
     def test_json_format(self):
         g = helpers.graph_two_loops_funnel()
@@ -171,28 +192,32 @@ class TestReachability:
             helpers.assert_components_match_reach(g, helpers.brute_reach(g))
 
 
+def flat_entries(runs):
+    """Every (cycle, entry) pair of the runs, in run order."""
+    return tuple((c, e) for c, run in runs for e in run)
+
+
 class TestCycles:
     def test_funnel(self):
-        analysis = entry_free_cycles(helpers.graph_two_loops_funnel())
-        assert [c.edge_ids() for c in analysis.cycles] == [("La",), ("Lb",)]
-        assert analysis.entries == ()
-        assert analysis.entry_free
+        cycles, runs = entry_free_cycles(helpers.graph_two_loops_funnel())
+        assert [c.edge_ids() for c in cycles] == [("La",), ("Lb",)]
+        assert runs == ()
 
     def test_loop_with_entry(self):
-        analysis = entry_free_cycles(helpers.graph_loop_with_entry())
-        assert [c.edge_ids() for c in analysis.cycles] == [("La",), ("Lb",)]
-        assert [(c.edge_ids(), e.id) for c, e in analysis.entries] == [(("La",), "e")]
+        cycles, runs = entry_free_cycles(helpers.graph_loop_with_entry())
+        assert [c.edge_ids() for c in cycles] == [("La",), ("Lb",)]
+        assert [(c.edge_ids(), e.id) for c, e in flat_entries(runs)] == [(("La",), "e")]
 
     def test_three_cycle(self):
-        analysis = entry_free_cycles(helpers.graph_three_cycle())
-        assert [c.edge_ids() for c in analysis.cycles] == [("c1", "c3", "c2")]
-        assert analysis.entry_free
+        cycles, runs = entry_free_cycles(helpers.graph_three_cycle())
+        assert [c.edge_ids() for c in cycles] == [("c1", "c3", "c2")]
+        assert runs == ()
 
     def test_parallel_loops_enter_each_other(self):
         g = DiGraph.build(["a"], [("p", "a", "a"), ("q", "a", "a")])
-        analysis = entry_free_cycles(g)
-        assert [c.edge_ids() for c in analysis.cycles] == [("p",), ("q",)]
-        assert {(c.edge_ids(), e.id) for c, e in analysis.entries} == {
+        cycles, runs = entry_free_cycles(g)
+        assert [c.edge_ids() for c in cycles] == [("p",), ("q",)]
+        assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == {
             (("p",), "q"),
             (("q",), "p"),
         }
@@ -208,15 +233,16 @@ class TestCycles:
             graphs.append(DiGraph.build(g.vertices, [(i, e.src, e.rng) for i, e in zip(ids, g.edges)]))
         listed = 0
         for g in graphs:
-            analysis = entry_free_cycles(g)
+            cycles, runs = entry_free_cycles(g)
             pairs = [
                 (c, e)
-                for c in analysis.cycles
+                for c in cycles
                 for e in g.edges
                 if e not in c.edges and e.rng in c.vertices
             ]
             pairs.sort(key=lambda pair: (pair[0].sort_key(), pair[1].id))
-            assert analysis.entries == tuple(pairs)
+            assert flat_entries(runs) == tuple(pairs)
+            assert all(run for _, run in runs)
             listed += len(pairs)
         assert listed > 1000
 
@@ -225,23 +251,24 @@ class TestCycles:
         # past the oracle's reach: K_n has C(n, k) (k - 1)! cycles of length k,
         # and each of the k vertices of one has n - 2 in-edges off it
         g = helpers.complete_graph(n)
-        analysis = entry_free_cycles(g)
-        assert len(analysis.cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
-        assert [c.sort_key() for c in analysis.cycles] == sorted(c.sort_key() for c in analysis.cycles)
+        cycles, runs = entry_free_cycles(g)
+        assert len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+        assert [c.sort_key() for c in cycles] == sorted(c.sort_key() for c in cycles)
         # every cycle has entries, so there is one run per cycle, in cycle order
-        assert [c for c, _ in analysis.runs] == list(analysis.cycles)
-        for c, run in analysis.runs:
+        assert [c for c, _ in runs] == list(cycles)
+        for c, run in runs:
             ids = [e.id for e in run]
             assert len(run) == len(c) * (n - 2)
             assert ids == sorted(set(ids))
             assert all(e.rng in c.vertices and e not in c.edges for e in run)
-        assert len(analysis.entries) == sum(len(run) for _, run in analysis.runs)
+        entries = ConditionAReport(cycles, runs).entries
+        assert len(entries) == sum(len(run) for _, run in runs)
 
     def test_runs_skip_cycles_without_entries(self):
         # the funnel's loops have no entries; the loop at b enters nothing
-        assert entry_free_cycles(helpers.graph_two_loops_funnel()).runs == ()
-        analysis = entry_free_cycles(helpers.graph_loop_with_entry())
-        ((cycle, run),) = analysis.runs
+        assert entry_free_cycles(helpers.graph_two_loops_funnel())[1] == ()
+        _, runs = entry_free_cycles(helpers.graph_loop_with_entry())
+        ((cycle, run),) = runs
         assert (cycle.edge_ids(), [e.id for e in run]) == (("La",), ["e"])
 
     def test_kernel_cycles_are_validated(self, monkeypatch):
@@ -262,11 +289,16 @@ class TestCycles:
 
     def test_entry_free_iff_unit_in_degree_on_cycles(self):
         # an entry is exactly a second edge into some cycle vertex
-        for g in small_corpus():
-            analysis = entry_free_cycles(g)
+        rings = DiGraph.build(
+            [f"r{k}_{i}" for k in range(300) for i in range(5)],
+            [(f"x{k}_{i}", f"r{k}_{i}", f"r{k}_{(i + 1) % 5}") for k in range(300) for i in range(5)],
+        )
+        graphs = [*small_corpus(), helpers.complete_graph(5), helpers.bouquet(12), rings]
+        for g in graphs:
             degrees = in_range_degrees(g)
             expected = all(degrees[v] == 1 for v in cycle_vertices(g))
-            assert analysis.entry_free == expected
+            assert check_condition_a(g).passed == expected
+        assert check_condition_a(rings).passed and len(check_condition_a(rings).cycles) == 300
 
 
 class TestCycleRep:

@@ -1,13 +1,15 @@
 """Hypothesis fuzz of the inputs: any input gives a report or exits 2.
 
 Graph files, family files and argument vectors are generated and run through
-``cli.main`` in this process, as a user's command line would run them.  The
-invariant is the CLI's exit contract: exit 0 with a report (strict JSON under
-``--json``), or exit 2 with a message on stderr, within the example deadline;
-never exit 1 and never a traceback.  Sizes stay small (graphs of a few
-vertices, ``--n-max`` and ``--trials`` below 40, whose reports grow with them,
-or above their limits, where they must exit 2), so the whole module adds about
-two seconds to the suite.
+``cli.main`` in this process, as a user's command line would run them, with
+an ASCII stdout that refuses every other character, as under a C locale.
+Graph ids are drawn partly outside ASCII.  The invariant is the CLI's exit
+contract: exit 0 with a report (strict JSON under ``--json``), or exit 2 with
+a message on stderr, within the example deadline; never exit 1 and never a
+traceback.  Sizes stay small (graphs of a few vertices, ``--n-max`` and
+``--trials`` below 40, whose reports grow with them, or above their limits,
+where they must exit 2), so the whole module adds about two seconds to the
+suite.
 """
 
 import json
@@ -31,7 +33,7 @@ FUZZ = settings(
 
 def assert_contract(argv: list[str], as_json: bool = True) -> None:
     """Exit 0 with a report, or exit 2 with an error line or a report of the violations."""
-    code, out, err = run_main(argv)
+    code, out, err = run_main(argv, ascii_stdout=True)
     assert "Traceback" not in err, (argv, err)
     assert code in (0, 2), (argv, code, err)
     if code == 2 and not out:
@@ -56,22 +58,28 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def graph_commands(path: str, x: str, y: str) -> list[list[str]]:
+def graph_commands(path: str, x: str, y: str) -> list[tuple[list[str], bool]]:
+    """Each command and whether it writes JSON."""
     return [
-        ["graph-analyze", path, "--json"],
-        ["graph-orbits", path, "--transpose", "--json"],
-        ["graph-equiv", path, "--x", x, "--y", y, "--json"],
+        (["graph-analyze", path], False),
+        (["graph-analyze", path, "--json"], True),
+        (["graph-orbits", path, "--transpose", "--json"], True),
+        (["graph-equiv", path, "--x", x, "--y", y, "--json"], True),
     ]
 
 
 @st.composite
 def graphs(draw):
-    """A validated graph on up to four vertices: an in-edge for each vertex, then more edges."""
-    vertices = ["a", "b", "c", "d"][: draw(st.integers(1, 4))]
+    """A validated graph on up to four vertices: an in-edge for each vertex, then more edges.
+
+    Some vertex ids, and the edge ids of some graphs, are not ASCII.
+    """
+    vertices = draw(st.lists(st.sampled_from(["a", "b", "é", "ж", "d"]), min_size=1, max_size=4, unique=True))
     vertex = st.sampled_from(vertices)
     arcs = [(draw(vertex), v) for v in vertices]
     arcs += draw(st.lists(st.tuples(vertex, vertex), max_size=5))
-    return vertices, [(f"e{k}", s, r) for k, (s, r) in enumerate(arcs)]
+    prefix = draw(st.sampled_from(["e", "e", "é"]))
+    return vertices, [(f"{prefix}{k}", s, r) for k, (s, r) in enumerate(arcs)]
 
 
 def csv(part):
@@ -99,8 +107,8 @@ class TestGraphFiles:
             lines.insert(at, line)
         path = workdir / "g.graph"
         path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
-        for argv in graph_commands(str(path), x, y):
-            assert_contract(argv)
+        for argv, as_json in graph_commands(str(path), x, y):
+            assert_contract(argv, as_json)
 
     @FUZZ
     @given(graph=graphs(), changes=st.lists(st.tuples(st.integers(0, 12), json_value), max_size=2))
@@ -119,8 +127,8 @@ class TestGraphFiles:
                 owner[key] = value
         path = workdir / "g.json"
         path.write_text(json.dumps(obj), encoding="utf-8", errors="surrogatepass")
-        for argv in graph_commands(str(path), ":e0", "e1:e0"):
-            assert_contract(argv)
+        for argv, as_json in graph_commands(str(path), ":e0", "e1:e0"):
+            assert_contract(argv, as_json)
 
     @FUZZ
     @given(
@@ -130,8 +138,8 @@ class TestGraphFiles:
     def test_raw_bytes(self, workdir, data):
         path = workdir / "raw.graph"
         path.write_bytes(data)
-        for argv in graph_commands(str(path), ":e0", ":e0"):
-            assert_contract(argv)
+        for argv, as_json in graph_commands(str(path), ":e0", ":e0"):
+            assert_contract(argv, as_json)
 
 
 def _key_paths(obj, prefix=()):

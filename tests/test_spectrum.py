@@ -1,5 +1,6 @@
 """The spectrum decision, eventually periodic paths, and path characters."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from time import perf_counter
@@ -91,8 +92,8 @@ class TestDecision:
         assert not report.passed
         ((cycle, entry),) = report.entries
         assert (len(cycle), entry.id) == (1, "e")
-        for period in (1, 3):
-            assert stabilizer_record(report.approx_limit, period) == {
+        for period in range(1, 7):
+            assert stabilizer_record(period) == {
                 "approx_periods": "constant 0",
                 "approx_fell_limit": "{0}",
                 "period_at_limit": f"{period}Z",
@@ -102,13 +103,18 @@ class TestDecision:
     def test_condition_a_shares_one_fell_limit(self):
         # each discontinuity item is its entries item with the record of its cycle length
         report = check_condition_a(helpers.complete_graph(4))
-        assert report.approx_limit.label() == "{0}"
         blob = report.to_json()
         assert len(blob["stabilizer_discontinuity"]) == len(blob["entries"]) == len(report.entries) > 0
         for item, entry, (cycle, _) in zip(blob["stabilizer_discontinuity"], blob["entries"], report.entries):
-            assert item == {**entry, **stabilizer_record(report.approx_limit, len(cycle))}
-        # without entries there is no limit
-        assert check_condition_a(helpers.graph_two_loops_funnel()).approx_limit is None
+            assert item == {**entry, **stabilizer_record(len(cycle))}
+            assert item["approx_fell_limit"] == "{0}"
+
+    def test_verdict_is_read_off_the_runs(self):
+        # neither condition A's pass nor the verdict is stored apart from the entries
+        verdict = decide_hausdorff_spectrum(helpers.graph_loop_with_entry())
+        assert not verdict.condition_a.passed and not verdict.hausdorff
+        cleared = dataclasses.replace(verdict.condition_a, runs=())
+        assert cleared.passed and dataclasses.replace(verdict, condition_a=cleared).hausdorff
 
     def test_condition_a_json_matches_per_entry_reference(self):
         graphs = [*helpers.corpus_slice(), helpers.complete_graph(5), helpers.bouquet(12)]
