@@ -4,133 +4,109 @@ Three layers: a decision procedure on finite directed graphs (cycle entries
 and orbit separation), exact model groupoids (a planar flow, its dyadic
 discretization, and SO(3)), and a convergence engine that certifies or
 refutes the separation condition for sequence families given in closed form.
+
+The exports below are loaded on first access (PEP 562), so importing the
+package loads no submodule and each command starts with only what it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .convergence import (
-    DEFAULT_TESTS,
-    CharSeqSpec,
-    ConditionCVerdict,
-    DyadicArrowFamily,
-    FellLimit,
-    HypothesisFailure,
-    PeriodFamily,
-    PointSeqSpec,
-    SElemSeqSpec,
-    char_seq_converges,
-    condition_c_check,
-    condition_c_check_so3,
-    condition_c_on_S_check,
-    fell_subgroup_limit,
-    parse_family,
-    point_seq_limit,
-)
-from .digraph import (
-    CycleRep,
-    DiGraph,
-    Edge,
-    FinPath,
-    InvalidGraphError,
-    entry_free_cycles,
-    parse_graph,
-    validate_graph,
-)
-from .exact import DIVERGENT, AffineSeq, DyadicSeq, pow2_scale, scale_pow2_affine
-from .models import (
-    LINE_BRANCH,
-    ArrowDyadic,
-    CharQ,
-    CharSO3,
-    GroupH,
-    PointY,
-    SElem,
-    counterexample_family,
-    dyadic_act,
-    dyadic_act_S,
-    dyadic_act_dual,
-    green_act,
-    green_phi,
-    h_inv,
-    h_mul,
-    so3_conj_residual,
-    so3_rotation,
-    so3_spectrum_point,
-    so3_transport,
-)
-from .oracle import oracle_suite
-from .spectrum import (
-    EventualPath,
-    PathChar,
-    SpectrumVerdict,
-    check_condition_a,
-    check_condition_b,
-    decide_hausdorff_spectrum,
-    orbits,
-    shift_equivalent,
-    stabilizer_of_path,
-    transport_char,
-)
+# export name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "DEFAULT_TESTS",
+            "CharSeqSpec",
+            "ConditionCVerdict",
+            "DyadicArrowFamily",
+            "HypothesisFailure",
+            "PointSeqSpec",
+            "SElemSeqSpec",
+            "char_seq_converges",
+            "condition_c_check",
+            "condition_c_check_so3",
+            "condition_c_on_S_check",
+            "parse_family",
+            "point_seq_limit",
+        ),
+        "convergence",
+    ),
+    **dict.fromkeys(
+        (
+            "CycleRep",
+            "DiGraph",
+            "Edge",
+            "FinPath",
+            "InvalidGraphError",
+            "entry_free_cycles",
+            "parse_graph",
+            "validate_graph",
+        ),
+        "digraph",
+    ),
+    **dict.fromkeys(
+        (
+            "DIVERGENT",
+            "AffineSeq",
+            "DyadicSeq",
+            "FellLimit",
+            "PeriodFamily",
+            "fell_subgroup_limit",
+            "pow2_scale",
+            "scale_pow2_affine",
+        ),
+        "exact",
+    ),
+    **dict.fromkeys(
+        (
+            "LINE_BRANCH",
+            "ArrowDyadic",
+            "CharQ",
+            "CharSO3",
+            "GroupH",
+            "PointY",
+            "SElem",
+            "counterexample_family",
+            "dyadic_act",
+            "dyadic_act_S",
+            "dyadic_act_dual",
+            "green_act",
+            "green_phi",
+            "h_inv",
+            "h_mul",
+            "so3_conj_residual",
+            "so3_rotation",
+            "so3_spectrum_point",
+            "so3_transport",
+        ),
+        "models",
+    ),
+    "oracle_suite": "oracle",
+    **dict.fromkeys(
+        (
+            "EventualPath",
+            "PathChar",
+            "SpectrumVerdict",
+            "check_condition_a",
+            "check_condition_b",
+            "decide_hausdorff_spectrum",
+            "orbits",
+            "shift_equivalent",
+            "stabilizer_of_path",
+            "transport_char",
+        ),
+        "spectrum",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TESTS",
-    "DIVERGENT",
-    "LINE_BRANCH",
-    "AffineSeq",
-    "ArrowDyadic",
-    "CharQ",
-    "CharSO3",
-    "CharSeqSpec",
-    "ConditionCVerdict",
-    "CycleRep",
-    "DiGraph",
-    "DyadicArrowFamily",
-    "DyadicSeq",
-    "Edge",
-    "EventualPath",
-    "FellLimit",
-    "FinPath",
-    "GroupH",
-    "HypothesisFailure",
-    "InvalidGraphError",
-    "PathChar",
-    "PeriodFamily",
-    "PointSeqSpec",
-    "PointY",
-    "SElem",
-    "SElemSeqSpec",
-    "SpectrumVerdict",
-    "char_seq_converges",
-    "check_condition_a",
-    "check_condition_b",
-    "condition_c_check",
-    "condition_c_check_so3",
-    "condition_c_on_S_check",
-    "counterexample_family",
-    "decide_hausdorff_spectrum",
-    "dyadic_act",
-    "dyadic_act_S",
-    "dyadic_act_dual",
-    "entry_free_cycles",
-    "fell_subgroup_limit",
-    "green_act",
-    "green_phi",
-    "h_inv",
-    "h_mul",
-    "oracle_suite",
-    "orbits",
-    "parse_family",
-    "parse_graph",
-    "point_seq_limit",
-    "pow2_scale",
-    "scale_pow2_affine",
-    "shift_equivalent",
-    "so3_conj_residual",
-    "so3_rotation",
-    "so3_spectrum_point",
-    "so3_transport",
-    "stabilizer_of_path",
-    "transport_char",
-    "validate_graph",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -11,65 +11,100 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
 from . import __version__
-from .convergence import (
-    DEFAULT_TESTS,
-    CharSeqSpec,
-    DyadicArrowFamily,
-    PointSeqSpec,
-    condition_c_check,
-    parse_family,
-    run_family_check,
-    run_family_truncated,
-)
-from .digraph import (
-    CycleRep,
-    DiGraph,
-    Edge,
-    InvalidGraphError,
-    parse_graph,
-    require_validated,
-)
-from .exact import (
-    AffineSeq,
-    CatalogError,
-    DyadicSeq,
-    InputError,
-    format_rational,
-    parse_rational,
-)
-from .models import (
-    LINE_BRANCH,
-    CharQ,
-    CharSO3,
-    PointY,
-    dyadic_act_dual,
-    dyadic_chart,
-    random_rotation,
-    so3_conj_residual,
-    so3_spectrum_point,
-    so3_transport,
-)
-from .spectrum import (
-    CONDITION_C_NOTE,
-    ORBIT_REFUSAL,
-    EventualPath,
-    check_condition_a,
-    decide_hausdorff_spectrum,
-    shift_equivalent,
-    stabilizer_of_path,
-    stabilizer_record,
-)
+from .exact import InputError
+
+# The names this module takes from each sibling module.  They are bound as
+# globals by ``_bind`` when a command first needs them, so a process imports
+# only the modules its command runs.  The handlers below read them as
+# globals, so they run through ``main``, which binds their modules first.
+_IMPORTS = {
+    "convergence": (
+        "DEFAULT_TESTS",
+        "CharSeqSpec",
+        "DyadicArrowFamily",
+        "PointSeqSpec",
+        "condition_c_check",
+        "parse_family",
+        "run_family_check",
+        "run_family_truncated",
+    ),
+    "digraph": (
+        "CycleRep",
+        "DiGraph",
+        "Edge",
+        "InvalidGraphError",
+        "parse_graph",
+        "require_validated",
+    ),
+    "exact": ("AffineSeq", "CatalogError", "DyadicSeq", "format_rational", "parse_rational"),
+    "models": (
+        "LINE_BRANCH",
+        "CharQ",
+        "CharSO3",
+        "PointY",
+        "dyadic_act_dual",
+        "dyadic_chart",
+        "random_rotation",
+        "so3_conj_residual",
+        "so3_spectrum_point",
+        "so3_transport",
+    ),
+    "spectrum": (
+        "CONDITION_C_NOTE",
+        "ORBIT_REFUSAL",
+        "EventualPath",
+        "check_condition_a",
+        "decide_hausdorff_spectrum",
+        "shift_equivalent",
+        "stabilizer_of_path",
+        "stabilizer_record",
+    ),
+}
+
+# the sibling modules each command's handlers use
+_USES = {
+    "graph-analyze": ("digraph", "spectrum"),
+    "graph-orbits": ("digraph", "spectrum"),
+    "graph-equiv": ("digraph", "spectrum"),
+    "model-green": ("exact", "models"),
+    "model-dyadic": ("convergence", "exact", "models"),
+    "model-so3": ("models",),
+    "check-family": ("convergence", "exact"),
+}
+
+
+@cache
+def _bind(module: str) -> None:
+    """Import a sibling module and set the names taken from it as globals, once per process.
+
+    A name already set is kept, so a replacement installed before the first
+    call (a test's monkeypatch, a tracing hook) is the one the handlers call.
+    """
+    source = importlib.import_module(f".{module}", __package__)
+    namespace = globals()
+    for name in _IMPORTS[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """Bind a sibling module's names on first access from outside (PEP 562)."""
+    for module, names in _IMPORTS.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SEED_ENV = "GROUPOID_SPECTRUM_SEED"
 
@@ -184,7 +219,7 @@ def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -767,6 +802,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for module in _USES[args.command]:
+            _bind(module)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
         return code
@@ -782,6 +819,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - internal errors
+        import traceback
+
         traceback.print_exc()
         return 1
 

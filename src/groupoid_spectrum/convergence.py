@@ -24,6 +24,9 @@ Three checkers mirror the three ways a convergence hypothesis can resolve:
 
 Hypothesis failures (the premises of a check cannot hold) raise
 ``HypothesisFailure`` rather than returning a verdict.
+
+The Fell limits of period subgroups (``PeriodFamily``, ``FellLimit``,
+``fell_subgroup_limit``) live in ``exact`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ from .exact import (
     AffineSeq,
     CatalogError,
     DyadicSeq,
+    FellLimit,
     InputError,
+    PeriodFamily,
     _is_int,
+    fell_subgroup_limit,
     format_rational,
     parse_rational,
     scale_pow2_affine,
@@ -531,79 +537,6 @@ def condition_c_check_so3(
         else "limits differ within one fiber"
     )
     return SO3ConditionCReport(holds, True, chi, omega, max_res, note)
-
-
-# ---------------------------------------------------------------------------
-# Fell limits of period subgroups of Z
-
-
-@dataclass(frozen=True)
-class PeriodFamily:
-    """A family of periods p_i >= 0 (p = 0 denotes the trivial subgroup).
-
-    ``transient`` lists finitely many initial values; ``tail`` is either an
-    affine sequence or a repeating pattern.
-    """
-
-    tail: AffineSeq | tuple[int, ...]
-    transient: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        values = list(self.transient)
-        if isinstance(self.tail, tuple):
-            if not self.tail:
-                raise ValueError("repeating tail pattern must be nonempty")
-            values += list(self.tail)
-            if any(p < 0 for p in values):
-                raise ValueError("periods must be >= 0")
-        else:
-            if any(p < 0 for p in values):
-                raise ValueError("periods must be >= 0")
-            if self.tail.a < 0 or self.tail(len(self.transient)) < 0:
-                raise ValueError("affine tail must stay >= 0")
-
-    def period_at(self, i: int) -> int:
-        if i < len(self.transient):
-            return self.transient[i]
-        j = i - len(self.transient)
-        if isinstance(self.tail, tuple):
-            return self.tail[j % len(self.tail)]
-        return self.tail(i)
-
-
-@dataclass(frozen=True)
-class FellLimit:
-    """Limit of the subgroups p_i Z in the Fell topology, when it exists."""
-
-    convergent: bool
-    period: int | None
-
-    def label(self) -> str:
-        if not self.convergent:
-            return "not convergent"
-        return "{0}" if self.period == 0 else f"{self.period}Z"
-
-    def to_json(self) -> dict:
-        return {"convergent": self.convergent, "limit": self.label()}
-
-
-def fell_subgroup_limit(family: PeriodFamily) -> FellLimit:
-    """Fell limit of p_i Z in the subgroup space of Z.
-
-    Subgroup sequences of a discrete group converge iff membership of each
-    element stabilizes: an eventually constant period p gives pZ, periods
-    growing without bound give the trivial subgroup, and a non-constant
-    repeating pattern oscillates (membership of the smallest nonzero period
-    never stabilizes), so it does not converge.
-    """
-    tail = family.tail
-    if isinstance(tail, AffineSeq):
-        if tail.a > 0:
-            return FellLimit(True, 0)
-        return FellLimit(True, tail.b)
-    if all(p == tail[0] for p in tail):
-        return FellLimit(True, tail[0])
-    return FellLimit(False, None)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,11 @@ def entry_free_cycles(
     # each cycle's entries in edge id order, walking the sorted cycles, give
     # the runs in (cycle, entry id) order without sorting across cycles
     on_cycles = cycle_vertices(g)
-    by_id = sorted((e for e in g.edges if e.rng in on_cycles), key=attrgetter("id"))
+    into_cycles = [e for e in g.edges if e.rng in on_cycles]
+    if len(into_cycles) == len(on_cycles):
+        # each cycle vertex has its cycle's in-edge, so none has a second
+        return tuple(cycles), ()
+    by_id = sorted(into_cycles, key=attrgetter("id"))
     into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
     for rank, e in enumerate(by_id):
         into.setdefault(e.rng, []).append(rank)

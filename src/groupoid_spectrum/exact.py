@@ -9,7 +9,10 @@ the model groupoids need:
 * ``AffineSeq``: i |-> a*i + b  (integer coefficients)
 
 Both expose exact term evaluation and an exact limit, where the limit is
-either a rational or the ``DIVERGENT`` sentinel.
+either a rational or the ``DIVERGENT`` sentinel.  The Fell limits of period
+subgroup sequences (``PeriodFamily``, ``FellLimit``, ``fell_subgroup_limit``)
+are exact limits of catalog sequences too, so they live here, where the graph
+decision reads them without loading the convergence engine.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = [
     "Rational",
     "DyadicSeq",
     "AffineSeq",
+    "PeriodFamily",
+    "FellLimit",
+    "fell_subgroup_limit",
     "parse_rational",
     "format_rational",
     "pow2_scale",
@@ -300,3 +306,76 @@ class AffineSeq:
             if _INT_RE.fullmatch(obj.strip()):
                 return cls.constant(int(obj))
         raise CatalogError(f"not an affine sequence spec: {obj!r} (expected 'affine:a*i+b' or an integer)")
+
+
+# ---------------------------------------------------------------------------
+# Fell limits of period subgroups of Z
+
+
+@dataclass(frozen=True)
+class PeriodFamily:
+    """A family of periods p_i >= 0 (p = 0 denotes the trivial subgroup).
+
+    ``transient`` lists finitely many initial values; ``tail`` is either an
+    affine sequence or a repeating pattern.
+    """
+
+    tail: AffineSeq | tuple[int, ...]
+    transient: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        values = list(self.transient)
+        if isinstance(self.tail, tuple):
+            if not self.tail:
+                raise ValueError("repeating tail pattern must be nonempty")
+            values += list(self.tail)
+            if any(p < 0 for p in values):
+                raise ValueError("periods must be >= 0")
+        else:
+            if any(p < 0 for p in values):
+                raise ValueError("periods must be >= 0")
+            if self.tail.a < 0 or self.tail(len(self.transient)) < 0:
+                raise ValueError("affine tail must stay >= 0")
+
+    def period_at(self, i: int) -> int:
+        if i < len(self.transient):
+            return self.transient[i]
+        j = i - len(self.transient)
+        if isinstance(self.tail, tuple):
+            return self.tail[j % len(self.tail)]
+        return self.tail(i)
+
+
+@dataclass(frozen=True)
+class FellLimit:
+    """Limit of the subgroups p_i Z in the Fell topology, when it exists."""
+
+    convergent: bool
+    period: int | None
+
+    def label(self) -> str:
+        if not self.convergent:
+            return "not convergent"
+        return "{0}" if self.period == 0 else f"{self.period}Z"
+
+    def to_json(self) -> dict:
+        return {"convergent": self.convergent, "limit": self.label()}
+
+
+def fell_subgroup_limit(family: PeriodFamily) -> FellLimit:
+    """Fell limit of p_i Z in the subgroup space of Z.
+
+    Subgroup sequences of a discrete group converge iff membership of each
+    element stabilizes: an eventually constant period p gives pZ, periods
+    growing without bound give the trivial subgroup, and a non-constant
+    repeating pattern oscillates (membership of the smallest nonzero period
+    never stabilizes), so it does not converge.
+    """
+    tail = family.tail
+    if isinstance(tail, AffineSeq):
+        if tail.a > 0:
+            return FellLimit(True, 0)
+        return FellLimit(True, tail.b)
+    if all(p == tail[0] for p in tail):
+        return FellLimit(True, tail[0])
+    return FellLimit(False, None)

@@ -30,12 +30,12 @@ fiber's stabilizer is a single group, so the two limits agree.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .convergence import FellLimit, PeriodFamily, fell_subgroup_limit
 from .digraph import (
     CycleRep,
     DiGraph,
@@ -44,7 +44,7 @@ from .digraph import (
     entry_free_cycles,
     require_validated,
 )
-from .exact import AffineSeq, format_rational
+from .exact import AffineSeq, FellLimit, PeriodFamily, fell_subgroup_limit, format_rational
 
 __all__ = [
     "ConditionAReport",
@@ -123,16 +123,27 @@ class ConditionAReport:
         return tuple((c, e) for c, run in self.runs for e in run)
 
     def to_json(self) -> dict:
-        """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item."""
+        """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item.
+
+        The cyclic garbage collector is paused while the items are built: they
+        are four small containers per entry and hold no reference cycles, so
+        the collections their allocation triggers would find nothing to free.
+        """
         entries, discontinuity = [], []
         records: dict[int, dict] = {}  # stabilizer record per cycle length
-        for c, run in self.runs:
-            ids = c.edge_ids()
-            if len(ids) not in records:
-                records[len(ids)] = stabilizer_record(len(ids))
-            record = records[len(ids)]
-            entries += [{"cycle": list(ids), "entry": e.id} for e in run]
-            discontinuity += [{"cycle": list(ids), "entry": e.id, **record} for e in run]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for c, run in self.runs:
+                ids = c.edge_ids()
+                if len(ids) not in records:
+                    records[len(ids)] = stabilizer_record(len(ids))
+                record = records[len(ids)]
+                entries += [{"cycle": list(ids), "entry": e.id} for e in run]
+                discontinuity += [{"cycle": list(ids), "entry": e.id, **record} for e in run]
+        finally:
+            if enabled:
+                gc.enable()
         out = {
             "pass": self.passed,
             "cycles": [list(c.edge_ids()) for c in self.cycles],

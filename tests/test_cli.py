@@ -10,7 +10,7 @@ import pytest
 import helpers
 from groupoid_spectrum import cli, digraph, spectrum
 from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
-from groupoid_spectrum.digraph import DiGraph, graph_to_text, validate_graph
+from groupoid_spectrum.digraph import DiGraph, graph_to_json, graph_to_text, validate_graph
 from groupoid_spectrum.spectrum import (
     ConditionARequired,
     check_condition_a,
@@ -771,6 +771,27 @@ class TestLocale:
         assert (as_json.returncode, as_json.stdout) == (0, run_main(command[2:] + ["--json"])[1].encode())
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is dropped, not parsed."""
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            (["graph-analyze"], "g.graph", graph_to_text(helpers.graph_loop_with_entry())),
+            (["graph-analyze"], "g.json", json.dumps(graph_to_json(helpers.graph_loop_with_entry()))),
+            (["check-family"], "f.json", json.dumps(DUAL_FAMILY)),
+        ],
+        ids=["line-graph", "json-graph", "family"],
+    )
+    def test_report_equals_the_one_without(self, run, tmp_path, command, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        plain = run(*command, str(path), "--json")
+        assert plain[0] == 0, plain[2]
+        path.write_text(text, encoding="utf-8-sig")
+        assert run(*command, str(path), "--json") == plain
+
+
 class TestNumpyStaysOut:
     """Only the SO(3) paths import numpy; every other command starts without it."""
 
@@ -818,6 +839,87 @@ class TestNumpyStaysOut:
         )
 
 
+class TestImportsPerCommand:
+    """Each command loads only the package modules it runs, in a child interpreter."""
+
+    CHILD = (
+        "import contextlib, io, json, sys\n"
+        "from groupoid_spectrum.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(name.rpartition('.')[2] for name in sys.modules\n"
+        "                        if name == 'numpy' or name.startswith('groupoid_spectrum.'))))\n"
+    )
+
+    @staticmethod
+    def child(*args: str) -> str:
+        out = subprocess.run(
+            [sys.executable, "-c", *args], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    @pytest.mark.parametrize("family", ["graph", "model"])
+    def test_commands_load_only_their_modules(
+        self, family, funnel_file, entry_file, dual_family_file, s_family_file
+    ):
+        commands, used, unused = {
+            "graph": (
+                [
+                    ["graph-analyze", funnel_file, "--json"],
+                    ["graph-analyze", entry_file, "--json"],  # condition A fails
+                    ["graph-analyze", entry_file],
+                    ["graph-orbits", funnel_file, "--json"],
+                    ["graph-orbits", entry_file],  # refused
+                    ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La", "--json"],
+                ],
+                {"digraph", "spectrum"},
+                {"convergence", "models", "oracle", "numpy"},
+            ),
+            "model": (
+                [
+                    ["model-green", "verify-eq3", "--n-max", "8", "--json"],
+                    ["model-dyadic", "demo-c-failure", "--n-max", "4"],
+                    ["model-dyadic", "check-c-on-s", "--family", s_family_file, "--json"],
+                    ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json"],
+                    ["model-so3", "conj-test", "--trials", "5", "--json"],
+                    ["check-family", dual_family_file, "--json"],
+                    ["check-family", dual_family_file, "--truncate", "30"],
+                ],
+                {"convergence", "models", "numpy"},
+                {"digraph", "spectrum", "oracle", "_kernels"},
+            ),
+        }[family]
+        loaded = set(json.loads(self.child(self.CHILD, json.dumps(commands))))
+        assert used <= loaded and not loaded & unused, loaded
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, groupoid_spectrum\nprint([m for m in sys.modules if m.startswith('groupoid_spectrum.')])"
+        assert self.child(code) == "[]\n"
+
+    def test_exports_resolve_to_their_home_modules(self):
+        # every lazy export is the object its home module defines, through
+        # attribute access and through import *; convergence re-exports the
+        # Fell-limit code from exact
+        code = (
+            "import importlib, groupoid_spectrum\n"
+            "from groupoid_spectrum import *\n"
+            "from groupoid_spectrum.convergence import FellLimit as F, PeriodFamily as P, fell_subgroup_limit as f\n"
+            "from groupoid_spectrum.exact import FellLimit, PeriodFamily, fell_subgroup_limit\n"
+            "assert (F, P, f) == (FellLimit, PeriodFamily, fell_subgroup_limit)\n"
+            "homes = groupoid_spectrum._EXPORTS\n"
+            "assert groupoid_spectrum.__all__ == ['__version__', *homes]\n"
+            "for name, module in homes.items():\n"
+            "    home = importlib.import_module('groupoid_spectrum.' + module)\n"
+            "    value = getattr(home, name)\n"
+            "    assert globals()[name] is value is getattr(groupoid_spectrum, name), name\n"
+            "    assert getattr(value, '__module__', home.__name__) == home.__name__, name\n"
+            "print(len(homes))\n"
+        )
+        assert int(self.child(code)) == 59  # every export the eager imports had
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; reuse must not change any output."""
 
@@ -835,6 +937,11 @@ class TestParserReuse:
             ["graph-analyze"],  # missing positional
             ["model-green", "verify-eq3", "--n-max", "-3"],
             ["graph-analyze", funnel_file, "--json"],
+            # one call per group of bound modules, interleaved
+            ["model-green", "verify-eq3", "--n-max", "4", "--json"],
+            ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La"],
+            ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3"],
+            ["model-dyadic", "demo-c-failure", "--n-max", "3", "--json"],
         ]
         seen = []
         for argv in calls:
@@ -852,6 +959,26 @@ class TestParserReuse:
         assert seen[5] == seen[6] == (2, False, "usage:")
         assert seen[7] == (2, False, "usage:")
         assert cli.build_parser() is cli.build_parser()
+
+    def test_hook_set_before_the_first_call_is_called(self, funnel_file):
+        # nothing is bound yet in the child, so binding must keep the hook
+        code = (
+            "import contextlib, io, sys\n"
+            "from groupoid_spectrum import cli, digraph\n"
+            "calls = []\n"
+            "def hook(text):\n"
+            "    calls.append(text)\n"
+            "    return digraph.parse_graph(text)\n"
+            "cli.parse_graph = hook\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['graph-analyze', sys.argv[1], '--json']) == 0\n"
+            "print(len(calls), cli.parse_graph is hook)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, funnel_file], capture_output=True, text=True, env=child_env(), timeout=60
+        )
+        assert (out.returncode, out.stdout) == (0, "2 True\n"), out.stderr
 
 
 class TestClosedPipe:

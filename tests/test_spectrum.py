@@ -1,6 +1,7 @@
 """The spectrum decision, eventually periodic paths, and path characters."""
 
 import dataclasses
+import gc
 import random
 from fractions import Fraction
 from time import perf_counter
@@ -129,6 +130,33 @@ class TestDecision:
         items = blob["entries"] + blob["stabilizer_discontinuity"]
         assert len({id(item) for item in items}) == len(items)
         assert len({id(item["cycle"]) for item in items}) == len(items)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_condition_a_json_pauses_the_collector(self, enabled):
+        # while the items are built no collection runs; the allocations still
+        # pending when the collector resumes may start one (K5 starts five
+        # collections without the pause).  The caller's state is restored.
+        was_enabled = gc.isenabled()
+        collections = []
+
+        def on_collect(phase, info):
+            collections[-1] += phase == "start"
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for n in (4, 5):
+                report = check_condition_a(helpers.complete_graph(n))
+                collections.append(0)
+                gc.callbacks.append(on_collect)
+                try:
+                    blob = report.to_json()
+                finally:
+                    gc.callbacks.remove(on_collect)
+                assert gc.isenabled() is enabled
+                assert blob == helpers.condition_a_json(report)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert max(collections) <= (1 if enabled else 0)
 
     def test_entry_free_implies_separated(self):
         # under condition A distinct cycles are vertex disjoint and nothing
