@@ -1,22 +1,28 @@
 """Graph kernels over dense integer indices: components and simple cycles.
 
-Vertices and arcs are dense integer indices; an arc j is the pair
-(src[j], dst[j]) and a walk follows arcs src -> dst.
+Vertices and arcs are dense integer indices, and the arcs leaving each
+vertex are given in compressed rows: offsets ``start`` into a flat array.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain
 
 BACKEND = "python"
 
 __all__ = ["BACKEND", "components", "simple_cycles"]
 
 
-def components(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of ``succ``, sources first (Tarjan 1972, iterative)."""
-    n = len(succ)
-    index = [-1] * n
+def components(start: list[int], heads: list[int]) -> list[list[int]]:
+    """Strongly connected components, sources first (Tarjan 1972, iterative).
+
+    Vertex v has arcs to ``heads[start[v]:start[v + 1]]``.  A vertex whose
+    component is complete gets the index n, above every visit number, so it
+    never lowers a link, and a vertex without arcs is a component at once.
+    """
+    n = len(start) - 1
+    index = [-1] * n  # visit number, then n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     found: list[list[int]] = []  # reverse topological order
     counter = 0
@@ -26,20 +32,24 @@ def components(succ: list[list[int]]) -> list[list[int]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(heads[start[root]:start[root + 1]]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if index[w] < 0:
+                x = index[w]
+                if x < 0:
+                    a, b = start[w], start[w + 1]
+                    if a == b:
+                        index[w] = n
+                        found.append([w])
+                        continue
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(heads[a:b])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if x < low[v]:
+                    low[v] = x
             else:
                 work.pop()
                 if work:
@@ -50,7 +60,7 @@ def components(succ: list[list[int]]) -> list[list[int]]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
+                        index[w] = n
                         comp.append(w)
                         if w == v:
                             break
@@ -58,21 +68,19 @@ def components(succ: list[list[int]]) -> list[list[int]]:
     return found[::-1]
 
 
-def simple_cycles(arcs: list[tuple[int, int]], parts: list) -> list[tuple[int, ...]]:
+def simple_cycles(dst: list[int], start: list[int], arcs: list[int], parts: list) -> list[tuple[int, ...]]:
     """All simple cycles inside ``parts``, as tuples of arc indices in traversal order.
 
-    ``parts`` are disjoint strongly connected vertex sets, and only arcs inside
-    one part are followed.  Johnson's algorithm (1975): search a part from its
-    least vertex with blocking, then the cyclic components of the rest (a part
-    that is a single cycle has none), so each search finds a cycle and the time
-    is O((V + E)(C + 1)) for C cycles.
+    Arc j runs to ``dst[j]``; the arcs leaving vertex v are
+    ``arcs[start[v]:start[v + 1]]``.  ``parts`` are disjoint strongly
+    connected vertex sets, and only arcs inside one part are followed.
+    Johnson's algorithm (1975): search a part from its least vertex with
+    blocking, then the cyclic components of the rest (a part that is a single
+    cycle has none), so each search finds a cycle and the time is
+    O((V + E)(C + 1)) for C cycles.
     Parallel arcs yield distinct cycles; the output order is deterministic.
     """
-    dst = [d for _, d in arcs]
-    out: dict[int, list[int]] = {v: [] for part in parts for v in part}
-    for j, (s, _) in enumerate(arcs):
-        if s in out:
-            out[s].append(j)
+    out = {v: arcs[start[v]:start[v + 1]] for part in parts for v in part}
     cycles: list[tuple[int, ...]] = []
     todo = [sorted(part, reverse=True) for part in parts]
     while todo:
@@ -84,9 +92,10 @@ def simple_cycles(arcs: list[tuple[int, int]], parts: list) -> list[tuple[int, .
             continue  # as many arcs as vertices: the part is one cycle, now found
         local = {v: k for k, v in enumerate(part)}
         succ = [[local[dst[j]] for j in out[v] if dst[j] in local] for v in part]
+        found = components(list(accumulate(map(len, succ), initial=0)), list(chain.from_iterable(succ)))
         todo += [
             sorted((part[k] for k in comp), reverse=True)
-            for comp in components(succ)
+            for comp in found
             if len(comp) > 1 or comp[0] in succ[comp[0]]
         ]
     return cycles

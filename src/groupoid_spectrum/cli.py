@@ -18,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
@@ -217,6 +218,37 @@ def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
     return render
 
 
+def _certificate_items(cycles: tuple[CycleRep, ...], certificates):
+    """Item renderer of condition B's ``certificates``, one block per first cycle.
+
+    ``certificates`` are those of ``check_condition_b``: one per pair (a, b),
+    a < b, of ``cycles``, in that order.  Each cycle's id list is rendered
+    once; an item is its pair's two lists and the quoted u and v between
+    fixed pieces.
+    """
+
+    def render(depth: int):
+        if not certificates:  # condition B skipped
+            return
+        pad = _pad(depth + 1)
+        lists = [_id_list(_quoted_ids(c), depth + 2) for c in cycles]
+        between = "," + _pad(depth + 2)
+        u_key = pad + "]," + pad + '"u": '
+        v_key = "," + pad + '"v": '
+        close = _pad(depth) + "}"
+        remaining = iter(certificates)
+        for a, first in enumerate(lists[:-1]):
+            head = f'{{{pad}"pair": [{_pad(depth + 2)}{first}{between}'
+            yield ("," + _pad(depth)).join(
+                [
+                    head + second + u_key + _quote(cert.u) + v_key + _quote(cert.v) + close
+                    for second, cert in zip(lists[a + 1:], remaining)
+                ]
+            )
+
+    return render
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
@@ -257,13 +289,17 @@ def cmd_graph_analyze(args) -> int:
     condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": _entry_items(runs)}
     if not a.passed:
         condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
+    condition_b = {
+        "pass": True if b.status == "pass" else "skipped",
+        "certificates": _certificate_items(a.cycles, b.certificates),
+    }
     report = _envelope(
         "graph-analyze",
         input=args.graph,
         transpose=args.transpose,
         validated=True,
         condition_a=condition_a,
-        condition_b=b.to_json(),
+        condition_b=condition_b,
         condition_c=CONDITION_C_NOTE,
         hausdorff=verdict.hausdorff,
     )
@@ -278,8 +314,8 @@ def _analyze_lines(verdict) -> list[str]:
         f"condition A: {'PASS' if a.passed else 'FAIL'} "
         f"({len(a.cycles)} cycles, {sum(len(run) for _, run in a.runs)} entries)",
     ]
-    for c in a.cycles:
-        lines.append(f"  cycle: {','.join(c.edge_ids())}")
+    joined = [",".join(c.edge_ids()) for c in a.cycles]
+    lines += [f"  cycle: {ids}" for ids in joined]
     lines += _entry_lines(a.runs)
     discontinuity: dict[int, str] = {}  # the line per cycle length
     for c, run in a.runs:
@@ -294,9 +330,10 @@ def _analyze_lines(verdict) -> list[str]:
         lines.append("condition B: SKIPPED (condition A failed)")
     else:
         lines.append(f"condition B: PASS ({len(b.certificates)} certificates)")
-        for cert in b.certificates:
-            pair = " | ".join(",".join(ids) for ids in (cert.pair[0].edge_ids(), cert.pair[1].edge_ids()))
-            lines.append(f"  pair ({pair}): u={cert.u} v={cert.v}")
+        lines += [
+            f"  pair ({first} | {second}): u={cert.u} v={cert.v}"
+            for (first, second), cert in zip(combinations(joined, 2), b.certificates)
+        ]
     lines.append(f"condition C: {CONDITION_C_NOTE}")
     lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
     return lines
@@ -335,7 +372,7 @@ def cmd_graph_orbits(args) -> int:
         transpose=args.transpose,
         validated=True,
         refused=False,
-        orbits=[list(c.edge_ids()) for c in reps],
+        orbits=_cycle_items(reps),
         count=len(reps),
     )
     lines = [f"orbits: {len(reps)}"] + [f"  {','.join(c.edge_ids())}" for c in reps]

@@ -12,7 +12,7 @@ import random
 from itertools import combinations, product
 from typing import Iterator
 
-from .digraph import DiGraph, Edge
+from .digraph import DiGraph
 
 __all__ = [
     "enumerate_validated_simple",
@@ -26,13 +26,13 @@ _VNAMES = tuple(f"v{i}" for i in range(128))
 
 def _graph_from_arcs(n: int, arcs: list[tuple[int, int]]) -> DiGraph:
     counts: dict[tuple[int, int], int] = {}
-    edges = []
+    ids = []
     for s, r in arcs:
         k = counts.get((s, r), 0)
         counts[(s, r)] = k + 1
-        suffix = "" if k == 0 else f"x{k}"
-        edges.append(Edge(f"e{s}{r}{suffix}", _VNAMES[s], _VNAMES[r]))
-    return DiGraph(_VNAMES[:n], tuple(edges))
+        ids.append(f"e{s}{r}" + ("" if k == 0 else f"x{k}"))
+    src, dst = zip(*arcs) if arcs else ((), ())
+    return DiGraph(_VNAMES[:n], tuple(ids), src, dst, _VNAMES[:n])
 
 
 def enumerate_validated_simple(n: int, max_edges: int) -> Iterator[DiGraph]:

@@ -10,15 +10,21 @@ Conventions (fixed throughout the package):
   every vertex v has at least one edge with rng == v (no sources), which is
   what infinite-path extension needs.
 * An *entry* to a simple cycle c is an edge e not on c with rng(e) on c.
+
+A ``DiGraph`` is held as integer arrays: each edge's source and range are
+indices into the vertex names.  ``Edge`` objects are built on demand, once
+per edge, for the edges a caller looks at; the decision builds them only for
+the cycle edges and the edges into cycles.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
-from operator import attrgetter
+from itertools import accumulate, chain, compress
+from operator import attrgetter, eq
 
 from . import _kernels
 from .exact import InputError
@@ -84,39 +90,72 @@ class InvalidGraphError(InputError):
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Immutable finite directed multigraph with string ids."""
+    """Immutable finite directed multigraph with string ids, held as index arrays.
+
+    ``vertices`` and ``edge_ids`` are the declared ids in input order.  Edge j
+    runs from ``names[src[j]]`` to ``names[dst[j]]``, where ``names`` is
+    ``vertices`` followed by the undeclared endpoints in sorted order, and a
+    vertex id declared twice indexes its first declaration.  On a validated
+    graph ``names`` is ``vertices``.
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edge_ids: tuple[str, ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    names: tuple[str, ...]
 
     @classmethod
     def build(cls, vertices, edges) -> "DiGraph":
-        """Construct from iterables; edges may be Edge or (id, src, rng)."""
-        vs = tuple(vertices)
-        es = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        return cls(vs, es)
+        """Construct from iterables; edges may be Edge or (id, src, rng).
+
+        Every id must be one both file formats can hold (see ``_json_id``).
+        """
+        vs = [_json_id(v, f"vertex {k}") for k, v in enumerate(vertices)]
+        es = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        for k, e in enumerate(es):
+            for f in ("id", "src", "rng"):
+                _json_id(getattr(e, f), f"edge {k} {f!r}")
+        return cls._from_ids(vs, [e.id for e in es], [e.src for e in es], [e.rng for e in es])
+
+    @classmethod
+    def _from_ids(cls, vertices, edge_ids, srcs, dsts) -> "DiGraph":
+        """The graph whose edge j runs from vertex id ``srcs[j]`` to ``dsts[j]``."""
+        vertices = tuple(vertices)
+        # reversed, so that a repeated id keeps its first index
+        index = dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
+        names = vertices
+        try:
+            src = tuple(map(index.__getitem__, srcs))
+            dst = tuple(map(index.__getitem__, dsts))
+        except KeyError:  # undeclared endpoints get the indices after the vertices
+            names += tuple(sorted(set(chain(srcs, dsts)).difference(index)))
+            index.update(zip(names[len(vertices):], range(len(vertices), len(names))))
+            src = tuple(map(index.__getitem__, srcs))
+            dst = tuple(map(index.__getitem__, dsts))
+        return cls(vertices, tuple(edge_ids), src, dst, names)
 
     @cached_property
-    def vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
 
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def arc_indices(self) -> list[tuple[int, int]]:
-        """Edges as (src index, rng index) pairs, in edge order."""
-        vi = self.vertex_index
-        return [(vi[e.src], vi[e.rng]) for e in self.edges]
-
-    @cached_property
-    def successors(self) -> list[list[int]]:
-        """Range index of every edge leaving each vertex, in edge order."""
-        succ: list[list[int]] = [[] for _ in self.vertices]
-        for s, d in self.arc_indices:
-            succ[s].append(d)
-        return succ
+    def out_arcs(self) -> tuple[list[int], list[int]]:
+        """The out-edges as ``(start, arcs)``: ``arcs[start[v]:start[v + 1]]`` leave vertex v, in edge order."""
+        counts = [0] * (len(self.names) + 1)
+        for s in self.src:
+            counts[s + 1] += 1
+        start = list(accumulate(counts))
+        free = start[:-1]  # the next place of each vertex's arcs
+        arcs = [0] * len(self.src)
+        for j, s in enumerate(self.src):
+            arcs[free[s]] = j
+            free[s] += 1
+        return start, arcs
 
     @cached_property
     def components(self) -> "Components":
@@ -125,40 +164,78 @@ class DiGraph:
 
     def transpose(self) -> "DiGraph":
         """Same graph with every edge reversed."""
-        return DiGraph(self.vertices, tuple(Edge(e.id, e.rng, e.src) for e in self.edges))
+        return DiGraph(self.vertices, self.edge_ids, self.dst, self.src, self.names)
+
+
+class EdgeView(Sequence):
+    """A graph's edges as ``Edge`` objects; each is built on its first request and kept."""
+
+    def __init__(self, g: DiGraph):
+        # the arrays, not the graph, which holds this view: no reference cycle
+        self._arrays = g.edge_ids, g.src, g.dst, g.names
+        self._built: dict[int, Edge] = {}
+
+    def __len__(self) -> int:
+        return len(self._arrays[0])
+
+    def __getitem__(self, j):
+        picked = range(len(self))[j]  # negative indices and slices, as on a tuple
+        if isinstance(picked, range):
+            return tuple(self.at(picked))
+        return self.at((picked,))[0]
+
+    def __iter__(self):
+        return iter(self.at(range(len(self))))
+
+    def at(self, js) -> list[Edge]:
+        """The edges with the indices in the sequence ``js``; those not yet built are built now."""
+        built = self._built
+        new = [j for j in js if j not in built]
+        if new:
+            ids, src, dst, names = self._arrays
+            srcs = map(names.__getitem__, map(src.__getitem__, new))
+            rngs = map(names.__getitem__, map(dst.__getitem__, new))
+            built.update(zip(new, map(Edge, map(ids.__getitem__, new), srcs, rngs)))
+        return list(map(built.__getitem__, js))
 
 
 def validate_graph(g: DiGraph) -> list[Violation]:
     """All validation violations, in a deterministic order; empty means valid."""
     violations: list[Violation] = []
-    if not g.vertices:
+    n = len(g.vertices)
+    if not n:
         # every graph property holds vacuously on the empty graph
         violations.append(Violation("empty-graph", "", "graph has no vertices"))
-    seen_v: set[str] = set()
-    for v in g.vertices:
-        if v in seen_v:
-            violations.append(Violation("duplicate-vertex", v, f"vertex id {v!r} declared twice"))
-        seen_v.add(v)
-    seen_e: set[str] = set()
-    for e in g.edges:
-        if e.id in seen_e:
-            violations.append(Violation("duplicate-edge", e.id, f"edge id {e.id!r} declared twice"))
-        seen_e.add(e.id)
-        for end, val in (("src", e.src), ("rng", e.rng)):
-            if val not in seen_v:
-                violations.append(
-                    Violation(
-                        "undeclared-endpoint",
-                        e.id,
-                        f"edge {e.id!r} has {end} {val!r} which is not a declared vertex",
+    repeated = len(set(g.vertices)) < n
+    if repeated:
+        seen_v: set[str] = set()
+        for v in g.vertices:
+            if v in seen_v:
+                violations.append(Violation("duplicate-vertex", v, f"vertex id {v!r} declared twice"))
+            seen_v.add(v)
+    if len(g.names) > n or len(set(g.edge_ids)) < len(g.edge_ids):
+        seen_e: set[str] = set()
+        for eid, s, d in zip(g.edge_ids, g.src, g.dst):
+            if eid in seen_e:
+                violations.append(Violation("duplicate-edge", eid, f"edge id {eid!r} declared twice"))
+            seen_e.add(eid)
+            for end, k in (("src", s), ("rng", d)):
+                if k >= n:
+                    violations.append(
+                        Violation(
+                            "undeclared-endpoint",
+                            eid,
+                            f"edge {eid!r} has {end} {g.names[k]!r} which is not a declared vertex",
+                        )
                     )
+    covered = set(g.dst)
+    if repeated or not covered.issuperset(range(n)):
+        covered_names = set(map(g.names.__getitem__, covered))
+        for v in g.vertices:
+            if v not in covered_names:
+                violations.append(
+                    Violation("no-range-edge", v, f"vertex {v!r} has no edge with range {v!r}")
                 )
-    covered = {e.rng for e in g.edges}
-    for v in g.vertices:
-        if v not in covered:
-            violations.append(
-                Violation("no-range-edge", v, f"vertex {v!r} has no edge with range {v!r}")
-            )
     return violations
 
 
@@ -253,16 +330,16 @@ class Components:
 
 
 def strongly_connected_components(g: DiGraph) -> Components:
-    """One Tarjan pass, in O(V + E)."""
-    found = _kernels.components(g.successors)
-    of = [0] * len(g.vertices)
+    """One Tarjan pass over the out-edge arrays, in O(V + E)."""
+    start, arcs = g.out_arcs
+    found = _kernels.components(start, list(map(g.dst.__getitem__, arcs)))
+    of = [0] * len(g.names)
     for c, comp in enumerate(found):
         for v in comp:
             of[v] = c
     cyclic = [len(comp) > 1 for comp in found]
-    for s, d in g.arc_indices:
-        if s == d:
-            cyclic[of[s]] = True
+    for s in compress(g.src, map(eq, g.src, g.dst)):  # loops
+        cyclic[of[s]] = True
     return Components(tuple(of), tuple(map(tuple, found)), tuple(cyclic))
 
 
@@ -278,20 +355,24 @@ def entry_free_cycles(
     """
     comps = g.components
     parts = list(compress(comps.members, comps.cyclic))
+    on_cycles = bytearray(len(g.names))
+    for v in chain.from_iterable(parts):
+        on_cycles[v] = 1
+    # the edges into cycle vertices: every cycle edge and every entry
+    into_cycles = list(compress(range(len(g.dst)), map(on_cycles.__getitem__, g.dst)))
+    edge_at = dict(zip(into_cycles, g.edges.at(into_cycles)))
     cycles = [
         # kernel output is in traversal order; path convention is its reverse
-        CycleRep(tuple(map(g.edges.__getitem__, reversed(arc_tuple))))
-        for arc_tuple in _kernels.simple_cycles(g.arc_indices, parts)
+        CycleRep(tuple(map(edge_at.__getitem__, reversed(arc_tuple))))
+        for arc_tuple in _kernels.simple_cycles(g.dst, *g.out_arcs, parts)
     ]
     cycles.sort(key=CycleRep.sort_key)
-    # each cycle's entries in edge id order, walking the sorted cycles, give
-    # the runs in (cycle, entry id) order without sorting across cycles
-    on_cycles = cycle_vertices(g)
-    into_cycles = [e for e in g.edges if e.rng in on_cycles]
-    if len(into_cycles) == len(on_cycles):
+    if len(into_cycles) == sum(map(len, parts)):
         # each cycle vertex has its cycle's in-edge, so none has a second
         return tuple(cycles), ()
-    by_id = sorted(into_cycles, key=attrgetter("id"))
+    # each cycle's entries in edge id order, walking the sorted cycles, give
+    # the runs in (cycle, entry id) order without sorting across cycles
+    by_id = sorted(edge_at.values(), key=attrgetter("id"))
     into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
     for rank, e in enumerate(by_id):
         into.setdefault(e.rng, []).append(rank)
@@ -309,15 +390,15 @@ def cycle_vertices(g: DiGraph) -> frozenset[str]:
     """Vertices lying on at least one cycle: those of cyclic components."""
     comps = g.components
     return frozenset(
-        g.vertices[v] for members in compress(comps.members, comps.cyclic) for v in members
+        g.names[v] for members in compress(comps.members, comps.cyclic) for v in members
     )
 
 
 def in_range_degrees(g: DiGraph) -> dict[str, int]:
     """Number of edges with rng == v, per vertex."""
-    deg = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        deg[e.rng] += 1
+    deg = dict.fromkeys(g.vertices, 0)
+    for v in map(g.names.__getitem__, g.dst):
+        deg[v] += 1
     return deg
 
 
@@ -339,23 +420,23 @@ def _numbered_records(text: str):
 def parse_graph_text(text: str) -> DiGraph:
     """Line format: 'v <id>' and 'e <id> <src> <rng>'; '#' starts a comment."""
     vertices: list[str] = []
-    edges: list[Edge] = []
+    edges: list[list[str]] = []  # ['e', id, src, rng]
+    comments = "#" in text
     for lineno, raw in _numbered_records(text):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if comments else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 2:
-                raise GraphParseError(f"expected 'v <id>', got {raw.strip()!r}", lineno)
+        if parts[0] == "e" and len(parts) == 4:
+            edges.append(parts)
+        elif parts[0] == "v" and len(parts) == 2:
             vertices.append(parts[1])
+        elif parts[0] == "v":
+            raise GraphParseError(f"expected 'v <id>', got {raw.strip()!r}", lineno)
         elif parts[0] == "e":
-            if len(parts) != 4:
-                raise GraphParseError(f"expected 'e <id> <src> <rng>', got {raw.strip()!r}", lineno)
-            edges.append(Edge(parts[1], parts[2], parts[3]))
+            raise GraphParseError(f"expected 'e <id> <src> <rng>', got {raw.strip()!r}", lineno)
         else:
             raise GraphParseError(f"unknown record {parts[0]!r}", lineno)
-    return DiGraph(tuple(vertices), tuple(edges))
+    return DiGraph._from_ids(vertices, *(list(zip(*edges))[1:] if edges else ((), (), ())))
 
 
 def _json_id(value, where: str) -> str:
@@ -376,12 +457,13 @@ def parse_graph_json(obj) -> DiGraph:
         if not isinstance(obj.get(key), list):
             raise GraphParseError(f"malformed graph JSON: {key!r} must be a list")
     vertices = [_json_id(v, f"vertex {k}") for k, v in enumerate(obj["vertices"])]
-    edges = []
+    fields: tuple[list[str], ...] = ([], [], [])  # ids, srcs, rngs
     for k, e in enumerate(obj["edges"]):
         if not isinstance(e, dict):
             raise GraphParseError(f"malformed graph JSON: edge {k} must be an object")
-        edges.append(Edge(*(_json_id(e.get(f), f"edge {k} {f!r}") for f in ("id", "src", "rng"))))
-    return DiGraph(tuple(vertices), tuple(edges))
+        for column, f in zip(fields, ("id", "src", "rng")):
+            column.append(_json_id(e.get(f), f"edge {k} {f!r}"))
+    return DiGraph._from_ids(vertices, *fields)
 
 
 def parse_graph(text: str) -> DiGraph:

@@ -34,6 +34,7 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 
 from .digraph import (
@@ -163,7 +164,7 @@ def check_condition_a(g: DiGraph) -> ConditionAReport:
 # Condition B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationCertificate:
     pair: tuple[CycleRep, CycleRep]
     u: str
@@ -179,6 +180,12 @@ class SeparationCertificate:
 
 @dataclass(frozen=True)
 class ConditionBReport:
+    """Condition B's verdict and certificates.
+
+    When it passed, ``certificates`` holds one certificate per pair (a, b),
+    a < b, of condition A's cycles, in that order; the CLI renders them so.
+    """
+
     status: str  # "pass" | "skipped"
     certificates: tuple[SeparationCertificate, ...]
 
@@ -205,17 +212,27 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     cycles = report_a.cycles  # sorted by CycleRep.sort_key
     of = g.components.of
     masks = _cycle_masks(g, cycles)
-    # first vertex, in sorted order, of each distinct mask; the candidates
+    # the least vertex, in name order, of each distinct mask; the candidates
     # from a cycle's reach set are the masks holding its bit
-    first: dict[int, int] = {}
-    for u in sorted(range(len(g.vertices)), key=g.vertices.__getitem__):
-        first.setdefault(masks[of[u]], u)
-    firsts = [[(m, u) for m, u in first.items() if m >> bit & 1] for bit in range(len(cycles))]
+    order = sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
+    ranked = list(map(masks.__getitem__, map(of.__getitem__, order)))
+    least = dict(zip(reversed(ranked), range(len(ranked) - 1, -1, -1)))  # mask -> least rank
+    firsts: list[list[tuple[int, int]]] = [[] for _ in cycles]
+    for rank, mask in sorted((rank, mask) for mask, rank in least.items()):
+        bits = mask
+        while bits:
+            firsts[(bits & -bits).bit_length() - 1].append((mask, order[rank]))
+            bits &= bits - 1
 
     certificates = []
     for a, c in enumerate(cycles):
+        mask_a, least_a = firsts[a][0]  # a cycle's own vertices carry its bit
         for b in range(a + 1, len(cycles)):
-            u, v = _least_separated(firsts[a], firsts[b])
+            mask_b, least_b = firsts[b][0]
+            if mask_a & mask_b:
+                u, v = _least_separated(firsts[a], firsts[b])
+            else:
+                u, v = least_a, least_b
             certificates.append(SeparationCertificate((c, cycles[b]), g.vertices[u], g.vertices[v]))
     return ConditionBReport("pass", tuple(certificates))
 
@@ -231,17 +248,16 @@ def _cycle_masks(g: DiGraph, cycles: tuple[CycleRep, ...]) -> list[int]:
     """Per component, a bitmask of the cycles that reach it (bit k: cycles[k])."""
     comps = g.components
     of = comps.of
-    succ = g.successors
-    vi = g.vertex_index
+    bits = {c.edges[0].rng: 1 << bit for bit, c in enumerate(cycles)}
     masks = [0] * len(comps.members)
-    for bit, c in enumerate(cycles):
-        masks[of[vi[c.edges[0].rng]]] = 1 << bit
-    # ids are topological, so a component's mask is final before it is pushed
-    for c, members in enumerate(comps.members):
-        mask = masks[c]
-        for v in members:
-            for w in succ[v]:
-                masks[of[w]] |= mask
+    for v in compress(range(len(g.names)), map(bits.__contains__, g.names)):
+        masks[of[v]] = bits[g.names[v]]
+    tails = list(map(of.__getitem__, g.src))
+    heads = list(map(of.__getitem__, g.dst))
+    # component ids are topological, so taking the edges by their tail's
+    # component finishes a mask before it is pushed
+    for j in sorted(range(len(tails)), key=tails.__getitem__):
+        masks[heads[j]] |= masks[tails[j]]
     return masks
 
 

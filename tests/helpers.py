@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -129,6 +130,42 @@ def complete_graph(n: int) -> DiGraph:
 def bouquet(m: int) -> DiGraph:
     """m loops on one vertex: each loop is an entry to every other."""
     return DiGraph.build(["a"], [(f"L{i:03d}", "a", "a") for i in range(m)])
+
+
+def planted_separated(seed: int, n: int = 160, k: int = 16, chain: int = 30) -> DiGraph:
+    """An entry-free graph: k planted cycles, trees on them, a chain and forward cross edges.
+
+    Condition A holds and condition B lists k(k-1)/2 certificates.  Vertex
+    names are shuffled and vertices are declared in construction order, so
+    name order and declaration order differ; the cross edges run from an
+    earlier tree to a later one, so reach sets overlap.
+    """
+    rng = random.Random(seed)
+    names = [f"u{i:04d}" for i in range(n)]
+    rng.shuffle(names)
+    fresh = iter(names)
+    arcs: list[tuple[str, str]] = []
+    trees: list[list[str]] = []
+    for c in range(k):
+        ring = [next(fresh) for _ in range(1 if c % 2 == 0 else 2 + c % 4)]
+        arcs += [(ring[j - 1], ring[j]) for j in range(len(ring))]
+        trees.append(list(ring))
+    tip = trees[0][0]
+    for _ in range(chain):
+        v = next(fresh)
+        arcs.append((tip, v))
+        tip = v
+    hanging: list[tuple[int, str]] = []
+    for v in fresh:
+        t = rng.randrange(k)
+        arcs.append((rng.choice(trees[t]), v))
+        trees[t].append(v)
+        hanging.append((t, v))
+    for _ in range(n // 10):
+        (t1, v1), (t2, v2) = sorted(rng.sample(hanging, 2))
+        if t1 < t2:
+            arcs.append((v1, v2))
+    return DiGraph.build(names, [(f"e{i}", s, r) for i, (s, r) in enumerate(arcs)])
 
 
 def graph_single_loop() -> DiGraph:

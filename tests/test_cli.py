@@ -184,6 +184,8 @@ class TestReportBytes:
         yield helpers.complete_graph(5)
         yield helpers.bouquet(30)
         yield helpers.graph_two_loops_funnel()
+        yield helpers.planted_separated(1)
+        yield helpers.planted_separated(2, n=300, k=20, chain=60)
 
     def test_graph_analyze_json(self, run, tmp_path):
         path = str(tmp_path / "g.graph")
@@ -199,6 +201,45 @@ class TestReportBytes:
             outcomes.add((verdict.condition_a.passed, len(verdict.condition_a.cycles) > 1))
         # a validated graph with an entry has a second cycle feeding it
         assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_separated_graph_reports(self, run, tmp_path):
+        # a JSON input, a transposed run, orbits, and the text report, on one
+        # graph with many condition B certificates
+        g = helpers.planted_separated(3)
+        verdict = decide_hausdorff_spectrum(g)
+        a, b = verdict.condition_a, verdict.condition_b
+        assert len(b.certificates) >= 100
+        as_json = tmp_path / "g.json"
+        as_json.write_text(json.dumps(graph_to_json(g)))
+        reversed_text = tmp_path / "reversed.graph"
+        reversed_text.write_text(graph_to_text(g.transpose()))
+        assert validate_graph(g.transpose())  # only the --transpose run is valid
+        for path, flags in ((as_json, []), (reversed_text, ["--transpose"])):
+            code, out, _ = run("graph-analyze", str(path), "--json", *flags)
+            report = _envelope("graph-analyze", input=str(path), transpose=bool(flags)) | verdict.to_json()
+            report["condition_a"] = helpers.condition_a_json(a)
+            assert (code, out) == (0, json.dumps(report, indent=2) + "\n"), flags
+        code, out, _ = run("graph-orbits", str(as_json), "--json")
+        orbits = [list(c.edge_ids()) for c in a.cycles]
+        report = _envelope(
+            "graph-orbits", input=str(as_json), transpose=False, validated=True,
+            refused=False, orbits=orbits, count=len(orbits),
+        )
+        assert (code, out) == (0, json.dumps(report, indent=2) + "\n")
+        text = [
+            "validated: yes",
+            f"condition A: PASS ({len(a.cycles)} cycles, 0 entries)",
+            *(f"  cycle: {','.join(c.edge_ids())}" for c in a.cycles),
+            f"condition B: PASS ({len(b.certificates)} certificates)",
+            *(
+                f"  pair ({','.join(cert.pair[0].edge_ids())} | {','.join(cert.pair[1].edge_ids())}): "
+                f"u={cert.u} v={cert.v}"
+                for cert in b.certificates
+            ),
+            f"condition C: {spectrum.CONDITION_C_NOTE}",
+            "hausdorff: YES",
+        ]
+        assert run("graph-analyze", str(as_json)) == (0, "\n".join(text) + "\n", "")
 
     def test_refused_graph_orbits_json(self, run, tmp_path):
         path = str(tmp_path / "g.graph")
@@ -294,6 +335,23 @@ class TestReportBytes:
                 code, out, err = run(command, str(path), *flags)
                 assert (code, err) == (0, ""), (command, flags)
                 assert "entry" in out
+
+
+    def test_reports_never_build_certificate_dicts(self, run, tmp_path, monkeypatch):
+        # the CLI renders condition B from the certificates' fields
+        def refuse(self):
+            raise AssertionError("a condition B to_json was called")
+
+        monkeypatch.setattr(spectrum.ConditionBReport, "to_json", refuse)
+        monkeypatch.setattr(spectrum.SeparationCertificate, "to_json", refuse)
+        path = tmp_path / "separated.graph"
+        path.write_text(graph_to_text(helpers.planted_separated(1)))
+        code, out, err = run("graph-analyze", str(path))
+        assert (code, err) == (0, "")
+        assert "condition B: PASS (120 certificates)" in out
+        code, out, err = run("graph-analyze", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["condition_b"]["certificates"]) == 120
 
 
 class TestGraphOrbits:

@@ -1,12 +1,16 @@
 """Graph parsing, validation, reachability, and cycle/entry analysis."""
 
+import json
 import random
+from datetime import timedelta
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from groupoid_spectrum import _kernels
+from groupoid_spectrum import _kernels, digraph
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import (
     CycleRep,
@@ -39,6 +43,10 @@ e Lb b b
 e f a t  # entry-free: t is off every cycle
 e g b t
 """
+
+
+# derandomized, so the suite runs the same examples every time
+FORMATS = settings(max_examples=100, deadline=timedelta(seconds=2), derandomize=True)
 
 
 def small_corpus():
@@ -117,11 +125,42 @@ class TestParsing:
         with pytest.raises(GraphParseError, match="malformed graph JSON"):
             parse_graph_json(obj)
 
+    @pytest.mark.parametrize(
+        "vertices,edges,where",
+        [
+            (["a#x", "b"], [("e", "a#x", "b"), ("f", "b", "a#x")], "vertex 0"),
+            (["a", "b c"], [("e", "a", "a")], "vertex 1"),
+            (["a", ""], [("e", "a", "a")], "vertex 1"),
+            (["a"], [("e", "a", "a"), ("f g", "a", "a")], "edge 1 'id'"),
+            (["a"], [("e", "a#", "a")], "edge 0 'src'"),
+            (["a"], [("e", "a", "")], "edge 0 'rng'"),
+            ([1], [], "vertex 0"),
+        ],
+    )
+    def test_build_takes_only_ids_both_formats_hold(self, vertices, edges, where):
+        obj = {"vertices": vertices, "edges": [dict(zip(("id", "src", "rng"), e)) for e in edges]}
+        with pytest.raises(GraphParseError) as from_json:
+            parse_graph_json(obj)
+        with pytest.raises(GraphParseError) as built:
+            DiGraph.build(vertices, edges)
+        assert str(built.value) == str(from_json.value)
+        assert f"{where} must be a nonempty string" in str(built.value)
+
+    @FORMATS
+    @given(st.data())
+    def test_built_graphs_survive_both_formats(self, data):
+        ids = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s] and "#" not in s)
+        vertices = data.draw(st.lists(ids, max_size=4))
+        endpoint = ids if not vertices else st.one_of(st.sampled_from(vertices), ids)
+        edges = data.draw(st.lists(st.tuples(ids, endpoint, endpoint), max_size=5))
+        g = DiGraph.build(vertices, edges)
+        assert parse_graph(graph_to_text(g)) == g
+        assert parse_graph(json.dumps(graph_to_json(g))) == g
+        assert [(e.id, e.src, e.rng) for e in g.edges] == edges
+
     def test_sniffing(self):
         g = helpers.graph_two_loops_funnel()
         assert parse_graph(graph_to_text(g)) == g
-        import json
-
         assert parse_graph(json.dumps(graph_to_json(g))) == g
         with pytest.raises(GraphParseError):
             parse_graph("{not json")
@@ -167,12 +206,77 @@ class TestValidation:
         require_validated(helpers.graph_single_loop())
 
 
+    def test_every_kind_in_order(self, tmp_path):
+        # a duplicate vertex, a duplicate edge, an edge with both ends
+        # undeclared, and vertices with no range edge (one of them repeated)
+        text = "v b\nv a\nv d\nv a\nv c\nv d\ne l a a\ne m a b\ne m b b\ne x zz yy\ne y c a\n"
+        expected = [
+            ("duplicate-vertex", "a", "vertex id 'a' declared twice"),
+            ("duplicate-vertex", "d", "vertex id 'd' declared twice"),
+            ("duplicate-edge", "m", "edge id 'm' declared twice"),
+            ("undeclared-endpoint", "x", "edge 'x' has src 'zz' which is not a declared vertex"),
+            ("undeclared-endpoint", "x", "edge 'x' has rng 'yy' which is not a declared vertex"),
+            ("no-range-edge", "d", "vertex 'd' has no edge with range 'd'"),
+            ("no-range-edge", "c", "vertex 'c' has no edge with range 'c'"),
+            ("no-range-edge", "d", "vertex 'd' has no edge with range 'd'"),
+        ]
+        violations = validate_graph(parse_graph_text(text))
+        assert [(v.kind, v.subject, v.detail) for v in violations] == expected
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, out, _ = helpers.run_main(["graph-analyze", str(path), "--json"])
+        assert code == 2
+        assert json.loads(out)["violations"] == [
+            {"kind": kind, "subject": subject, "detail": detail} for kind, subject, detail in expected
+        ]
+
+
 class TestTranspose:
     def test_reverses_edges(self):
         g = helpers.graph_two_loops_funnel()
         t = g.transpose()
         assert t.edge_by_id["f"] == Edge("f", "t", "a")
         assert t.transpose() == g
+
+
+class TestEdgeView:
+    def test_decision_builds_only_cycle_edges_and_entries(self, monkeypatch):
+        built = []
+
+        class CountedEdge(Edge):
+            def __init__(self, *fields):
+                built.append(fields[0])
+                super().__init__(*fields)
+
+        monkeypatch.setattr(digraph, "Edge", CountedEdge)
+        for g, reported in [
+            (helpers.planted_separated(1), lambda a: [e for c in a.cycles for e in c.edges]),
+            (helpers.bouquet(5), lambda a: [e for c in a.cycles for e in c.edges]),
+            (helpers.graph_loop_with_entry(), lambda a: [*(e for c in a.cycles for e in c.edges), *a.entries[0][1:]]),
+        ]:
+            g = parse_graph(graph_to_text(g))
+            built.clear()
+            assert len(g.edges) == len(g.edge_ids) and built == []
+            report = check_condition_a(g)
+            assert sorted(built) == sorted({e.id for e in reported(report)})
+            # each is built once: a second decision and the view reuse them
+            check_condition_a(g)
+            assert len(built) == len(set(built))
+            assert all(g.edges[g.edge_ids.index(e.id)] is e for e in reported(report))
+
+    def test_indexing_matches_the_tuple(self):
+        g = helpers.graph_three_cycle()
+        edges = tuple(g.edges)
+        assert [(e.id, e.src, e.rng) for e in edges] == [
+            (eid, g.names[s], g.names[d]) for eid, s, d in zip(g.edge_ids, g.src, g.dst)
+        ]
+        for j in range(-len(edges), len(edges)):
+            assert g.edges[j] is edges[j]
+        assert g.edges[1:] == edges[1:] and g.edges[::-1] == edges[::-1]
+        assert list(reversed(g.edges)) == list(reversed(edges))
+        assert edges[1] in g.edges and g.edges.index(edges[2]) == 2
+        with pytest.raises(IndexError):
+            g.edges[len(edges)]
 
 
 class TestReachability:

@@ -16,8 +16,16 @@ def cyclic_parts(g: DiGraph) -> list[tuple[int, ...]]:
 def kernel_cycle_ids(g: DiGraph, parts) -> list[tuple[str, ...]]:
     return [
         CycleRep(tuple(g.edges[j] for j in reversed(arcs))).edge_ids()
-        for arcs in _kernels.simple_cycles(g.arc_indices, parts)
+        for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs, parts)
     ]
+
+
+def arc_arrays(arcs: list[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The kernel's arrays for (src, dst) arcs: ``dst``, row offsets and arcs by source."""
+    n = 1 + max(max(arc) for arc in arcs)
+    by_source = sorted(range(len(arcs)), key=lambda j: arcs[j][0])
+    start = [sum(s < v for s, _ in arcs) for v in range(n + 1)]
+    return [d for _, d in arcs], start, by_source
 
 
 def one_component_multigraph(rng: random.Random) -> DiGraph:
@@ -40,26 +48,26 @@ class TestBackendSelection:
 class TestDispatch:
     def test_wide_ring(self):
         n = 70
-        cycles = _kernels.simple_cycles([(i, (i + 1) % n) for i in range(n)], [tuple(range(n))])
+        cycles = _kernels.simple_cycles(*arc_arrays([(i, (i + 1) % n) for i in range(n)]), [tuple(range(n))])
         assert cycles == [tuple(range(n))]
 
     def test_deterministic(self):
         g = random_validated_graph(random.Random(99), max_vertices=8)
-        arcs, parts = g.arc_indices, cyclic_parts(g)
-        first = _kernels.simple_cycles(arcs, parts)
+        arrays, parts = (g.dst, *g.out_arcs), cyclic_parts(g)
+        first = _kernels.simple_cycles(*arrays, parts)
         for _ in range(3):
-            assert _kernels.simple_cycles(arcs, parts) == first
+            assert _kernels.simple_cycles(*arrays, parts) == first
 
     def test_parts_leave_out_acyclic_vertices(self):
         # loop at 0 feeds 1 -> 2 -> 3 -> 1 and then the acyclic tail 4 -> 5
-        arcs = [(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 5)]
-        assert sorted(_kernels.simple_cycles(arcs, [(0,), (1, 2, 3), (5,)])) == [
+        arcs = arc_arrays([(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 5)])
+        assert sorted(_kernels.simple_cycles(*arcs, [(0,), (1, 2, 3), (5,)])) == [
             (0,),
             (2, 3, 4),
             (7,),
         ]
         # a part that is left out is not searched
-        assert _kernels.simple_cycles(arcs, [(2, 1, 3)]) == [(2, 3, 4)]
+        assert _kernels.simple_cycles(*arcs, [(2, 1, 3)]) == [(2, 3, 4)]
 
 
 class TestAgainstOracle:
