@@ -110,16 +110,22 @@ def __getattr__(name: str):
 SEED_ENV = "GROUPOID_SPECTRUM_SEED"
 
 
+EMIT_CHUNK = 4096  # text report lines per write
+
+
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
+    """Write the JSON report, or the text lines in chunks, each line ending in a newline."""
     if as_json:
         _write_json(sys.stdout.write, report)
         sys.stdout.write("\n")
-    else:
-        text = "\n".join(lines)
-        if encoding := getattr(sys.stdout, "encoding", None):  # None for a StringIO
+        return
+    encoding = getattr(sys.stdout, "encoding", None)  # None for a StringIO
+    for start in range(0, len(lines), EMIT_CHUNK):
+        text = "\n".join(lines[start : start + EMIT_CHUNK]) + "\n"
+        if encoding:
             # what stdout cannot encode is written as a backslash escape, as on stderr
             text = text.encode(encoding, "backslashreplace").decode(encoding)
-        print(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +227,10 @@ def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
 def _certificate_items(cycles: tuple[CycleRep, ...], certificates):
     """Item renderer of condition B's ``certificates``, one block per first cycle.
 
-    ``certificates`` are those of ``check_condition_b``: one per pair (a, b),
-    a < b, of ``cycles``, in that order.  Each cycle's id list is rendered
-    once; an item is its pair's two lists and the quoted u and v between
-    fixed pieces.
+    ``certificates`` are those of ``check_condition_b``: one (u, v) per pair
+    (a, b), a < b, of ``cycles``, in that order.  Each cycle's id list is
+    rendered once; an item is its pair's two lists and the quoted u and v
+    between fixed pieces.
     """
 
     def render(depth: int):
@@ -241,8 +247,8 @@ def _certificate_items(cycles: tuple[CycleRep, ...], certificates):
             head = f'{{{pad}"pair": [{_pad(depth + 2)}{first}{between}'
             yield ("," + _pad(depth)).join(
                 [
-                    head + second + u_key + _quote(cert.u) + v_key + _quote(cert.v) + close
-                    for second, cert in zip(lists[a + 1:], remaining)
+                    head + second + u_key + _quote(u) + v_key + _quote(v) + close
+                    for second, (u, v) in zip(lists[a + 1:], remaining)
                 ]
             )
 
@@ -331,8 +337,8 @@ def _analyze_lines(verdict) -> list[str]:
     else:
         lines.append(f"condition B: PASS ({len(b.certificates)} certificates)")
         lines += [
-            f"  pair ({first} | {second}): u={cert.u} v={cert.v}"
-            for (first, second), cert in zip(combinations(joined, 2), b.certificates)
+            f"  pair ({first} | {second}): u={u} v={v}"
+            for (first, second), (u, v) in zip(combinations(joined, 2), b.certificates)
         ]
     lines.append(f"condition C: {CONDITION_C_NOTE}")
     lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
@@ -480,7 +486,7 @@ def cmd_green_verify(args) -> int:
 
 
 def _parse_tests(csv: str | None) -> tuple[Fraction, ...]:
-    if not csv:
+    if csv is None:
         return DEFAULT_TESTS
     try:
         return tuple(parse_rational(part) for part in csv.split(","))
@@ -685,7 +691,7 @@ def cmd_so3_spectrum(args) -> int:
 
 def cmd_check_family(args) -> int:
     spec = _load_family(args.family)
-    if args.tests:
+    if args.tests is not None:
         if spec.space != "dual":
             raise InputError("--tests only applies to dual-space families")
         spec = dataclasses.replace(spec, tests=_parse_tests(args.tests))

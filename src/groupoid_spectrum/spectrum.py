@@ -15,8 +15,11 @@ The decision runs two graph conditions:
   from the first and v reachable from the second have no common ancestor
   (no w reaching both).  It holds whenever condition A does, since then
   the cycles are the source components of the condensation and each
-  cycle's own vertices have only that cycle as an ancestor; certificates
-  are the least (u, v) per pair.  Skipped when condition A fails.
+  cycle's own vertices have only that cycle as an ancestor.  Certificates
+  are the least (u, v) per pair, found by two scans: u is the first vertex
+  reached from the first cycle and not from the second, v the first vertex
+  reached from the second cycle and from no cycle reaching u.  Skipped when
+  condition A fails.
 
 Both conditions read the strongly connected components of the graph: the
 cycle vertices are those of cyclic components, and under condition A two
@@ -34,7 +37,7 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 from math import lcm
 
 from .digraph import (
@@ -50,7 +53,6 @@ from .exact import AffineSeq, FellLimit, PeriodFamily, fell_subgroup_limit, form
 __all__ = [
     "ConditionAReport",
     "ConditionBReport",
-    "SeparationCertificate",
     "SpectrumVerdict",
     "EventualPath",
     "PathChar",
@@ -164,35 +166,26 @@ def check_condition_a(g: DiGraph) -> ConditionAReport:
 # Condition B
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationCertificate:
-    pair: tuple[CycleRep, CycleRep]
-    u: str
-    v: str
-
-    def to_json(self) -> dict:
-        return {
-            "pair": [list(self.pair[0].edge_ids()), list(self.pair[1].edge_ids())],
-            "u": self.u,
-            "v": self.v,
-        }
-
-
 @dataclass(frozen=True)
 class ConditionBReport:
     """Condition B's verdict and certificates.
 
-    When it passed, ``certificates`` holds one certificate per pair (a, b),
-    a < b, of condition A's cycles, in that order; the CLI renders them so.
+    ``cycles`` is condition A's tuple.  When B passed, ``certificates`` holds
+    one (u, v) pair of vertex ids per pair (a, b), a < b, of the cycles, in
+    ``combinations(cycles, 2)`` order; the CLI renders them so.
     """
 
     status: str  # "pass" | "skipped"
-    certificates: tuple[SeparationCertificate, ...]
+    cycles: tuple[CycleRep, ...]
+    certificates: tuple[tuple[str, str], ...]
 
     def to_json(self) -> dict:
         return {
             "pass": True if self.status == "pass" else "skipped",
-            "certificates": [c.to_json() for c in self.certificates],
+            "certificates": [
+                {"pair": [list(c.edge_ids()), list(d.edge_ids())], "u": u, "v": v}
+                for (c, d), (u, v) in zip(combinations(self.cycles, 2), self.certificates)
+            ],
         }
 
 
@@ -206,10 +199,16 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     u and v are separated exactly when no cycle reaches both: their masks of
     reaching cycles are disjoint.  A cycle's own vertices carry only its own
     bit, so every pair of cycles is separated.
+
+    It also gives the least pair of cycles a < b by two scans of the
+    candidates in name order: u is the first candidate of a whose mask lacks
+    bit b, since every vertex reached from b carries bit b; v is the first
+    candidate of b whose mask is disjoint from u's.  b's own vertices carry
+    only bit b, so both exist.
     """
-    if not report_a.passed:
-        return ConditionBReport("skipped", ())
     cycles = report_a.cycles  # sorted by CycleRep.sort_key
+    if not report_a.passed:
+        return ConditionBReport("skipped", cycles, ())
     of = g.components.of
     masks = _cycle_masks(g, cycles)
     # the least vertex, in name order, of each distinct mask; the candidates
@@ -217,31 +216,23 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     order = sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
     ranked = list(map(masks.__getitem__, map(of.__getitem__, order)))
     least = dict(zip(reversed(ranked), range(len(ranked) - 1, -1, -1)))  # mask -> least rank
-    firsts: list[list[tuple[int, int]]] = [[] for _ in cycles]
+    firsts: list[list[tuple[int, str]]] = [[] for _ in cycles]
     for rank, mask in sorted((rank, mask) for mask, rank in least.items()):
+        candidate = (mask, g.vertices[order[rank]])
         bits = mask
         while bits:
-            firsts[(bits & -bits).bit_length() - 1].append((mask, order[rank]))
+            firsts[(bits & -bits).bit_length() - 1].append(candidate)
             bits &= bits - 1
 
     certificates = []
-    for a, c in enumerate(cycles):
-        mask_a, least_a = firsts[a][0]  # a cycle's own vertices carry its bit
-        for b in range(a + 1, len(cycles)):
-            mask_b, least_b = firsts[b][0]
-            if mask_a & mask_b:
-                u, v = _least_separated(firsts[a], firsts[b])
-            else:
-                u, v = least_a, least_b
-            certificates.append(SeparationCertificate((c, cycles[b]), g.vertices[u], g.vertices[v]))
-    return ConditionBReport("pass", tuple(certificates))
-
-
-def _least_separated(
-    first_c: list[tuple[int, int]], first_d: list[tuple[int, int]]
-) -> tuple[int, int]:
-    """Least (u, v) with disjoint masks; both lists are in vertex order."""
-    return next((u, v) for mask_u, u in first_c for mask_v, v in first_d if not mask_u & mask_v)
+    for a, first_a in enumerate(firsts):
+        for b, first_b in enumerate(firsts[a + 1 :], a + 1):
+            (mask_u, u), (mask_v, v) = first_a[0], first_b[0]
+            if mask_u & mask_v:  # the least vertices share a reaching cycle
+                mask_u, u = next(c for c in first_a if not c[0] >> b & 1)
+                v = next(name for mask, name in first_b if not mask & mask_u)
+            certificates.append((u, v))
+    return ConditionBReport("pass", cycles, tuple(certificates))
 
 
 def _cycle_masks(g: DiGraph, cycles: tuple[CycleRep, ...]) -> list[int]:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ class TestReportBytes:
         # a validated graph with an entry has a second cycle feeding it
         assert outcomes == {(True, False), (True, True), (False, True)}
 
-    def test_separated_graph_reports(self, run, tmp_path):
+    def test_separated_graph_reports(self, run, tmp_path, monkeypatch):
         # a JSON input, a transposed run, orbits, and the text report, on one
         # graph with many condition B certificates
         g = helpers.planted_separated(3)
@@ -232,13 +233,14 @@ class TestReportBytes:
             *(f"  cycle: {','.join(c.edge_ids())}" for c in a.cycles),
             f"condition B: PASS ({len(b.certificates)} certificates)",
             *(
-                f"  pair ({','.join(cert.pair[0].edge_ids())} | {','.join(cert.pair[1].edge_ids())}): "
-                f"u={cert.u} v={cert.v}"
-                for cert in b.certificates
+                f"  pair ({','.join(c.edge_ids())} | {','.join(d.edge_ids())}): u={u} v={v}"
+                for (c, d), (u, v) in zip(combinations(a.cycles, 2), b.certificates)
             ),
             f"condition C: {spectrum.CONDITION_C_NOTE}",
             "hausdorff: YES",
         ]
+        assert run("graph-analyze", str(as_json)) == (0, "\n".join(text) + "\n", "")
+        monkeypatch.setattr(cli, "EMIT_CHUNK", 7)  # the text report is written in many chunks
         assert run("graph-analyze", str(as_json)) == (0, "\n".join(text) + "\n", "")
 
     def test_refused_graph_orbits_json(self, run, tmp_path):
@@ -338,12 +340,11 @@ class TestReportBytes:
 
 
     def test_reports_never_build_certificate_dicts(self, run, tmp_path, monkeypatch):
-        # the CLI renders condition B from the certificates' fields
+        # the CLI renders condition B from the (u, v) pairs themselves
         def refuse(self):
             raise AssertionError("a condition B to_json was called")
 
         monkeypatch.setattr(spectrum.ConditionBReport, "to_json", refuse)
-        monkeypatch.setattr(spectrum.SeparationCertificate, "to_json", refuse)
         path = tmp_path / "separated.graph"
         path.write_text(graph_to_text(helpers.planted_separated(1)))
         code, out, err = run("graph-analyze", str(path))
@@ -779,6 +780,17 @@ class TestHostileInputs:
         code, out, err = run("model-dyadic", "demo-c-failure", "--tests", "1e999999999")
         assert (code, out) == (2, "")
         assert err == "error: bad --tests value: not a rational: '1e999999999'\n"
+
+    def test_empty_tests_value_exits_2(self, run, dual_family_file, s_family_file):
+        # an empty --tests names no test point; it does not ask for the defaults
+        for argv in (
+            ["model-dyadic", "demo-c-failure", "--tests", ""],
+            ["check-family", dual_family_file, "--tests", ""],
+            ["check-family", s_family_file, "--tests", ""],
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
     def test_nul_in_a_path(self, run):
         code, out, err = run("graph-analyze", "g\x00.graph")

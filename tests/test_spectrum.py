@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 from time import perf_counter
 
 import pytest
@@ -250,6 +251,30 @@ class TestConditionBReference:
             beyond_first.add(beyond)
         # the least pair is sometimes the first candidate pair, sometimes later
         assert beyond_first == {False, True}
+
+    def test_certificates_are_name_pairs_in_cycle_pair_order(self):
+        loops = DiGraph.build(
+            [f"v{i:02d}" for i in range(40)], [(f"L{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(40)]
+        )
+        planted = helpers.planted_separated(2, n=60, k=8, chain=10)
+        for g in (loops, planted):
+            report_a = check_condition_a(g)
+            report = check_condition_b(g, report_a)
+            assert report.cycles is report_a.cycles
+            assert type(report.certificates) is tuple
+            assert len(report.certificates) == len(list(combinations(report.cycles, 2)))
+            for pair in report.certificates:
+                assert type(pair) is tuple and list(map(type, pair)) == [str, str]
+            if g is loops:
+                assert report.certificates == tuple(
+                    (f"v{i:02d}", f"v{j:02d}") for i, j in combinations(range(40), 2)
+                )
+            else:
+                expected, _ = brute_condition_b(g, report_a.cycles)
+                assert [
+                    {"pair": [list(c.edge_ids()), list(d.edge_ids())], "u": u, "v": v}
+                    for (c, d), (u, v) in zip(combinations(report.cycles, 2), report.certificates)
+                ] == expected["certificates"]
 
     def test_skipped_when_condition_a_fails(self):
         for g in (helpers.graph_common_ancestor(), helpers.complete_graph(4)):
