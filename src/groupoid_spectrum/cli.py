@@ -17,10 +17,9 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import chain, combinations, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from pathlib import Path
 
 from . import __version__
 from .exact import InputError
@@ -113,15 +112,20 @@ SEED_ENV = "GROUPOID_SPECTRUM_SEED"
 EMIT_CHUNK = 4096  # text report lines per write
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    """Write the JSON report, or the text lines in chunks, each line ending in a newline."""
+def _emit(report: dict, lines, as_json: bool) -> None:
+    """Write the JSON report, or the text lines in chunks, each line ending in a newline.
+
+    ``lines`` may be a generator: it is consumed one chunk at a time, so a
+    text report is never held whole.
+    """
     if as_json:
         _write_json(sys.stdout.write, report)
         sys.stdout.write("\n")
         return
     encoding = getattr(sys.stdout, "encoding", None)  # None for a StringIO
-    for start in range(0, len(lines), EMIT_CHUNK):
-        text = "\n".join(lines[start : start + EMIT_CHUNK]) + "\n"
+    lines = iter(lines)
+    while chunk := list(islice(lines, EMIT_CHUNK)):
+        text = "\n".join(chunk) + "\n"
         if encoding:
             # what stdout cannot encode is written as a backslash escape, as on stderr
             text = text.encode(encoding, "backslashreplace").decode(encoding)
@@ -133,119 +137,160 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
 #
 # Writes exactly what ``json.dumps(report, indent=2)`` would, in pieces.  The
 # per-entry lists of a graph report are rendered from per-cycle templates
-# instead of one dict per entry; everything else goes through the stdlib.
+# instead of one dict per entry; strings, ints, booleans and None are written
+# directly, and everything else goes through the stdlib.
 
 
-def _pad(depth: int) -> str:
-    return "\n" + "  " * depth
+class _Pads(dict):
+    """The newline and indent that open a line ``depth`` levels deep, built once per depth."""
+
+    def __missing__(self, depth: int) -> str:
+        pad = self[depth] = "\n" + "  " * depth
+        return pad
+
+
+_PAD = _Pads()
+
+# json.dumps of a scalar, by its exact type: a bool is not rendered as an int,
+# and subclasses, floats and the rest go to json.dumps itself
+_SCALARS = {
+    str: _quote,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
 
 
 def _write_json(write, value, depth: int = 0) -> None:
     """Write ``value`` as ``json.dumps(value, indent=2)`` renders it ``depth`` levels deep.
 
-    Dicts are opened here, so their values may be item renderers: functions
-    that take the depth of the items and yield blocks of rendered items, each
-    block one or more items joined by a comma and the item indent.
+    Dict keys must be strings.  Dicts are opened here, so their values may
+    be item renderers: functions that take the depth of the items and yield
+    blocks of rendered items, each block one or more items joined by a comma
+    and the item indent.
     """
-    if callable(value):
-        opener = "["
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        write(scalar(value))
+    elif callable(value):
+        inner = _PAD[depth + 1]
+        opener = "[" + inner
         for block in value(depth + 1):
-            write(opener + _pad(depth + 1))
+            write(opener)
             write(block)
-            opener = ","
-        write("[]" if opener == "[" else _pad(depth) + "]")
+            opener = "," + inner
+        write("[]" if opener[0] == "[" else _PAD[depth] + "]")
     elif isinstance(value, dict) and value:
-        opener = "{"
+        inner = _PAD[depth + 1]
+        opener = "{" + inner
         for key, item in value.items():
-            write(f"{opener}{_pad(depth + 1)}{_quote(key)}: ")
-            _write_json(write, item, depth + 1)
-            opener = ","
-        write(_pad(depth) + "}")
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                write(opener + _quote(key) + ": " + scalar(item))
+            else:
+                write(opener + _quote(key) + ": ")
+                _write_json(write, item, depth + 1)
+            opener = "," + inner
+        write(_PAD[depth] + "}")
     elif isinstance(value, (dict, list, tuple)):
-        write(json.dumps(value, indent=2).replace("\n", _pad(depth)))
+        write(json.dumps(value, indent=2).replace("\n", _PAD[depth]))
     else:
         write(json.dumps(value))
 
 
-def _id_list(quoted: list[str], depth: int) -> str:
-    """A nonempty list of quoted ids, rendered ``depth`` deep."""
-    return "[" + _pad(depth + 1) + ("," + _pad(depth + 1)).join(quoted) + _pad(depth) + "]"
+def _id_list(ids: str, depth: int) -> str:
+    """A cycle's quoted ids, joined by newlines (``_quoted_cycles``), as a list ``depth`` deep."""
+    inner = _PAD[depth + 1]
+    return "[" + inner + ids.replace("\n", "," + inner) + _PAD[depth] + "]"
 
 
-def _quoted_ids(cycle: CycleRep) -> list[str]:
-    return list(map(_quote, cycle.edge_ids()))
+def _quoted_cycles(cycles) -> dict[int, str]:
+    """Each cycle's quoted edge ids joined by newlines, by ``id(cycle)``.
+
+    A report quotes every cycle once and renders its lists at any depth from
+    that one string: a quoted id holds no raw newline.
+    """
+    return {id(c): "\n".join(map(_quote, c.edge_ids())) for c in cycles}
 
 
-def _cycle_items(cycles: tuple[CycleRep, ...]):
-    """Item renderer of a list of cycles, one block per cycle."""
+def _cycle_items(quoted):
+    """Item renderer of a list of cycles, given their quoted ids, one block per cycle."""
 
     def render(depth: int):
-        for cycle in cycles:
-            yield _id_list(_quoted_ids(cycle), depth)
+        for ids in quoted:
+            yield _id_list(ids, depth)
 
     return render
 
 
 def _entry_runs(
-    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...],
-) -> list[tuple[CycleRep, list[str]]]:
-    """Per cycle, in order, the cycle and the quoted ids of its entries.
+    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...], quoted: dict[int, str]
+) -> list[tuple[int, str, list[str]]]:
+    """Per cycle, in order, its length, its quoted ids and the quoted ids of its entries.
 
-    ``runs`` are a ``ConditionAReport``'s runs: each cycle with its entries.
+    ``runs`` are a ``ConditionAReport``'s runs: each cycle with its entries;
+    ``quoted`` holds their cycles (``_quoted_cycles``).
     """
-    return [(cycle, [_quote(e.id) for e in run]) for cycle, run in runs]
+    return [(len(cycle), quoted[id(cycle)], [_quote(e.id) for e in run]) for cycle, run in runs]
 
 
-def _entry_items(runs: list[tuple[CycleRep, list[str]]], record=None):
+@lru_cache(maxsize=1024)
+def _entry_tail(record, length: int, depth: int) -> str:
+    """What follows the entry id in an item ``depth`` deep of a cycle of ``length`` edges.
+
+    That is the fields of ``record(length)``, if ``record`` is given, and the
+    closing brace.  A tail is rendered once per process, not once per report;
+    the cache is bounded, since cycle lengths are not.
+    """
+    pad = _PAD[depth + 1]
+    rest = record(length) if record else {}
+    fields = "".join(f",{pad}{_quote(key)}: {json.dumps(value)}" for key, value in rest.items())
+    return fields + _PAD[depth] + "}"
+
+
+def _entry_items(runs: list[tuple[int, str, list[str]]], record=None):
     """Item renderer of the ``entries`` list, or of ``stabilizer_discontinuity`` given ``record``.
 
     ``runs`` comes from ``_entry_runs``, so both lists share one pass over the
     entries.  Every item opens with the cycle and the entry, so each cycle's
     items are one join of its quoted entry ids between that head and a tail.
     The tail closes an entries item; ``record`` maps a cycle length to the
-    rest of a stabilizer item, which the tail renders first.  Tails are
-    rendered once per cycle length.
+    rest of a stabilizer item, which the tail renders first (``_entry_tail``).
     """
 
     def render(depth: int):
-        pad = _pad(depth + 1)
-        close = _pad(depth) + "}"
-        tails: dict[int, str] = {}
-        for cycle, ids in runs:
-            head = f'{{{pad}"cycle": {_id_list(_quoted_ids(cycle), depth + 1)},{pad}"entry": '
-            if len(cycle) not in tails:
-                rest = record(len(cycle)) if record else {}
-                tails[len(cycle)] = "".join(
-                    f",{pad}{_quote(key)}: {json.dumps(value)}" for key, value in rest.items()
-                ) + close
-            tail = tails[len(cycle)]
-            yield head + (tail + "," + _pad(depth) + head).join(ids) + tail
+        pad = _PAD[depth + 1]
+        item = "," + _PAD[depth]
+        for length, cycle, ids in runs:
+            head = f'{{{pad}"cycle": {_id_list(cycle, depth + 1)},{pad}"entry": '
+            tail = _entry_tail(record, length, depth)
+            yield head + (tail + item + head).join(ids) + tail
 
     return render
 
 
-def _certificate_items(cycles: tuple[CycleRep, ...], certificates):
+def _certificate_items(quoted, certificates):
     """Item renderer of condition B's ``certificates``, one block per first cycle.
 
-    ``certificates`` are those of ``check_condition_b``: one (u, v) per pair
-    (a, b), a < b, of ``cycles``, in that order.  Each cycle's id list is
-    rendered once; an item is its pair's two lists and the quoted u and v
-    between fixed pieces.
+    ``quoted`` are the cycles' quoted ids, and ``certificates`` those of
+    ``check_condition_b``: one (u, v) per pair (a, b), a < b, of the cycles,
+    in that order.  Each cycle's id list is rendered once; an item is its
+    pair's two lists and the quoted u and v between fixed pieces.
     """
 
     def render(depth: int):
         if not certificates:  # condition B skipped
             return
-        pad = _pad(depth + 1)
-        lists = [_id_list(_quoted_ids(c), depth + 2) for c in cycles]
-        between = "," + _pad(depth + 2)
+        pad = _PAD[depth + 1]
+        lists = [_id_list(ids, depth + 2) for ids in quoted]
+        between = "," + _PAD[depth + 2]
         u_key = pad + "]," + pad + '"u": '
         v_key = "," + pad + '"v": '
-        close = _pad(depth) + "}"
+        close = _PAD[depth] + "}"
         remaining = iter(certificates)
         for a, first in enumerate(lists[:-1]):
-            head = f'{{{pad}"pair": [{_pad(depth + 2)}{first}{between}'
-            yield ("," + _pad(depth)).join(
+            head = f'{{{pad}"pair": [{_PAD[depth + 2]}{first}{between}'
+            yield ("," + _PAD[depth]).join(
                 [
                     head + second + u_key + _quote(u) + v_key + _quote(v) + close
                     for second, (u, v) in zip(lists[a + 1:], remaining)
@@ -257,7 +302,8 @@ def _certificate_items(cycles: tuple[CycleRep, ...], certificates):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as file:  # a byte-order mark is dropped
+            return file.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
 
@@ -291,13 +337,15 @@ def cmd_graph_analyze(args) -> int:
         _emit(report, lines, args.json)
         return 2
     a, b = verdict.condition_a, verdict.condition_b
-    runs = _entry_runs(a.runs)
-    condition_a = {"pass": a.passed, "cycles": _cycle_items(a.cycles), "entries": _entry_items(runs)}
+    quoted = _quoted_cycles(a.cycles)
+    runs = _entry_runs(a.runs, quoted)
+    cycles = quoted.values()
+    condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
     if not a.passed:
         condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
     condition_b = {
         "pass": True if b.status == "pass" else "skipped",
-        "certificates": _certificate_items(a.cycles, b.certificates),
+        "certificates": _certificate_items(cycles, b.certificates),
     }
     report = _envelope(
         "graph-analyze",
@@ -309,20 +357,22 @@ def cmd_graph_analyze(args) -> int:
         condition_c=CONDITION_C_NOTE,
         hausdorff=verdict.hausdorff,
     )
-    _emit(report, [] if args.json else _analyze_lines(verdict), args.json)
+    _emit(report, _analyze_lines(verdict), args.json)
     return 0
 
 
-def _analyze_lines(verdict) -> list[str]:
+def _analyze_lines(verdict):
+    """The text report's lines, generated one at a time."""
     a, b = verdict.condition_a, verdict.condition_b
-    lines = [
-        "validated: yes",
+    yield "validated: yes"
+    yield (
         f"condition A: {'PASS' if a.passed else 'FAIL'} "
-        f"({len(a.cycles)} cycles, {sum(len(run) for _, run in a.runs)} entries)",
-    ]
+        f"({len(a.cycles)} cycles, {sum(len(run) for _, run in a.runs)} entries)"
+    )
     joined = [",".join(c.edge_ids()) for c in a.cycles]
-    lines += [f"  cycle: {ids}" for ids in joined]
-    lines += _entry_lines(a.runs)
+    for ids in joined:
+        yield f"  cycle: {ids}"
+    yield from _entry_lines(a.runs)
     discontinuity: dict[int, str] = {}  # the line per cycle length
     for c, run in a.runs:
         if len(c) not in discontinuity:
@@ -331,27 +381,23 @@ def _analyze_lines(verdict) -> list[str]:
                 f"  stabilizer discontinuity: approximating periods 0, "
                 f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
             )
-        lines += [discontinuity[len(c)]] * len(run)
+        yield from repeat(discontinuity[len(c)], len(run))
     if b.status == "skipped":
-        lines.append("condition B: SKIPPED (condition A failed)")
+        yield "condition B: SKIPPED (condition A failed)"
     else:
-        lines.append(f"condition B: PASS ({len(b.certificates)} certificates)")
-        lines += [
-            f"  pair ({first} | {second}): u={u} v={v}"
-            for (first, second), (u, v) in zip(combinations(joined, 2), b.certificates)
-        ]
-    lines.append(f"condition C: {CONDITION_C_NOTE}")
-    lines.append(f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}")
-    return lines
+        yield f"condition B: PASS ({len(b.certificates)} certificates)"
+        for (first, second), (u, v) in zip(combinations(joined, 2), b.certificates):
+            yield f"  pair ({first} | {second}): u={u} v={v}"
+    yield f"condition C: {CONDITION_C_NOTE}"
+    yield f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}"
 
 
-def _entry_lines(runs) -> list[str]:
+def _entry_lines(runs):
     """The text lines of the entries, one per entry; each cycle's ids are joined once."""
-    lines = []
     for c, run in runs:
         cycle = ",".join(c.edge_ids())
-        lines += [f"  entry: {e.id} -> cycle {cycle}" for e in run]
-    return lines
+        for e in run:
+            yield f"  entry: {e.id} -> cycle {cycle}"
 
 
 def cmd_graph_orbits(args) -> int:
@@ -359,6 +405,7 @@ def cmd_graph_orbits(args) -> int:
     require_validated(g)
     report_a = check_condition_a(g)
     if not report_a.passed:
+        runs = report_a.runs
         report = _envelope(
             "graph-orbits",
             input=args.graph,
@@ -366,10 +413,9 @@ def cmd_graph_orbits(args) -> int:
             validated=True,
             refused=True,
             reason=ORBIT_REFUSAL,
-            entries=_entry_items(_entry_runs(report_a.runs)),
+            entries=_entry_items(_entry_runs(runs, _quoted_cycles(c for c, _ in runs))),
         )
-        lines = [] if args.json else [f"refused: {ORBIT_REFUSAL}", *_entry_lines(report_a.runs)]
-        _emit(report, lines, args.json)
+        _emit(report, chain([f"refused: {ORBIT_REFUSAL}"], _entry_lines(runs)), args.json)
         return 0
     reps = report_a.cycles
     report = _envelope(
@@ -378,7 +424,7 @@ def cmd_graph_orbits(args) -> int:
         transpose=args.transpose,
         validated=True,
         refused=False,
-        orbits=_cycle_items(reps),
+        orbits=_cycle_items(_quoted_cycles(reps).values()),
         count=len(reps),
     )
     lines = [f"orbits: {len(reps)}"] + [f"  {','.join(c.edge_ids())}" for c in reps]

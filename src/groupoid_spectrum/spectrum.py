@@ -86,20 +86,24 @@ class FiberMismatchError(ValueError):
 # Condition A
 
 
+# the Fell limit of the approximating paths' subgroups, the same for every entry
+_APPROX_LIMIT = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
+
+
 def stabilizer_record(period: int) -> dict:
     """Why an entry into a cycle of length ``period`` breaks continuity of the period subgroups.
 
     The paths x_i that follow the cycle i times before leaving through the
     entry converge to the cycle's periodic path, but each has head period 0,
     so their subgroups converge to {0}, while the limit has period
-    ``period``.  The record depends on nothing else.
+    ``period``.  The record depends on nothing else; each call returns a
+    new dict.
     """
-    approx = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
     return {
         "approx_periods": "constant 0",
-        "approx_fell_limit": approx.label(),
+        "approx_fell_limit": _APPROX_LIMIT.label(),
         "period_at_limit": FellLimit(True, period).label(),
-        "continuous": approx.period == period,
+        "continuous": _APPROX_LIMIT.period == period,
     }
 
 

@@ -1,16 +1,19 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from groupoid_spectrum import cli, digraph, spectrum
-from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, main
+from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, _quote, main
 from groupoid_spectrum.digraph import DiGraph, graph_to_json, graph_to_text, validate_graph
 from groupoid_spectrum.spectrum import (
     ConditionARequired,
@@ -162,6 +165,23 @@ class TestGraphAnalyze:
         assert code == 2
         assert "cannot read" in err
 
+    def test_unreadable_file_messages(self, run, tmp_path):
+        missing = str(tmp_path / "missing.graph")
+        latin1 = tmp_path / "latin1.graph"
+        latin1.write_bytes("v caf\xe9\n".encode("latin-1"))
+        assert run("graph-analyze", missing) == (
+            2, "", f"error: cannot read {missing}: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+        assert run("graph-analyze", str(tmp_path)) == (
+            2, "", f"error: cannot read {tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        )
+        assert run("graph-analyze", str(latin1)) == (
+            2,
+            "",
+            f"error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            "invalid continuation byte\n",
+        )
+
     def test_transpose_matches_pre_reversed_input(self, run, tmp_path, funnel_file):
         reversed_path = tmp_path / "reversed.graph"
         reversed_path.write_text(
@@ -188,18 +208,41 @@ class TestReportBytes:
         yield helpers.planted_separated(1)
         yield helpers.planted_separated(2, n=300, k=20, chain=60)
 
+    @staticmethod
+    def analyze_reference(g: DiGraph, path: str) -> str:
+        """``graph-analyze --json`` of ``g`` read from ``path``, as json.dumps writes it."""
+        verdict = decide_hausdorff_spectrum(g)
+        report = _envelope("graph-analyze", input=path, transpose=False) | verdict.to_json()
+        report["condition_a"] = helpers.condition_a_json(verdict.condition_a)
+        return json.dumps(report, indent=2) + "\n"
+
+    @staticmethod
+    def refusal_reference(g: DiGraph, path: str) -> str:
+        """``graph-orbits --json`` of ``g`` (condition A fails) read from ``path``, as json.dumps writes it."""
+        report_a = check_condition_a(g)
+        with pytest.raises(ConditionARequired) as refusal:
+            orbits(g)
+        report = _envelope(
+            "graph-orbits",
+            input=path,
+            transpose=False,
+            validated=True,
+            refused=True,
+            reason=str(refusal.value),
+            entries=helpers.condition_a_json(report_a)["entries"],
+        )
+        return json.dumps(report, indent=2) + "\n"
+
     def test_graph_analyze_json(self, run, tmp_path):
         path = str(tmp_path / "g.graph")
         outcomes = set()
         for g in self.graphs():
             Path(path).write_text(graph_to_text(g))
             code, out, _ = run("graph-analyze", path, "--json")
-            verdict = decide_hausdorff_spectrum(g)
-            report = _envelope("graph-analyze", input=path, transpose=False) | verdict.to_json()
-            report["condition_a"] = helpers.condition_a_json(verdict.condition_a)
             assert code == 0
-            assert out == json.dumps(report, indent=2) + "\n"
-            outcomes.add((verdict.condition_a.passed, len(verdict.condition_a.cycles) > 1))
+            assert out == self.analyze_reference(g, path)
+            report_a = check_condition_a(g)
+            outcomes.add((report_a.passed, len(report_a.cycles) > 1))
         # a validated graph with an entry has a second cycle feeding it
         assert outcomes == {(True, False), (True, True), (False, True)}
 
@@ -247,26 +290,38 @@ class TestReportBytes:
         path = str(tmp_path / "g.graph")
         refused = 0
         for g in self.graphs():
-            report_a = check_condition_a(g)
-            if report_a.passed:
+            if check_condition_a(g).passed:
                 continue
-            with pytest.raises(ConditionARequired) as refusal:
-                orbits(g)
             Path(path).write_text(graph_to_text(g))
             code, out, _ = run("graph-orbits", path, "--json")
-            report = _envelope(
-                "graph-orbits",
-                input=path,
-                transpose=False,
-                validated=True,
-                refused=True,
-                reason=str(refusal.value),
-                entries=helpers.condition_a_json(report_a)["entries"],
-            )
             assert code == 0
-            assert out == json.dumps(report, indent=2) + "\n"
+            assert out == self.refusal_reference(g, path)
             refused += 1
         assert refused > 100
+
+    def test_entry_tails_are_shared_across_reports_and_depths(self, run, tmp_path):
+        # The tail of an entries or stabilizer item is rendered once per
+        # process for each cycle length and depth: graph-orbits lists the
+        # entries one level higher than graph-analyze, and reports alternate.
+        letters = "abc"
+        graphs = [
+            # cycles of lengths 1, 2 and 3, each with entries
+            DiGraph.build(list(letters), [(s + r, s, r) for s in letters for r in letters]),
+            helpers.graph_loop_with_entry(),
+            helpers.complete_graph(3),
+            helpers.bouquet(3),
+        ]
+        assert {len(c) for c, _ in check_condition_a(graphs[0]).runs} == {1, 2, 3}
+        cli._entry_tail.cache_clear()
+        path = str(tmp_path / "g.graph")
+        for _ in range(2):
+            for g in graphs:
+                Path(path).write_text(graph_to_text(g))
+                assert run("graph-orbits", path, "--json") == (0, self.refusal_reference(g, path), "")
+                assert run("graph-analyze", path, "--json") == (0, self.analyze_reference(g, path), "")
+        # lengths 1, 2 and 3, each with the orbits entries tail and the
+        # analyze entries and stabilizer tails
+        assert cli._entry_tail.cache_info().misses == 9
 
     def test_graph_analyze_text(self, run, tmp_path):
         # two loops and the 2-cycle between them: every cycle has entries
@@ -353,6 +408,98 @@ class TestReportBytes:
         code, out, err = run("graph-analyze", str(path), "--json")
         assert (code, err) == (0, "")
         assert len(json.loads(out)["condition_b"]["certificates"]) == 120
+
+
+# JSON values for the writer: bools next to 0 and 1, ints past 2**64, floats
+# with their special values, and strings with control characters, non-ASCII
+# characters and lone surrogates
+json_texts = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "café", "\x00", "\x1f", "\n", '"\\', "\u2028", "\ud800", "x\udfffy", "\U0001f600"]
+)
+json_scalars = st.one_of(
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.none(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]),
+    json_texts,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(json_texts, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    """``_write_json`` writes exactly what ``json.dumps(value, indent=2)`` does."""
+
+    @staticmethod
+    def written(value) -> str:
+        parts = []
+        cli._write_json(parts.append, value)
+        return "".join(parts)
+
+    @given(json_values)
+    @settings(max_examples=300, derandomize=True)
+    def test_equals_json_dumps(self, value):
+        assert self.written(value) == json.dumps(value, indent=2)
+
+    @given(json_values, st.lists(st.lists(json_texts, min_size=1, max_size=3), max_size=3))
+    @settings(max_examples=150, derandomize=True)
+    def test_equals_json_dumps_next_to_an_item_renderer(self, value, cycles):
+        quoted = ["\n".join(map(_quote, ids)) for ids in cycles]
+        written = self.written({"before": value, "cycles": cli._cycle_items(quoted), "after": {"x": value}})
+        assert written == json.dumps({"before": value, "cycles": cycles, "after": {"x": value}}, indent=2)
+
+    @given(json_texts, json_texts)
+    @settings(max_examples=200, derandomize=True)
+    def test_strings_and_keys(self, key, text):
+        assert self.written(text) == json.dumps(text)
+        assert self.written({key: text, "nested": {key: [text]}}) == json.dumps(
+            {key: text, "nested": {key: [text]}}, indent=2
+        )
+
+
+class TestTextStreaming:
+    def test_lines_are_written_as_they_are_generated(self, monkeypatch):
+        drawn, writes = [], []
+
+        def lines():
+            for i in range(10):
+                drawn.append(i)
+                yield f"line {i}"
+
+        class Out:
+            encoding = None
+
+            def write(self, text):
+                writes.append((len(drawn), text))
+
+        monkeypatch.setattr(cli, "EMIT_CHUNK", 4)
+        monkeypatch.setattr(sys, "stdout", Out())
+        cli._emit({}, lines(), as_json=False)
+        assert [n for n, _ in writes] == [4, 8, 10]
+        assert "".join(text for _, text in writes) == "".join(f"line {i}\n" for i in range(10))
+
+    def test_graph_reports_pass_generators(self, run, monkeypatch, entry_file, funnel_file):
+        kinds = []
+        emit = cli._emit
+
+        def spy(report, lines, as_json):
+            kinds.append(isinstance(lines, (list, tuple)))
+            emit(report, lines, as_json)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        assert run("graph-analyze", entry_file)[0] == 0
+        assert run("graph-analyze", funnel_file)[0] == 0
+        assert run("graph-orbits", entry_file)[0] == 0  # refused
+        assert kinds == [False, False, False]
 
 
 class TestGraphOrbits:

@@ -10,6 +10,7 @@ from time import perf_counter
 import pytest
 
 import helpers
+from groupoid_spectrum import spectrum
 from groupoid_spectrum.digraph import CycleRep, DiGraph, InvalidGraphError
 from groupoid_spectrum.oracle import naive_reach_sets
 from groupoid_spectrum.spectrum import (
@@ -101,6 +102,25 @@ class TestDecision:
                 "period_at_limit": f"{period}Z",
                 "continuous": False,
             }
+
+    def test_stabilizer_records_are_fresh_and_share_one_limit(self, monkeypatch):
+        # the {0} limit is computed once, at import; each call still returns a new dict
+        def refuse(family):
+            raise AssertionError("the Fell limit was computed again")
+
+        monkeypatch.setattr(spectrum, "fell_subgroup_limit", refuse)
+        first = stabilizer_record(3)
+        expected = dict(first)
+        first["approx_fell_limit"] = "changed"
+        first["extra"] = True
+        second = stabilizer_record(3)
+        assert second == expected and second is not first
+        assert expected == {
+            "approx_periods": "constant 0",
+            "approx_fell_limit": "{0}",
+            "period_at_limit": "3Z",
+            "continuous": False,
+        }
 
     def test_condition_a_shares_one_fell_limit(self):
         # each discontinuity item is its entries item with the record of its cycle length
