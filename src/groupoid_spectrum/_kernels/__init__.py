@@ -2,6 +2,7 @@
 
 Vertices and arcs are dense integer indices, and the arcs leaving each
 vertex are given in compressed rows: offsets ``start`` into a flat array.
+The cycle search splits the graph into strongly connected components itself.
 """
 
 from __future__ import annotations
@@ -68,37 +69,41 @@ def components(start: list[int], heads: list[int]) -> list[list[int]]:
     return found[::-1]
 
 
-def simple_cycles(dst: list[int], start: list[int], arcs: list[int], parts: list) -> list[tuple[int, ...]]:
-    """All simple cycles inside ``parts``, as tuples of arc indices in traversal order.
+def simple_cycles(dst: list[int], start: list[int], arcs: list[int]) -> list[tuple[int, ...]]:
+    """All simple cycles, as tuples of arc indices in traversal order.
 
     Arc j runs to ``dst[j]``; the arcs leaving vertex v are
-    ``arcs[start[v]:start[v + 1]]``.  ``parts`` are disjoint strongly
-    connected vertex sets, and only arcs inside one part are followed.
-    Johnson's algorithm (1975): search a part from its least vertex with
-    blocking, then the cyclic components of the rest (a part that is a single
-    cycle has none), so each search finds a cycle and the time is
-    O((V + E)(C + 1)) for C cycles.
+    ``arcs[start[v]:start[v + 1]]``.  Johnson's algorithm (1975): search each
+    cyclic component from its least vertex with blocking, then the cyclic
+    components of the rest.  Every part searched is a cyclic component, so
+    each search finds a cycle and the time is O((V + E)(C + 1)) for C cycles.
     Parallel arcs yield distinct cycles; the output order is deterministic.
     """
-    out = {v: arcs[start[v]:start[v + 1]] for part in parts for v in part}
+    todo = _cyclic_parts(range(len(start) - 1), start, list(map(dst.__getitem__, arcs)))
+    out = {v: arcs[start[v]:start[v + 1]] for part in todo for v in part}
     cycles: list[tuple[int, ...]] = []
-    todo = [sorted(part, reverse=True) for part in parts]
     while todo:
         part = todo.pop()
-        inside = set(part)
         s = part.pop()  # the least vertex: parts are sorted in descending order
-        _circuits(out, dst, inside, s, cycles)
-        if sum(dst[j] in inside for v in inside for j in out[v]) == len(inside):
-            continue  # as many arcs as vertices: the part is one cycle, now found
+        _circuits(out, dst, {s, *part}, s, cycles)
         local = {v: k for k, v in enumerate(part)}
         succ = [[local[dst[j]] for j in out[v] if dst[j] in local] for v in part]
-        found = components(list(accumulate(map(len, succ), initial=0)), list(chain.from_iterable(succ)))
-        todo += [
-            sorted((part[k] for k in comp), reverse=True)
-            for comp in found
-            if len(comp) > 1 or comp[0] in succ[comp[0]]
-        ]
+        if any(succ):  # a rest without arcs has no cycle
+            rows = list(accumulate(map(len, succ), initial=0))
+            todo += _cyclic_parts(part, rows, list(chain.from_iterable(succ)))
     return cycles
+
+
+def _cyclic_parts(names, start: list[int], heads: list[int]) -> list[list[int]]:
+    """The components with a cycle (>1 vertex or a loop), as ``names`` in descending order.
+
+    Vertex k, called ``names[k]``, has arcs to ``heads[start[k]:start[k + 1]]``.
+    """
+    return [
+        sorted(map(names.__getitem__, comp), reverse=True)
+        for comp in components(start, heads)
+        if len(comp) > 1 or comp[0] in heads[start[comp[0]]:start[comp[0] + 1]]
+    ]
 
 
 def _circuits(out, dst, inside: set[int], s: int, cycles: list) -> None:

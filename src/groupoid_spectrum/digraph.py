@@ -1,4 +1,4 @@
-"""Finite directed multigraphs, strongly connected components, and cycle/entry analysis.
+"""Finite directed multigraphs and their cycle/entry analysis.
 
 Conventions (fixed throughout the package):
 
@@ -15,6 +15,10 @@ A ``DiGraph`` is held as integer arrays: each edge's source and range are
 indices into the vertex names.  ``Edge`` objects are built on demand, once
 per edge, for the edges a caller looks at; the decision builds them only for
 the cycle edges and the edges into cycles.
+
+Condition A (no cycle has an entry) is an in-degree property, decided in
+O(V + E) by ``DiGraph.pointer_cycles``; only when it fails does the kernel
+search for cycles.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import attrgetter, eq
+from operator import attrgetter
 
 from . import _kernels
 from .exact import InputError
@@ -34,16 +38,12 @@ __all__ = [
     "DiGraph",
     "FinPath",
     "CycleRep",
-    "Components",
     "Violation",
     "InvalidGraphError",
     "GraphParseError",
     "validate_graph",
     "require_validated",
-    "strongly_connected_components",
     "entry_free_cycles",
-    "cycle_vertices",
-    "in_range_degrees",
     "parse_graph_text",
     "parse_graph_json",
     "parse_graph",
@@ -158,9 +158,54 @@ class DiGraph:
         return start, arcs
 
     @cached_property
-    def components(self) -> "Components":
-        """Strongly connected components; shared by conditions A and B."""
-        return strongly_connected_components(self)
+    def pointer_cycles(self) -> tuple[list[tuple[int, ...]], list[int]] | None:
+        """The first-in-edge pointer cycles and the Kahn peel order; None unless condition A holds.
+
+        Each vertex with an in-edge points back along its first one; each
+        cycle of these pointers is a cycle of the graph, given as its edge
+        indices in traversal order.  Condition A holds iff every vertex on
+        them has in-degree 1 and a Kahn peel (Kahn 1962) seeded with them and
+        the vertices without in-edges takes every vertex: a cycle the peel
+        leaves is no pointer cycle, so some vertex of it has an entry as its
+        first in-edge.  Then the pointer cycles are all the cycles, and the
+        order lists their vertices, the other seeds, then each vertex after
+        the tails of its in-edges.  O(V + E).
+        """
+        n = len(self.names)
+        src, dst = self.src, self.dst
+        first, left = [-1] * n, [0] * n  # the first in-edge and the in-degree of each vertex
+        for j, d in enumerate(dst):
+            if not left[d]:
+                first[d] = j
+            left[d] += 1
+        walked = [-1] * n  # the root of the walk that reached each vertex
+        cycles, on_cycles = [], []
+        for root in range(n):
+            v, path = root, []
+            while walked[v] < 0:
+                walked[v] = root
+                path.append(v)
+                if first[v] < 0:
+                    break
+                v = src[first[v]]
+            else:
+                if walked[v] == root:  # the walk closed on itself
+                    ring = path[path.index(v):]
+                    if any(left[u] > 1 for u in ring):
+                        return None
+                    cycles.append(tuple(map(first.__getitem__, reversed(ring))))
+                    on_cycles += ring
+        order = on_cycles + [v for v in range(n) if first[v] < 0]
+        for v in on_cycles:
+            left[v] = 0  # its only in-edge is its cycle's, which takes it below 0
+        start, arcs = self.out_arcs
+        heads = list(map(dst.__getitem__, arcs))
+        for u in order:
+            for w in heads[start[u]:start[u + 1]]:
+                left[w] -= 1
+                if not left[w]:
+                    order.append(w)
+        return (cycles, order) if len(order) == n else None
 
     def transpose(self) -> "DiGraph":
         """Same graph with every edge reversed."""
@@ -316,59 +361,30 @@ class CycleRep:
         return (len(self.edges), self.edge_ids())
 
 
-@dataclass(frozen=True)
-class Components:
-    """Strongly connected components in topological order of the condensation.
-
-    Component ids follow a topological order: every edge between two
-    components runs from a lower id to a higher one, so sources come first.
-    """
-
-    of: tuple[int, ...]  # component id per vertex index
-    members: tuple[tuple[int, ...], ...]  # vertex indices per component
-    cyclic: tuple[bool, ...]  # the component carries a cycle (>1 vertex or a loop)
-
-
-def strongly_connected_components(g: DiGraph) -> Components:
-    """One Tarjan pass over the out-edge arrays, in O(V + E)."""
-    start, arcs = g.out_arcs
-    found = _kernels.components(start, list(map(g.dst.__getitem__, arcs)))
-    of = [0] * len(g.names)
-    for c, comp in enumerate(found):
-        for v in comp:
-            of[v] = c
-    cyclic = [len(comp) > 1 for comp in found]
-    for s in compress(g.src, map(eq, g.src, g.dst)):  # loops
-        cyclic[of[s]] = True
-    return Components(tuple(of), tuple(map(tuple, found)), tuple(cyclic))
-
-
 def entry_free_cycles(
     g: DiGraph,
 ) -> tuple[tuple[CycleRep, ...], tuple[tuple[CycleRep, tuple[Edge, ...]], ...]]:
     """All simple cycles, sorted by ``CycleRep.sort_key``, and their entry runs.
 
     Each run is a cycle with entries, in cycle order, and its entry edges in
-    edge id order; no run is empty.  Cycles are enumerated inside the cyclic
-    components, in time bounded by the output.  Condition A holds iff there
-    are no runs: iff no cycle vertex has a second in-range edge.
+    edge id order; no run is empty.  Condition A holds iff there are no runs.
+    ``g.pointer_cycles`` decides it in O(V + E) and, when it holds, gives all
+    the cycles.  Only otherwise does the kernel enumerate them, in time
+    bounded by the output; the entries are the other in-edges of their vertices.
     """
-    comps = g.components
-    parts = list(compress(comps.members, comps.cyclic))
-    on_cycles = bytearray(len(g.names))
-    for v in chain.from_iterable(parts):
-        on_cycles[v] = 1
+    pointer = g.pointer_cycles  # None when condition A fails
+    found = pointer[0] if pointer else _kernels.simple_cycles(g.dst, *g.out_arcs)
+    on_cycles = set(map(g.dst.__getitem__, chain.from_iterable(found)))
     # the edges into cycle vertices: every cycle edge and every entry
-    into_cycles = list(compress(range(len(g.dst)), map(on_cycles.__getitem__, g.dst)))
+    into_cycles = list(compress(range(len(g.dst)), map(on_cycles.__contains__, g.dst)))
     edge_at = dict(zip(into_cycles, g.edges.at(into_cycles)))
     cycles = [
-        # kernel output is in traversal order; path convention is its reverse
+        # traversal order; path convention is its reverse
         CycleRep(tuple(map(edge_at.__getitem__, reversed(arc_tuple))))
-        for arc_tuple in _kernels.simple_cycles(g.dst, *g.out_arcs, parts)
+        for arc_tuple in found
     ]
     cycles.sort(key=CycleRep.sort_key)
-    if len(into_cycles) == sum(map(len, parts)):
-        # each cycle vertex has its cycle's in-edge, so none has a second
+    if pointer:
         return tuple(cycles), ()
     # each cycle's entries in edge id order, walking the sorted cycles, give
     # the runs in (cycle, entry id) order without sorting across cycles
@@ -384,22 +400,6 @@ def entry_free_cycles(
         if run:
             runs.append((c, run))
     return tuple(cycles), tuple(runs)
-
-
-def cycle_vertices(g: DiGraph) -> frozenset[str]:
-    """Vertices lying on at least one cycle: those of cyclic components."""
-    comps = g.components
-    return frozenset(
-        g.names[v] for members in compress(comps.members, comps.cyclic) for v in members
-    )
-
-
-def in_range_degrees(g: DiGraph) -> dict[str, int]:
-    """Number of edges with rng == v, per vertex."""
-    deg = dict.fromkeys(g.vertices, 0)
-    for v in map(g.names.__getitem__, g.dst):
-        deg[v] += 1
-    return deg
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ The decision runs two graph conditions:
   reached from the second cycle and from no cycle reaching u.  Skipped when
   condition A fails.
 
-Both conditions read the strongly connected components of the graph: the
-cycle vertices are those of cyclic components, and under condition A two
-vertices have a common ancestor exactly when some cycle reaches both.
+Both conditions read one O(V + E) pass, ``DiGraph.pointer_cycles``: it
+decides condition A from the in-degrees on cycles, and its peel order
+carries condition B's masks of the cycles reaching each vertex.
 
 When both pass, the remaining separation condition for convergent character
 sequences holds automatically: an arrow between two characters in the same
@@ -37,7 +37,7 @@ import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 from math import lcm
 
 from .digraph import (
@@ -197,12 +197,11 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     """The least separating vertex pair of every pair of distinct cycles.
 
     Skipped unless condition A holds.  ``g`` must be validated, as
-    ``decide_hausdorff_spectrum`` ensures: then every source component of the
-    condensation carries a cycle, and under A nothing enters a cycle, so the
-    sources are exactly the cycles.  Every ancestor chain starts in one, so
-    u and v are separated exactly when no cycle reaches both: their masks of
-    reaching cycles are disjoint.  A cycle's own vertices carry only its own
-    bit, so every pair of cycles is separated.
+    ``decide_hausdorff_spectrum`` ensures: then every ancestor chain starts
+    on a cycle, and under A nothing enters a cycle, so u and v are separated
+    exactly when no cycle reaches both: their masks of reaching cycles, pushed
+    along the peel order of ``g.pointer_cycles``, are disjoint.  A cycle's own
+    vertices carry only its own bit, so every pair of cycles is separated.
 
     It also gives the least pair of cycles a < b by two scans of the
     candidates in name order: u is the first candidate of a whose mask lacks
@@ -213,12 +212,23 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     cycles = report_a.cycles  # sorted by CycleRep.sort_key
     if not report_a.passed:
         return ConditionBReport("skipped", cycles, ())
-    of = g.components.of
-    masks = _cycle_masks(g, cycles)
+    # cycle vertices first, then each vertex after its in-edges' tails: one push finishes each mask
+    _, peel = g.pointer_cycles
+    bit_of = {e.rng: 1 << bit for bit, c in enumerate(cycles) for e in c.edges}
+    masks = [0] * len(g.names)  # per vertex, bit k set iff cycles[k] reaches it
+    for v in peel[: len(bit_of)]:
+        masks[v] = bit_of[g.names[v]]
+    dst = g.dst
+    start, arcs = g.out_arcs
+    for u in peel:
+        mask = masks[u]
+        if mask:
+            for j in arcs[start[u]:start[u + 1]]:
+                masks[dst[j]] |= mask
     # the least vertex, in name order, of each distinct mask; the candidates
     # from a cycle's reach set are the masks holding its bit
     order = sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
-    ranked = list(map(masks.__getitem__, map(of.__getitem__, order)))
+    ranked = list(map(masks.__getitem__, order))
     least = dict(zip(reversed(ranked), range(len(ranked) - 1, -1, -1)))  # mask -> least rank
     firsts: list[list[tuple[int, str]]] = [[] for _ in cycles]
     for rank, mask in sorted((rank, mask) for mask, rank in least.items()):
@@ -237,23 +247,6 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
                 v = next(name for mask, name in first_b if not mask & mask_u)
             certificates.append((u, v))
     return ConditionBReport("pass", cycles, tuple(certificates))
-
-
-def _cycle_masks(g: DiGraph, cycles: tuple[CycleRep, ...]) -> list[int]:
-    """Per component, a bitmask of the cycles that reach it (bit k: cycles[k])."""
-    comps = g.components
-    of = comps.of
-    bits = {c.edges[0].rng: 1 << bit for bit, c in enumerate(cycles)}
-    masks = [0] * len(comps.members)
-    for v in compress(range(len(g.names)), map(bits.__contains__, g.names)):
-        masks[of[v]] = bits[g.names[v]]
-    tails = list(map(of.__getitem__, g.src))
-    heads = list(map(of.__getitem__, g.dst))
-    # component ids are topological, so taking the edges by their tail's
-    # component finishes a mask before it is pushed
-    for j in sorted(range(len(tails)), key=tails.__getitem__):
-        masks[heads[j]] |= masks[tails[j]]
-    return masks
 
 
 # ---------------------------------------------------------------------------

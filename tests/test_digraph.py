@@ -2,8 +2,10 @@
 
 import json
 import random
+from collections import Counter
 from datetime import timedelta
 from math import comb, factorial
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,17 +21,16 @@ from groupoid_spectrum.digraph import (
     FinPath,
     GraphParseError,
     InvalidGraphError,
-    cycle_vertices,
     entry_free_cycles,
     graph_to_json,
     graph_to_text,
-    in_range_degrees,
     parse_graph,
     parse_graph_json,
     parse_graph_text,
     require_validated,
     validate_graph,
 )
+from groupoid_spectrum.oracle import naive_entries, naive_simple_cycles
 from groupoid_spectrum.spectrum import ConditionAReport, check_condition_a
 
 G3_TEXT = """\
@@ -283,12 +284,10 @@ class TestReachability:
     def test_funnel_reach_sets(self):
         # a and b reach t and not each other: two loop components before t
         g = helpers.graph_two_loops_funnel()
-        comps = g.components
-        of = dict(zip(g.vertices, comps.of))
+        of, on_cycles = helpers.kernel_components(g)
         assert len(set(of.values())) == 3
         assert of["t"] > of["a"] and of["t"] > of["b"]
-        assert comps.cyclic[of["a"]] and comps.cyclic[of["b"]]
-        assert not comps.cyclic[of["t"]]
+        assert on_cycles == {"a", "b"}
         helpers.assert_components_match_reach(g, helpers.brute_reach(g))
 
     def test_matches_relational_composition(self):
@@ -383,26 +382,90 @@ class TestCycles:
             with pytest.raises(ValueError, match=message):
                 entry_free_cycles(g)
 
-    def test_cycle_vertices(self):
-        assert cycle_vertices(helpers.graph_two_loops_funnel()) == {"a", "b"}
-        assert cycle_vertices(helpers.graph_three_cycle()) == {"v1", "v2", "v3"}
-        assert cycle_vertices(helpers.graph_loop_with_entry()) == {"a", "b"}
-
-    def test_in_range_degrees(self):
-        assert in_range_degrees(helpers.graph_two_loops_funnel()) == {"a": 1, "b": 1, "t": 2}
+    def test_pointer_cycles(self):
+        # the funnel's loops are its pointer cycles, and the peel takes t last
+        assert helpers.graph_two_loops_funnel().pointer_cycles == ([(0,), (1,)], [0, 1, 2])
+        # a's first in-edge is its loop, and e enters it
+        assert helpers.graph_loop_with_entry().pointer_cycles is None
+        # a cycle the peel leaves: the pointers of x and y run back to the source s
+        g = DiGraph.build(["s", "x", "y"], [("a", "s", "x"), ("b", "x", "y"), ("c", "y", "x")])
+        assert g.pointer_cycles is None
+        # undeclared endpoints and a repeated id are peel sources; nothing follows a missing pointer
+        g = DiGraph.build(["a", "a", "b"], [("L", "a", "a"), ("f", "a", "z"), ("h", "w", "b")])
+        assert g.names == ("a", "a", "b", "w", "z")
+        assert g.pointer_cycles == ([(0,)], [0, 1, 3, 4, 2])
 
     def test_entry_free_iff_unit_in_degree_on_cycles(self):
         # an entry is exactly a second edge into some cycle vertex
-        rings = DiGraph.build(
-            [f"r{k}_{i}" for k in range(300) for i in range(5)],
-            [(f"x{k}_{i}", f"r{k}_{i}", f"r{k}_{(i + 1) % 5}") for k in range(300) for i in range(5)],
-        )
+        rings = helpers.disjoint_rings(300, 5)
         graphs = [*small_corpus(), helpers.complete_graph(5), helpers.bouquet(12), rings]
         for g in graphs:
-            degrees = in_range_degrees(g)
-            expected = all(degrees[v] == 1 for v in cycle_vertices(g))
+            degrees = Counter(e.rng for e in g.edges)
+            on_cycles = {g.edge_by_id[i].rng for ids in naive_simple_cycles(g) for i in ids}
+            expected = all(degrees[v] == 1 for v in on_cycles)
             assert check_condition_a(g).passed == expected
         assert check_condition_a(rings).passed and len(check_condition_a(rings).cycles) == 300
+
+
+def kernel_route(g: DiGraph):
+    """``entry_free_cycles`` by the kernel's search, with the entries taken from the definition."""
+    cycles = []
+    for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs):
+        # kernel output is in traversal order; path convention is its reverse
+        cycles.append(CycleRep(tuple(g.edges[j] for j in reversed(arcs))))
+    cycles.sort(key=CycleRep.sort_key)
+    runs = []
+    for c in cycles:
+        entries = [e for e in g.edges if e not in c.edges and e.rng in c.vertices]
+        run = sorted(entries, key=attrgetter("id"))
+        if run:
+            runs.append((c, tuple(run)))
+    return tuple(cycles), tuple(runs)
+
+
+@st.composite
+def decided_graphs(draw):
+    """Graphs on up to 7 declared vertices: entry-free, sparse or dense, some unvalidated.
+
+    Entry-free graphs are rings with vertices hanging below them, each with
+    zero to two in-edges from earlier vertices, so some are sources.  The
+    unvalidated ones also repeat a vertex id, or have undeclared endpoints,
+    which sparse and dense graphs may put on cycles.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["entry-free", "sparse", "dense"]))
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    if kind == "dense":
+        arcs = [(s, r) for s in vertices for r in vertices if rng.random() < 0.8]
+    elif kind == "sparse":
+        size = rng.randint(0, 2 * len(vertices))
+        arcs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(size)]
+    else:
+        ring = vertices[: rng.randint(1, len(vertices))]
+        arcs = [(ring[k - 1], ring[k]) for k in range(len(ring))]
+        for k in range(len(ring), len(vertices)):
+            arcs += [(rng.choice(vertices[:k]), vertices[k]) for _ in range(rng.randint(0, 2))]
+    if draw(st.booleans()):
+        vertices.append(rng.choice(vertices))
+        if kind == "entry-free":
+            arcs += [("x0", rng.choice(vertices)), (rng.choice(vertices), "x1")]
+        else:
+            ends = vertices + ["x0", "x1"]
+            arcs += [(rng.choice(ends), rng.choice(ends)) for _ in range(3)]
+    ids = [f"e{j:02d}" for j in range(len(arcs))]
+    rng.shuffle(ids)
+    return DiGraph.build(vertices, [(i, s, r) for i, (s, r) in zip(ids, arcs)])
+
+
+class TestRoutes:
+    @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
+    @given(decided_graphs())
+    def test_pointer_route_matches_the_kernel_route(self, g):
+        cycles, runs = entry_free_cycles(g)
+        assert (cycles, runs) == kernel_route(g)
+        if len(g.names) == len(g.vertices):  # every endpoint is declared
+            assert {c.edge_ids() for c in cycles} == naive_simple_cycles(g)
+            assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == naive_entries(g)
 
 
 class TestCycleRep:

@@ -2,21 +2,17 @@
 
 import random
 
+import helpers
 from groupoid_spectrum import _kernels
 from groupoid_spectrum.corpus import random_validated_graph
 from groupoid_spectrum.digraph import CycleRep, DiGraph
 from groupoid_spectrum.oracle import naive_simple_cycles
 
 
-def cyclic_parts(g: DiGraph) -> list[tuple[int, ...]]:
-    comps = g.components
-    return [m for m, cyclic in zip(comps.members, comps.cyclic) if cyclic]
-
-
-def kernel_cycle_ids(g: DiGraph, parts) -> list[tuple[str, ...]]:
+def kernel_cycle_ids(g: DiGraph) -> list[tuple[str, ...]]:
     return [
         CycleRep(tuple(g.edges[j] for j in reversed(arcs))).edge_ids()
-        for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs, parts)
+        for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs)
     ]
 
 
@@ -48,26 +44,20 @@ class TestBackendSelection:
 class TestDispatch:
     def test_wide_ring(self):
         n = 70
-        cycles = _kernels.simple_cycles(*arc_arrays([(i, (i + 1) % n) for i in range(n)]), [tuple(range(n))])
+        cycles = _kernels.simple_cycles(*arc_arrays([(i, (i + 1) % n) for i in range(n)]))
         assert cycles == [tuple(range(n))]
 
     def test_deterministic(self):
         g = random_validated_graph(random.Random(99), max_vertices=8)
-        arrays, parts = (g.dst, *g.out_arcs), cyclic_parts(g)
-        first = _kernels.simple_cycles(*arrays, parts)
+        arrays = (g.dst, *g.out_arcs)
+        first = _kernels.simple_cycles(*arrays)
         for _ in range(3):
-            assert _kernels.simple_cycles(*arrays, parts) == first
+            assert _kernels.simple_cycles(*arrays) == first
 
     def test_parts_leave_out_acyclic_vertices(self):
         # loop at 0 feeds 1 -> 2 -> 3 -> 1 and then the acyclic tail 4 -> 5
         arcs = arc_arrays([(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 5)])
-        assert sorted(_kernels.simple_cycles(*arcs, [(0,), (1, 2, 3), (5,)])) == [
-            (0,),
-            (2, 3, 4),
-            (7,),
-        ]
-        # a part that is left out is not searched
-        assert _kernels.simple_cycles(*arcs, [(2, 1, 3)]) == [(2, 3, 4)]
+        assert sorted(_kernels.simple_cycles(*arcs)) == [(0,), (2, 3, 4), (7,)]
 
 
 class TestAgainstOracle:
@@ -76,8 +66,8 @@ class TestAgainstOracle:
         total = 0
         for _ in range(400):
             g = one_component_multigraph(rng)
-            assert len(cyclic_parts(g)) == 1
-            found = kernel_cycle_ids(g, cyclic_parts(g))
+            assert len(set(helpers.kernel_components(g)[0].values())) == 1
+            found = kernel_cycle_ids(g)
             assert len(found) == len(set(found))
             assert set(found) == naive_simple_cycles(g)
             total += len(found)

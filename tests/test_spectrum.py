@@ -10,9 +10,9 @@ from time import perf_counter
 import pytest
 
 import helpers
-from groupoid_spectrum import spectrum
+from groupoid_spectrum import _kernels, spectrum
 from groupoid_spectrum.digraph import CycleRep, DiGraph, InvalidGraphError
-from groupoid_spectrum.oracle import naive_reach_sets
+from groupoid_spectrum.oracle import naive_reach_sets, naive_simple_cycles
 from groupoid_spectrum.spectrum import (
     CONDITION_C_NOTE,
     ConditionARequired,
@@ -305,11 +305,7 @@ class TestConditionBReference:
     def test_hundred_thousand_vertices(self):
         # two loops feeding one long chain whose names sort before theirs, so
         # every early candidate u shares an ancestor with every v
-        n = 100_000
-        vertices = ["p", "q"] + [f"c{i:06d}" for i in range(n)]
-        edges = [("Lp", "p", "p"), ("Lq", "q", "q"), ("ep", "p", "c000000"), ("eq", "q", "c000000")]
-        edges += [(f"h{i:06d}", f"c{i:06d}", f"c{i + 1:06d}") for i in range(n - 1)]
-        verdict = decide_hausdorff_spectrum(DiGraph.build(vertices, edges))
+        verdict = decide_hausdorff_spectrum(helpers.two_loop_chain(100_000))
         assert [c.edge_ids() for c in verdict.condition_a.cycles] == [("Lp",), ("Lq",)]
         assert verdict.condition_b.to_json()["certificates"] == [
             {"pair": [["Lp"], ["Lq"]], "u": "p", "v": "q"}
@@ -338,6 +334,44 @@ class TestConditionBReference:
         assert [(c.edge_ids(), e.id) for c, e in a.entries] == [(("Lz",), "wz")]
         assert not verdict.hausdorff
         assert elapsed < 1.0
+
+
+class TestEntryFreeNeedsNoKernel:
+    """Entry-free graphs are decided by ``DiGraph.pointer_cycles`` alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel ran on an entry-free graph")
+
+        monkeypatch.setattr(_kernels, "components", refuse)
+        monkeypatch.setattr(_kernels, "simple_cycles", refuse)
+
+    def test_chain(self):
+        verdict = decide_hausdorff_spectrum(helpers.two_loop_chain(100_000))
+        assert verdict.hausdorff
+        assert [c.edge_ids() for c in verdict.condition_a.cycles] == [("Lp",), ("Lq",)]
+        assert verdict.condition_b.certificates == (("p", "q"),)
+
+    def test_disjoint_rings(self):
+        # each ring's least vertex separates it from every other ring
+        verdict = decide_hausdorff_spectrum(helpers.disjoint_rings(300, 5))
+        assert verdict.hausdorff
+        cycles = verdict.condition_a.cycles
+        # head-first: x{c}_4 runs into r{c}_0, where x{c}_0 starts
+        expected = {tuple(f"x{c}_{i}" for i in (0, 4, 3, 2, 1)) for c in range(300)}
+        assert {c.edge_ids() for c in cycles} == expected
+        assert [c.sort_key() for c in cycles] == sorted(c.sort_key() for c in cycles)
+        least = [min(c.vertices) for c in cycles]
+        assert verdict.condition_b.certificates == tuple(combinations(least, 2))
+
+    def test_planted_separated(self):
+        g = helpers.planted_separated(3)
+        verdict = decide_hausdorff_spectrum(g)
+        assert verdict.hausdorff
+        assert {c.edge_ids() for c in verdict.condition_a.cycles} == naive_simple_cycles(g)
+        expected, _ = brute_condition_b(g, verdict.condition_a.cycles)
+        assert verdict.condition_b.to_json() == expected
 
 
 class TestOrbits:
