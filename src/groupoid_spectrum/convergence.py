@@ -31,10 +31,10 @@ The Fell limits of period subgroups (``PeriodFamily``, ``FellLimit``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .exact import (
     DIVERGENT,
     AffineSeq,
@@ -117,16 +117,18 @@ class FamilyFormatError(InputError):
 # Point sequences
 
 
-@dataclass(frozen=True)
-class PointSeqSpec:
+class PointSeqSpec(Record):
     """A sequence of points x_i in orbit coordinates.
 
     ``branch`` is a fixed chart index (or LINE_BRANCH), or None for the
     index-coupled mode branch_i = i; ``param`` is affine in i.
     """
 
-    branch: int | None
-    param: AffineSeq
+    __slots__ = ("branch", "param")
+
+    def __init__(self, branch: int | None, param: AffineSeq) -> None:
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "param", param)
 
     def point_at(self, i: int) -> PointY:
         return PointY(i if self.branch is None else self.branch, self.param(i))
@@ -184,12 +186,14 @@ def point_seq_limit(spec: PointSeqSpec):
 # Character sequences on the dual side
 
 
-@dataclass(frozen=True)
-class CharSeqSpec:
+class CharSeqSpec(Record):
     """Characters chi_i = (r_i)-hat based at x_i."""
 
-    base: PointSeqSpec
-    parameter: DyadicSeq
+    __slots__ = ("base", "parameter")
+
+    def __init__(self, base: PointSeqSpec, parameter: DyadicSeq) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "parameter", parameter)
 
     def char_at(self, i: int) -> CharQ:
         return CharQ(self.parameter(i), self.base.point_at(i))
@@ -198,16 +202,26 @@ class CharSeqSpec:
         return {"base": self.base.to_json(), "r": self.parameter.to_json()}
 
 
-@dataclass(frozen=True)
-class CharConvergenceReport:
+class CharConvergenceReport(Record):
     """Outcome of an exact dual-convergence check, with per-test phase rows."""
 
-    converges: bool
-    base_limit: PointY
-    parameter_limit: "Fraction | object"
-    candidate: CharQ
-    rows: tuple[dict, ...]
-    reason: str
+    __slots__ = ("converges", "base_limit", "parameter_limit", "candidate", "rows", "reason")
+
+    def __init__(
+        self,
+        converges: bool,
+        base_limit: PointY,
+        parameter_limit: Fraction | object,
+        candidate: CharQ,
+        rows: tuple[dict, ...],
+        reason: str,
+    ) -> None:
+        object.__setattr__(self, "converges", converges)
+        object.__setattr__(self, "base_limit", base_limit)
+        object.__setattr__(self, "parameter_limit", parameter_limit)
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {
@@ -273,13 +287,15 @@ def char_seq_converges(
 # Arrow families and the separation condition
 
 
-@dataclass(frozen=True)
-class DyadicArrowFamily:
+class DyadicArrowFamily(Record):
     """Arrows gamma_i = ((q_i, n_i), base_i) with affine exponents."""
 
-    q: DyadicSeq
-    n: AffineSeq
-    base: PointSeqSpec
+    __slots__ = ("q", "n", "base")
+
+    def __init__(self, q: DyadicSeq, n: AffineSeq, base: PointSeqSpec) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base", base)
 
     def arrow_at(self, i: int) -> ArrowDyadic:
         return ArrowDyadic(GroupH(self.q(i), self.n(i)), self.base.point_at(i))
@@ -291,17 +307,28 @@ class DyadicArrowFamily:
         return {"q": self.q.to_json(), "n": self.n.to_json(), "base": self.base.to_json()}
 
 
-@dataclass(frozen=True)
-class ConditionCVerdict:
+class ConditionCVerdict(Record):
     """Verdict of the separation condition along one family."""
 
-    holds: bool
-    same_fiber: bool
-    chi: CharQ
-    omega: CharQ
-    chi_report: CharConvergenceReport
-    omega_report: CharConvergenceReport
-    note: str
+    __slots__ = ("holds", "same_fiber", "chi", "omega", "chi_report", "omega_report", "note")
+
+    def __init__(
+        self,
+        holds: bool,
+        same_fiber: bool,
+        chi: CharQ,
+        omega: CharQ,
+        chi_report: CharConvergenceReport,
+        omega_report: CharConvergenceReport,
+        note: str,
+    ) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "same_fiber", same_fiber)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "chi_report", chi_report)
+        object.__setattr__(self, "omega_report", omega_report)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         return {
@@ -371,24 +398,31 @@ def _require_convergence(
 # The same family in the bundle of discrete fiber groups
 
 
-@dataclass(frozen=True)
-class SElemSeqSpec:
+class SElemSeqSpec(Record):
     """Fiber group elements s_i = (r_i, x_i)."""
 
-    base: PointSeqSpec
-    parameter: DyadicSeq
+    __slots__ = ("base", "parameter")
+
+    def __init__(self, base: PointSeqSpec, parameter: DyadicSeq) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "parameter", parameter)
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "r": self.parameter.to_json()}
 
 
-@dataclass(frozen=True)
-class SConditionVerdict:
-    holds: bool
-    branch: str  # "zero-parameter" | "free-exponent" | "vacuous-different-fibers"
-    s: SElem
-    t: SElem
-    details: dict = field(default_factory=dict)
+class SConditionVerdict(Record):
+    __slots__ = ("holds", "branch", "s", "t", "details")
+
+    def __init__(
+        self, holds: bool, branch: str, s: SElem, t: SElem, details: dict | None = None
+    ) -> None:
+        # branch: "zero-parameter" | "free-exponent" | "vacuous-different-fibers"
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     def to_json(self) -> dict:
         return {
@@ -468,16 +502,26 @@ def condition_c_on_S_check(
 # SO(3) family check (floating point, sampled tails)
 
 
-@dataclass(frozen=True)
-class SO3ConditionCReport:
+class SO3ConditionCReport(Record):
     """Non-certifying SO(3) verdict from sampled tails of a finite family."""
 
-    holds: bool
-    same_fiber: bool
-    chi: CharSO3
-    omega: CharSO3
-    max_base_residual: float
-    note: str
+    __slots__ = ("holds", "same_fiber", "chi", "omega", "max_base_residual", "note")
+
+    def __init__(
+        self,
+        holds: bool,
+        same_fiber: bool,
+        chi: CharSO3,
+        omega: CharSO3,
+        max_base_residual: float,
+        note: str,
+    ) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "same_fiber", same_fiber)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "max_base_residual", max_base_residual)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         return {
@@ -543,16 +587,26 @@ def condition_c_check_so3(
 # Family files
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Parsed family description: arrows plus a fiber-data family and limits."""
 
-    space: str  # "dual" | "S"
-    family: DyadicArrowFamily
-    seq: "CharSeqSpec | SElemSeqSpec"
-    limit_chi: "CharQ | SElem"
-    limit_omega: "CharQ | SElem"
-    tests: tuple[Fraction, ...]
+    __slots__ = ("space", "family", "seq", "limit_chi", "limit_omega", "tests")
+
+    def __init__(
+        self,
+        space: str,  # "dual" | "S"
+        family: DyadicArrowFamily,
+        seq: CharSeqSpec | SElemSeqSpec,
+        limit_chi: CharQ | SElem,
+        limit_omega: CharQ | SElem,
+        tests: tuple[Fraction, ...],
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "limit_chi", limit_chi)
+        object.__setattr__(self, "limit_omega", limit_omega)
+        object.__setattr__(self, "tests", tests)
 
     def to_json(self) -> dict:
         out = {
@@ -619,7 +673,7 @@ def parse_family(obj: dict) -> FamilySpec:
             raise FamilyFormatError(f"limit needs 'r' and 'base': {entry!r}")
         try:
             return parse_rational(entry["r"]), _parse_point(entry["base"])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise FamilyFormatError(f"bad limit value: {exc}") from None
 
     r1, b1 = parse_limit(limits[lim_keys[0]])
@@ -630,7 +684,7 @@ def parse_family(obj: dict) -> FamilySpec:
             raise FamilyFormatError("tests must be a nonempty list of rationals")
         try:
             tests = tuple(parse_rational(t) for t in obj["tests"])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise FamilyFormatError(f"bad test value: {exc}") from None
     if space == "dual":
         return FamilySpec(

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from operator import attrgetter
 
 from . import _kernels
+from ._record import Record
 from .exact import InputError
 
 __all__ = [
@@ -52,11 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    rng: str
+class Edge(Record):
+    __slots__ = ("id", "src", "rng")
+
+    def __init__(self, id: str, src: str, rng: str) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "rng", rng)
 
 
 class GraphParseError(InputError):
@@ -69,14 +71,16 @@ class GraphParseError(InputError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One reason a graph fails validation."""
 
-    # "empty-graph" | "duplicate-vertex" | "duplicate-edge" | "undeclared-endpoint" | "no-range-edge"
-    kind: str
-    subject: str
-    detail: str
+    __slots__ = ("kind", "subject", "detail")
+
+    def __init__(self, kind: str, subject: str, detail: str) -> None:
+        # kind: "empty-graph" | "duplicate-vertex" | "duplicate-edge" | "undeclared-endpoint" | "no-range-edge"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "subject": self.subject, "detail": self.detail}
@@ -88,8 +92,7 @@ class InvalidGraphError(InputError):
         super().__init__("; ".join(v.detail for v in violations))
 
 
-@dataclass(frozen=True)
-class DiGraph:
+class DiGraph(Record):
     """Immutable finite directed multigraph with string ids, held as index arrays.
 
     ``vertices`` and ``edge_ids`` are the declared ids in input order.  Edge j
@@ -99,11 +102,22 @@ class DiGraph:
     graph ``names`` is ``vertices``.
     """
 
-    vertices: tuple[str, ...]
-    edge_ids: tuple[str, ...]
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
-    names: tuple[str, ...]
+    # __dict__ holds the cached properties
+    __slots__ = ("vertices", "edge_ids", "src", "dst", "names", "__dict__")
+
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edge_ids: tuple[str, ...],
+        src: tuple[int, ...],
+        dst: tuple[int, ...],
+        names: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edge_ids", edge_ids)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "names", names)
 
     @classmethod
     def build(cls, vertices, edges) -> "DiGraph":
@@ -290,16 +304,16 @@ def require_validated(g: DiGraph) -> None:
         raise InvalidGraphError(violations)
 
 
-@dataclass(frozen=True)
-class FinPath:
+class FinPath(Record):
     """Nonempty finite path; edges listed head-first (see module docstring)."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self) -> None:
-        if not self.edges:
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
+        if not edges:
             raise ValueError("finite path must contain at least one edge")
-        _check_composable(self.edges)
+        _check_composable(edges)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def range_vertex(self) -> str:
@@ -322,8 +336,7 @@ def _check_composable(edges: tuple[Edge, ...]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class CycleRep:
+class CycleRep(Record):
     """A simple cycle, stored in its canonical rotation.
 
     Edges are in path convention, cyclically composable, visiting each vertex
@@ -331,10 +344,10 @@ class CycleRep:
     id, so equality of CycleReps is equality of cycles.
     """
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self) -> None:
-        edges = tuple(self.edges)
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
+        edges = tuple(edges)
         if not edges:
             raise ValueError("cycle must contain at least one edge")
         _check_composable(edges)
@@ -420,14 +433,20 @@ def _numbered_records(text: str):
 def parse_graph_text(text: str) -> DiGraph:
     """Line format: 'v <id>' and 'e <id> <src> <rng>'; '#' starts a comment."""
     vertices: list[str] = []
-    edges: list[list[str]] = []  # ['e', id, src, rng]
+    ids: list[str] = []
+    srcs: list[str] = []
+    rngs: list[str] = []
+    # one column per field, not a list per line: the columns are what the graph is built from
+    add_id, add_src, add_rng = ids.append, srcs.append, rngs.append
     comments = "#" in text
     for lineno, raw in _numbered_records(text):
         parts = (raw.split("#", 1)[0] if comments else raw).split()
         if not parts:
             continue
         if parts[0] == "e" and len(parts) == 4:
-            edges.append(parts)
+            add_id(parts[1])
+            add_src(parts[2])
+            add_rng(parts[3])
         elif parts[0] == "v" and len(parts) == 2:
             vertices.append(parts[1])
         elif parts[0] == "v":
@@ -436,7 +455,7 @@ def parse_graph_text(text: str) -> DiGraph:
             raise GraphParseError(f"expected 'e <id> <src> <rng>', got {raw.strip()!r}", lineno)
         else:
             raise GraphParseError(f"unknown record {parts[0]!r}", lineno)
-    return DiGraph._from_ids(vertices, *(list(zip(*edges))[1:] if edges else ((), (), ())))
+    return DiGraph._from_ids(vertices, ids, srcs, rngs)
 
 
 def _json_id(value, where: str) -> str:

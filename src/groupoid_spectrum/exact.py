@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 __all__ = [
     "CatalogError",
@@ -78,7 +79,10 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or "e" in text.lower():
         raise ValueError(f"not a rational: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:  # "1/0"; its own text names only Fraction(1, 0)
+        raise ValueError(f"not a rational: {text!r}") from None
 
 
 def format_rational(r: Fraction) -> str:
@@ -166,13 +170,12 @@ def _json_rational(obj) -> Fraction:
     if isinstance(obj, str):
         try:
             return parse_rational(obj)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
     raise CatalogError(f"not a rational: {obj!r}")
 
 
-@dataclass(frozen=True)
-class DyadicSeq:
+class DyadicSeq(Record):
     """The sequence i |-> alpha * 2**(beta*i + delta) + gamma for i >= 0.
 
     Constant sequences normalize to alpha == 0 (a sequence with beta == 0 is
@@ -180,15 +183,11 @@ class DyadicSeq:
     alpha == 0, and divergent iff beta > 0.
     """
 
-    alpha: Fraction
-    beta: int
-    delta: int
-    gamma: Fraction
+    __slots__ = ("alpha", "beta", "delta", "gamma")
 
-    def __post_init__(self) -> None:
-        alpha = Fraction(self.alpha)
-        gamma = Fraction(self.gamma)
-        beta, delta = self.beta, self.delta
+    def __init__(self, alpha: Fraction, beta: int, delta: int, gamma: Fraction) -> None:
+        alpha = Fraction(alpha)
+        gamma = Fraction(gamma)
         if alpha == 0 or beta == 0:
             gamma = pow2_scale(alpha, delta) + gamma
             alpha = Fraction(0)
@@ -262,12 +261,14 @@ def scale_pow2_affine(seq: DyadicSeq, a: int, b: int) -> DyadicSeq:
 _AFFINE_RE = re.compile(r"^affine:(-?\d+)\*i([+-]\d+)?$")
 
 
-@dataclass(frozen=True)
-class AffineSeq:
+class AffineSeq(Record):
     """The integer sequence i |-> a*i + b for i >= 0."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def constant(cls, value: int) -> "AffineSeq":
@@ -312,30 +313,30 @@ class AffineSeq:
 # Fell limits of period subgroups of Z
 
 
-@dataclass(frozen=True)
-class PeriodFamily:
+class PeriodFamily(Record):
     """A family of periods p_i >= 0 (p = 0 denotes the trivial subgroup).
 
     ``transient`` lists finitely many initial values; ``tail`` is either an
     affine sequence or a repeating pattern.
     """
 
-    tail: AffineSeq | tuple[int, ...]
-    transient: tuple[int, ...] = ()
+    __slots__ = ("tail", "transient")
 
-    def __post_init__(self) -> None:
-        values = list(self.transient)
-        if isinstance(self.tail, tuple):
-            if not self.tail:
+    def __init__(self, tail: AffineSeq | tuple[int, ...], transient: tuple[int, ...] = ()) -> None:
+        values = list(transient)
+        if isinstance(tail, tuple):
+            if not tail:
                 raise ValueError("repeating tail pattern must be nonempty")
-            values += list(self.tail)
+            values += list(tail)
             if any(p < 0 for p in values):
                 raise ValueError("periods must be >= 0")
         else:
             if any(p < 0 for p in values):
                 raise ValueError("periods must be >= 0")
-            if self.tail.a < 0 or self.tail(len(self.transient)) < 0:
+            if tail.a < 0 or tail(len(transient)) < 0:
                 raise ValueError("affine tail must stay >= 0")
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "transient", transient)
 
     def period_at(self, i: int) -> int:
         if i < len(self.transient):
@@ -346,12 +347,14 @@ class PeriodFamily:
         return self.tail(i)
 
 
-@dataclass(frozen=True)
-class FellLimit:
+class FellLimit(Record):
     """Limit of the subgroups p_i Z in the Fell topology, when it exists."""
 
-    convergent: bool
-    period: int | None
+    __slots__ = ("convergent", "period")
+
+    def __init__(self, convergent: bool, period: int | None) -> None:
+        object.__setattr__(self, "convergent", convergent)
+        object.__setattr__(self, "period", period)
 
     def label(self) -> str:
         if not self.convergent:

@@ -25,10 +25,10 @@ SO(3) is the one floating-point model: rotations, conjugation transport of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .exact import format_rational, pow2_scale
 
 if TYPE_CHECKING:
@@ -105,20 +105,20 @@ def green_act(t, point: tuple[int, "Fraction | float"]) -> tuple:
     return (n, s + t)
 
 
-@dataclass(frozen=True)
-class PointY:
+class PointY(Record):
     """A point of Y in orbit coordinates: chart branch plus integer parameter.
 
     ``branch`` is a chart index >= 0, or LINE_BRANCH (-1) for the limit line.
     Integer parameters keep every embedding exact.
     """
 
-    branch: int
-    param: int
+    __slots__ = ("branch", "param")
 
-    def __post_init__(self) -> None:
-        if self.branch < LINE_BRANCH:
+    def __init__(self, branch: int, param: int) -> None:
+        if branch < LINE_BRANCH:
             raise ValueError("branch must be a chart index >= 0 or LINE_BRANCH")
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "param", param)
 
     def embed(self) -> tuple[Fraction, Fraction, Fraction]:
         if self.branch == LINE_BRANCH:
@@ -143,19 +143,18 @@ class PointY:
         }
 
 
-@dataclass(frozen=True)
-class GroupH:
+class GroupH(Record):
     """Element (q, n) of the dyadic affine group, q a dyadic rational."""
 
-    q: Fraction
-    n: int
+    __slots__ = ("q", "n")
 
-    def __post_init__(self) -> None:
-        q = Fraction(self.q)
+    def __init__(self, q: Fraction, n: int) -> None:
+        q = Fraction(q)
         d = q.denominator
         if d & (d - 1):
             raise ValueError(f"{q} is not a dyadic rational")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
 
     def to_json(self) -> dict:
         return {"q": format_rational(self.q), "n": self.n}
@@ -179,12 +178,14 @@ def dyadic_act(g: GroupH, y: PointY) -> PointY:
     return y.translate(g.n)
 
 
-@dataclass(frozen=True)
-class ArrowDyadic:
+class ArrowDyadic(Record):
     """A transformation-groupoid arrow (h, y): range y, source h^-1 . y."""
 
-    h: GroupH
-    base: PointY
+    __slots__ = ("h", "base")
+
+    def __init__(self, h: GroupH, base: PointY) -> None:
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "base", base)
 
     @property
     def range(self) -> PointY:
@@ -198,37 +199,35 @@ class ArrowDyadic:
         return {"h": self.h.to_json(), "base": self.base.to_json()}
 
 
-@dataclass(frozen=True)
-class CharQ:
+class CharQ(Record):
     """Fiberwise character of the dyadic rationals: r-hat based at a point.
 
     r is any rational; the character pairs p |-> exp(2 pi i r p) with the
     discrete fiber group.
     """
 
-    r: Fraction
-    base: PointY
+    __slots__ = ("r", "base")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", Fraction(self.r))
+    def __init__(self, r: Fraction, base: PointY) -> None:
+        object.__setattr__(self, "r", Fraction(r))
+        object.__setattr__(self, "base", base)
 
     def to_json(self) -> dict:
         return {"r": format_rational(self.r), "base": self.base.to_json()}
 
 
-@dataclass(frozen=True)
-class SElem:
+class SElem(Record):
     """Element (r, y) of the bundle of discrete fiber groups: r dyadic at y."""
 
-    r: Fraction
-    base: PointY
+    __slots__ = ("r", "base")
 
-    def __post_init__(self) -> None:
-        r = Fraction(self.r)
+    def __init__(self, r: Fraction, base: PointY) -> None:
+        r = Fraction(r)
         d = r.denominator
         if d & (d - 1):
             raise ValueError(f"{r} is not a dyadic rational")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "base", base)
 
     def to_json(self) -> dict:
         return {"r": format_rational(self.r), "base": self.base.to_json()}
@@ -307,12 +306,14 @@ def so3_conj_residual(v_mat: np.ndarray, axis, theta: float, orth_tol: float = 1
     return float(np.abs(lhs - rhs).max())
 
 
-@dataclass(frozen=True)
-class CharSO3:
+class CharSO3(Record):
     """Character datum (base point v in R^3, integer index k)."""
 
-    v: tuple[float, float, float]
-    k: int
+    __slots__ = ("v", "k")
+
+    def __init__(self, v: tuple[float, float, float], k: int) -> None:
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "k", k)
 
     @classmethod
     def at(cls, v, k: int) -> "CharSO3":

@@ -9,8 +9,7 @@ reports agreement; it is the verification harness, not the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .digraph import CycleRep, DiGraph, Edge
 from .spectrum import EventualPath, decide_hausdorff_spectrum
 
@@ -151,15 +150,34 @@ def naive_shift_classes(paths: list[EventualPath]) -> list[list[EventualPath]]:
     return classes
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Agreement record between the fast route and the naive route."""
+class OracleReport(Record):
+    """Agreement record between the fast route and the naive route.
 
-    condition_a_agrees: bool
-    entries_agree: bool
-    orbit_count_agrees: bool | None  # None when condition A fails (undefined)
-    condition_b_agrees: bool | None
-    details: dict
+    ``orbit_count_agrees`` and ``condition_b_agrees`` are None when condition
+    A fails, which leaves them undefined.
+    """
+
+    __slots__ = (
+        "condition_a_agrees",
+        "entries_agree",
+        "orbit_count_agrees",
+        "condition_b_agrees",
+        "details",
+    )
+
+    def __init__(
+        self,
+        condition_a_agrees: bool,
+        entries_agree: bool,
+        orbit_count_agrees: bool | None,
+        condition_b_agrees: bool | None,
+        details: dict,
+    ) -> None:
+        object.__setattr__(self, "condition_a_agrees", condition_a_agrees)
+        object.__setattr__(self, "entries_agree", entries_agree)
+        object.__setattr__(self, "orbit_count_agrees", orbit_count_agrees)
+        object.__setattr__(self, "condition_b_agrees", condition_b_agrees)
+        object.__setattr__(self, "details", details)
 
     @property
     def all_agree(self) -> bool:

@@ -34,12 +34,12 @@ fiber's stabilizer is a single group, so the two limits agree.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
 
+from ._record import Record
 from .digraph import (
     CycleRep,
     DiGraph,
@@ -107,8 +107,7 @@ def stabilizer_record(period: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ConditionAReport:
+class ConditionAReport(Record):
     """Cycles and their entries, as ``entry_free_cycles`` returns them.
 
     ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
@@ -117,8 +116,15 @@ class ConditionAReport:
     its cycle's length (``stabilizer_record``).
     """
 
-    cycles: tuple[CycleRep, ...]
-    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...]
+    __slots__ = ("cycles", "runs", "__dict__")  # __dict__ holds ``entries``
+
+    def __init__(
+        self,
+        cycles: tuple[CycleRep, ...],
+        runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...],
+    ) -> None:
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def passed(self) -> bool:
@@ -170,18 +176,23 @@ def check_condition_a(g: DiGraph) -> ConditionAReport:
 # Condition B
 
 
-@dataclass(frozen=True)
-class ConditionBReport:
+class ConditionBReport(Record):
     """Condition B's verdict and certificates.
 
-    ``cycles`` is condition A's tuple.  When B passed, ``certificates`` holds
-    one (u, v) pair of vertex ids per pair (a, b), a < b, of the cycles, in
-    ``combinations(cycles, 2)`` order; the CLI renders them so.
+    ``status`` is "pass" or "skipped".  ``cycles`` is condition A's tuple.
+    When B passed, ``certificates`` holds one (u, v) pair of vertex ids per
+    pair (a, b), a < b, of the cycles, in ``combinations(cycles, 2)`` order;
+    the CLI renders them so.
     """
 
-    status: str  # "pass" | "skipped"
-    cycles: tuple[CycleRep, ...]
-    certificates: tuple[tuple[str, str], ...]
+    __slots__ = ("status", "cycles", "certificates")
+
+    def __init__(
+        self, status: str, cycles: tuple[CycleRep, ...], certificates: tuple[tuple[str, str], ...]
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "certificates", certificates)
 
     def to_json(self) -> dict:
         return {
@@ -253,10 +264,12 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
 # Combined verdict
 
 
-@dataclass(frozen=True)
-class SpectrumVerdict:
-    condition_a: ConditionAReport
-    condition_b: ConditionBReport
+class SpectrumVerdict(Record):
+    __slots__ = ("condition_a", "condition_b")
+
+    def __init__(self, condition_a: ConditionAReport, condition_b: ConditionBReport) -> None:
+        object.__setattr__(self, "condition_a", condition_a)
+        object.__setattr__(self, "condition_b", condition_b)
 
     @property
     def hausdorff(self) -> bool:
@@ -297,8 +310,7 @@ def orbits(g: DiGraph) -> tuple[CycleRep, ...]:
 # Eventually periodic paths and their characters
 
 
-@dataclass(frozen=True)
-class EventualPath:
+class EventualPath(Record):
     """Infinite path prefix . cycle^inf, edges head-first.
 
     ``prefix`` may be empty; when nonempty its last edge must compose with
@@ -306,18 +318,19 @@ class EventualPath:
     typed (validated) but possibly non-canonical edge order.
     """
 
-    prefix: tuple[Edge, ...]
-    cycle: tuple[Edge, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self) -> None:
-        CycleRep(self.cycle)  # validates simplicity and cyclic composability
-        if self.prefix:
-            _check_composable(self.prefix)
-            if self.prefix[-1].src != self.cycle[0].rng:
+    def __init__(self, prefix: tuple[Edge, ...], cycle: tuple[Edge, ...]) -> None:
+        CycleRep(cycle)  # validates simplicity and cyclic composability
+        if prefix:
+            _check_composable(prefix)
+            if prefix[-1].src != cycle[0].rng:
                 raise ValueError(
-                    f"prefix ending at {self.prefix[-1].src!r} does not meet "
-                    f"cycle starting at {self.cycle[0].rng!r}"
+                    f"prefix ending at {prefix[-1].src!r} does not meet "
+                    f"cycle starting at {cycle[0].rng!r}"
                 )
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def edge_at(self, i: int) -> Edge:
         if i < len(self.prefix):
@@ -390,8 +403,7 @@ def stabilizer_of_path(x: EventualPath) -> int:
     return 0 if minimal.prefix else len(minimal.cycle)
 
 
-@dataclass(frozen=True)
-class PathChar:
+class PathChar(Record):
     """A character of the period group of an eventually periodic path.
 
     The period group is nZ (n = head period of ``base``); ``angle`` is the
@@ -399,14 +411,14 @@ class PathChar:
     period 0 admit only the trivial character.
     """
 
-    base: EventualPath
-    angle: Fraction
+    __slots__ = ("base", "angle")
 
-    def __post_init__(self) -> None:
-        angle = Fraction(self.angle) % 1
-        object.__setattr__(self, "angle", angle)
-        if stabilizer_of_path(self.base) == 0 and angle != 0:
+    def __init__(self, base: EventualPath, angle: Fraction) -> None:
+        angle = Fraction(angle) % 1
+        if stabilizer_of_path(base) == 0 and angle != 0:
             raise ValueError("path with trivial period group only carries angle 0")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "angle", angle)
 
     def evaluate(self, lag: int) -> Fraction:
         """Rotation number of the character at group element ``lag``."""

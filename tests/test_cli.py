@@ -928,6 +928,19 @@ class TestHostileInputs:
         assert (code, out) == (2, "")
         assert err == "error: bad --tests value: not a rational: '1e999999999'\n"
 
+    def test_tests_with_zero_denominator(self, run, tmp_path, dual_family_file):
+        # the message names the text, as for a zero denominator anywhere in a family file
+        family = tmp_path / "tests.json"
+        family.write_text(json.dumps({**DUAL_FAMILY, "tests": ["1", "1/0"]}))
+        for argv, message in (
+            (["model-dyadic", "demo-c-failure", "--tests", "1/0"], "bad --tests value"),
+            (["check-family", dual_family_file, "--tests", "1,1/0"], "bad --tests value"),
+            (["check-family", str(family)], "bad family file: bad test value"),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: {message}: not a rational: '1/0'\n", argv
+
     def test_empty_tests_value_exits_2(self, run, dual_family_file, s_family_file):
         # an empty --tests names no test point; it does not ask for the defaults
         for argv in (
@@ -1057,7 +1070,12 @@ class TestNumpyStaysOut:
 
 
 class TestImportsPerCommand:
-    """Each command loads only the package modules it runs, in a child interpreter."""
+    """Each command loads only the package modules it runs, in a child interpreter.
+
+    No command loads ``dataclasses``, which with ``inspect`` cost a fresh
+    process about 20 ms; ``inspect`` comes only with numpy, which the SO(3)
+    commands load.
+    """
 
     CHILD = (
         "import contextlib, io, json, sys\n"
@@ -1066,7 +1084,8 @@ class TestImportsPerCommand:
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "print(json.dumps(sorted(name.rpartition('.')[2] for name in sys.modules\n"
-        "                        if name == 'numpy' or name.startswith('groupoid_spectrum.'))))\n"
+        "                        if name in ('numpy', 'dataclasses', 'inspect')\n"
+        "                        or name.startswith('groupoid_spectrum.'))))\n"
     )
 
     @staticmethod
@@ -1077,10 +1096,17 @@ class TestImportsPerCommand:
         assert out.returncode == 0, out.stderr
         return out.stdout
 
-    @pytest.mark.parametrize("family", ["graph", "model"])
+    @pytest.mark.parametrize("family", ["graph", "model", "exact-model"])
     def test_commands_load_only_their_modules(
         self, family, funnel_file, entry_file, dual_family_file, s_family_file
     ):
+        exact_model_commands = [
+            ["model-green", "verify-eq3", "--n-max", "8", "--json"],
+            ["model-dyadic", "demo-c-failure", "--n-max", "4"],
+            ["model-dyadic", "check-c-on-s", "--family", s_family_file, "--json"],
+            ["check-family", dual_family_file, "--json"],
+            ["check-family", dual_family_file, "--tests", "1,1/3", "--truncate", "30"],
+        ]
         commands, used, unused = {
             "graph": (
                 [
@@ -1092,20 +1118,22 @@ class TestImportsPerCommand:
                     ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La", "--json"],
                 ],
                 {"digraph", "spectrum"},
-                {"convergence", "models", "oracle", "numpy"},
+                {"convergence", "models", "oracle", "numpy", "dataclasses", "inspect"},
             ),
             "model": (
                 [
-                    ["model-green", "verify-eq3", "--n-max", "8", "--json"],
-                    ["model-dyadic", "demo-c-failure", "--n-max", "4"],
-                    ["model-dyadic", "check-c-on-s", "--family", s_family_file, "--json"],
+                    *exact_model_commands,
                     ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json"],
                     ["model-so3", "conj-test", "--trials", "5", "--json"],
-                    ["check-family", dual_family_file, "--json"],
-                    ["check-family", dual_family_file, "--truncate", "30"],
                 ],
                 {"convergence", "models", "numpy"},
-                {"digraph", "spectrum", "oracle", "_kernels"},
+                {"digraph", "spectrum", "oracle", "_kernels", "dataclasses"},
+            ),
+            # numpy imports inspect, so only the commands without it can show inspect unloaded
+            "exact-model": (
+                exact_model_commands,
+                {"convergence", "models"},
+                {"digraph", "spectrum", "oracle", "_kernels", "numpy", "dataclasses", "inspect"},
             ),
         }[family]
         loaded = set(json.loads(self.child(self.CHILD, json.dumps(commands))))

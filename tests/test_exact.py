@@ -32,6 +32,8 @@ class TestRationalHelpers:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("three quarters")
+        with pytest.raises(ValueError, match=r"^not a rational: '1/0'$"):
+            parse_rational("1/0")
 
     def test_format_reduces(self):
         assert format_rational(Fraction(8, 4)) == "2"

@@ -1,7 +1,5 @@
 """The naive route must agree with the fast route everywhere it is defined."""
 
-import dataclasses
-
 import helpers
 from groupoid_spectrum import oracle, spectrum
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
@@ -114,8 +112,8 @@ class TestSuite:
             verdict = decide(g)
             a = verdict.condition_a
             *runs, (cycle, run) = a.runs
-            short = dataclasses.replace(a, runs=(*runs, (cycle, run[:-1])))
-            return dataclasses.replace(verdict, condition_a=short)
+            short = a.replace(runs=(*runs, (cycle, run[:-1])))
+            return verdict.replace(condition_a=short)
 
         monkeypatch.setattr(oracle, "decide_hausdorff_spectrum", drop_last_entry)
         assert not oracle_suite(helpers.complete_graph(4), max_prefix=1).entries_agree

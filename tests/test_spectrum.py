@@ -1,6 +1,5 @@
 """The spectrum decision, eventually periodic paths, and path characters."""
 
-import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -135,8 +134,8 @@ class TestDecision:
         # neither condition A's pass nor the verdict is stored apart from the entries
         verdict = decide_hausdorff_spectrum(helpers.graph_loop_with_entry())
         assert not verdict.condition_a.passed and not verdict.hausdorff
-        cleared = dataclasses.replace(verdict.condition_a, runs=())
-        assert cleared.passed and dataclasses.replace(verdict, condition_a=cleared).hausdorff
+        cleared = verdict.condition_a.replace(runs=())
+        assert cleared.passed and verdict.replace(condition_a=cleared).hausdorff
 
     def test_condition_a_json_matches_per_entry_reference(self):
         graphs = [*helpers.corpus_slice(), helpers.complete_graph(5), helpers.bouquet(12)]
