@@ -39,9 +39,7 @@ _IMPORTS = {
         "run_family_truncated",
     ),
     "digraph": (
-        "CycleRep",
         "DiGraph",
-        "Edge",
         "InvalidGraphError",
         "parse_graph",
         "require_validated",
@@ -56,6 +54,7 @@ _IMPORTS = {
         "dyadic_chart",
         "random_rotation",
         "so3_conj_residual",
+        "so3_norm_squared",
         "so3_spectrum_point",
         "so3_transport",
     ),
@@ -198,18 +197,38 @@ def _write_json(write, value, depth: int = 0) -> None:
 
 
 def _id_list(ids: str, depth: int) -> str:
-    """A cycle's quoted ids, joined by newlines (``_quoted_cycles``), as a list ``depth`` deep."""
+    """A cycle's quoted ids, joined by newlines (``_quoted_report``), as a list ``depth`` deep."""
     inner = _PAD[depth + 1]
     return "[" + inner + ids.replace("\n", "," + inner) + _PAD[depth] + "]"
 
 
-def _quoted_cycles(cycles) -> dict[int, str]:
-    """Each cycle's quoted edge ids joined by newlines, by ``id(cycle)``.
+class _QuotedIds(dict):
+    """A graph's edge ids as JSON strings, by edge index; each is quoted on its first request."""
 
-    A report quotes every cycle once and renders its lists at any depth from
-    that one string: a quoted id holds no raw newline.
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: tuple[str, ...]) -> None:
+        super().__init__()
+        self._ids = ids
+
+    def __missing__(self, j: int) -> str:
+        quoted = self[j] = _quote(self._ids[j])
+        return quoted
+
+
+def _quoted_report(report_a) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
+    """A ``ConditionAReport``'s cycles and runs with their edge ids quoted, each id at most once.
+
+    Returns each cycle's quoted ids joined by newlines, in cycle order, and
+    per run its cycle's length, that string and the quoted ids of its
+    entries.  A report renders a cycle's lists at any depth from its one
+    string: a quoted id holds no raw newline.
     """
-    return {id(c): "\n".join(map(_quote, c.edge_ids())) for c in cycles}
+    quoted = _QuotedIds(report_a.graph.edge_ids).__getitem__
+    edges = report_a.cycle_edges
+    cycles = ["\n".join(map(quoted, c)) for c in edges]
+    runs = [(len(edges[k]), cycles[k], list(map(quoted, run))) for k, run in report_a.run_edges]
+    return cycles, runs
 
 
 def _cycle_items(quoted):
@@ -220,17 +239,6 @@ def _cycle_items(quoted):
             yield _id_list(ids, depth)
 
     return render
-
-
-def _entry_runs(
-    runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...], quoted: dict[int, str]
-) -> list[tuple[int, str, list[str]]]:
-    """Per cycle, in order, its length, its quoted ids and the quoted ids of its entries.
-
-    ``runs`` are a ``ConditionAReport``'s runs: each cycle with its entries;
-    ``quoted`` holds their cycles (``_quoted_cycles``).
-    """
-    return [(len(cycle), quoted[id(cycle)], [_quote(e.id) for e in run]) for cycle, run in runs]
 
 
 @lru_cache(maxsize=1024)
@@ -250,7 +258,7 @@ def _entry_tail(record, length: int, depth: int) -> str:
 def _entry_items(runs: list[tuple[int, str, list[str]]], record=None):
     """Item renderer of the ``entries`` list, or of ``stabilizer_discontinuity`` given ``record``.
 
-    ``runs`` comes from ``_entry_runs``, so both lists share one pass over the
+    ``runs`` comes from ``_quoted_report``, so both lists share one pass over the
     entries.  Every item opens with the cycle and the entry, so each cycle's
     items are one join of its quoted entry ids between that head and a tail.
     The tail closes an entries item; ``record`` maps a cycle length to the
@@ -336,9 +344,7 @@ def cmd_graph_analyze(args) -> int:
         _emit(report, lines, args.json)
         return 2
     a, b = verdict.condition_a, verdict.condition_b
-    quoted = _quoted_cycles(a.cycles)
-    runs = _entry_runs(a.runs, quoted)
-    cycles = quoted.values()
+    cycles, runs = _quoted_report(a)
     condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
     if not a.passed:
         condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
@@ -366,21 +372,22 @@ def _analyze_lines(verdict):
     yield "validated: yes"
     yield (
         f"condition A: {'PASS' if a.passed else 'FAIL'} "
-        f"({len(a.cycles)} cycles, {sum(len(run) for _, run in a.runs)} entries)"
+        f"({len(a.cycle_edges)} cycles, {sum(len(run) for _, run in a.run_edges)} entries)"
     )
-    joined = [",".join(c.edge_ids()) for c in a.cycles]
+    joined = [",".join(ids) for ids in a.cycle_ids()]
     for ids in joined:
         yield f"  cycle: {ids}"
-    yield from _entry_lines(a.runs)
+    yield from _entry_lines(a, joined)
     discontinuity: dict[int, str] = {}  # the line per cycle length
-    for c, run in a.runs:
-        if len(c) not in discontinuity:
-            record = stabilizer_record(len(c))
-            discontinuity[len(c)] = (
+    for k, run in a.run_edges:
+        length = len(a.cycle_edges[k])
+        if length not in discontinuity:
+            record = stabilizer_record(length)
+            discontinuity[length] = (
                 f"  stabilizer discontinuity: approximating periods 0, "
                 f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
             )
-        yield from repeat(discontinuity[len(c)], len(run))
+        yield from repeat(discontinuity[length], len(run))
     if b.status == "skipped":
         yield "condition B: SKIPPED (condition A failed)"
     else:
@@ -391,12 +398,13 @@ def _analyze_lines(verdict):
     yield f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}"
 
 
-def _entry_lines(runs):
-    """The text lines of the entries, one per entry; each cycle's ids are joined once."""
-    for c, run in runs:
-        cycle = ",".join(c.edge_ids())
-        for e in run:
-            yield f"  entry: {e.id} -> cycle {cycle}"
+def _entry_lines(report_a, joined: list[str]):
+    """The text lines of the entries, one per entry, given each cycle's ids joined by commas."""
+    ids = report_a.graph.edge_ids
+    for k, run in report_a.run_edges:
+        cycle = joined[k]
+        for j in run:
+            yield f"  entry: {ids[j]} -> cycle {cycle}"
 
 
 def cmd_graph_orbits(args) -> int:
@@ -404,7 +412,7 @@ def cmd_graph_orbits(args) -> int:
     require_validated(g)
     report_a = check_condition_a(g)
     if not report_a.passed:
-        runs = report_a.runs
+        _, runs = _quoted_report(report_a)
         report = _envelope(
             "graph-orbits",
             input=args.graph,
@@ -412,21 +420,21 @@ def cmd_graph_orbits(args) -> int:
             validated=True,
             refused=True,
             reason=ORBIT_REFUSAL,
-            entries=_entry_items(_entry_runs(runs, _quoted_cycles(c for c, _ in runs))),
+            entries=_entry_items(runs),
         )
-        _emit(report, chain([f"refused: {ORBIT_REFUSAL}"], _entry_lines(runs)), args.json)
+        joined = [",".join(ids) for ids in report_a.cycle_ids()]
+        _emit(report, chain([f"refused: {ORBIT_REFUSAL}"], _entry_lines(report_a, joined)), args.json)
         return 0
-    reps = report_a.cycles
     report = _envelope(
         "graph-orbits",
         input=args.graph,
         transpose=args.transpose,
         validated=True,
         refused=False,
-        orbits=_cycle_items(_quoted_cycles(reps).values()),
-        count=len(reps),
+        orbits=_cycle_items(_quoted_report(report_a)[0]),
+        count=len(report_a.cycle_edges),
     )
-    lines = [f"orbits: {len(reps)}"] + [f"  {','.join(c.edge_ids())}" for c in reps]
+    lines = [f"orbits: {len(report_a.cycle_edges)}"] + [f"  {','.join(ids)}" for ids in report_a.cycle_ids()]
     _emit(report, lines, args.json)
     return 0
 
@@ -711,7 +719,7 @@ def cmd_so3_spectrum(args) -> int:
         raise InputError(f"bad --v value: {exc}") from None
     if len(coords) != 3:
         raise InputError("--v needs exactly three comma-separated coordinates")
-    squares = sum(c * c for c in coords)
+    squares = so3_norm_squared(coords)  # the |v|**2 whose root is reported
     # NaN, an infinity or an overflow; or a nonzero vector whose |v| would underflow
     if not (math.isfinite(squares) and (squares >= sys.float_info.min or not any(coords))):
         raise InputError(

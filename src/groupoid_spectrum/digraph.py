@@ -13,8 +13,8 @@ Conventions (fixed throughout the package):
 
 A ``DiGraph`` is held as integer arrays: each edge's source and range are
 indices into the vertex names.  ``Edge`` objects are built on demand, once
-per edge, for the edges a caller looks at; the decision builds them only for
-the cycle edges and the edges into cycles.
+per edge, for the edges a caller looks at; the decision builds none, since
+its cycles and entries are edge indices too.
 
 Condition A (no cycle has an entry) is an in-degree property, decided in
 O(V + E) by ``DiGraph.pointer_cycles``; only when it fails does the kernel
@@ -27,7 +27,6 @@ import json
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress
-from operator import attrgetter
 
 from . import _kernels
 from ._record import Record
@@ -360,6 +359,13 @@ class CycleRep(Record):
         k = ids.index(min(ids))
         object.__setattr__(self, "edges", edges[k:] + edges[:k])
 
+    @classmethod
+    def _checked(cls, edges: tuple[Edge, ...]) -> "CycleRep":
+        """The cycle of ``edges``, which ``entry_free_cycles`` has checked and rotated."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "edges", edges)
+        return rep
+
     @property
     def vertices(self) -> frozenset[str]:
         return frozenset(e.rng for e in self.edges)
@@ -376,43 +382,75 @@ class CycleRep(Record):
 
 def entry_free_cycles(
     g: DiGraph,
-) -> tuple[tuple[CycleRep, ...], tuple[tuple[CycleRep, tuple[Edge, ...]], ...]]:
-    """All simple cycles, sorted by ``CycleRep.sort_key``, and their entry runs.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """All simple cycles and their entry runs, as edge indices of ``g``.
 
-    Each run is a cycle with entries, in cycle order, and its entry edges in
-    edge id order; no run is empty.  Condition A holds iff there are no runs.
-    ``g.pointer_cycles`` decides it in O(V + E) and, when it holds, gives all
-    the cycles.  Only otherwise does the kernel enumerate them, in time
-    bounded by the output; the entries are the other in-edges of their vertices.
+    Each cycle is its edge indices in path order and canonical rotation: the
+    least edge id first, a repeated id ranked by edge index.  The cycles are
+    sorted by length, then by their ids in that order (``CycleRep.sort_key``).
+    Each run is a pair ``(k, entries)``: the position k of a cycle with
+    entries and the indices of its entry edges in edge id order.  Runs follow
+    the cycle order and none is empty; condition A holds iff there are none.
+
+    ``g.pointer_cycles`` decides condition A in O(V + E) and, when it holds,
+    gives all the cycles.  Only otherwise does the kernel enumerate them, in
+    time bounded by the output.  Every cycle gets ``CycleRep``'s checks, on
+    the indices.  A simple cycle has one edge into each of its vertices, so
+    its entries are the other edges into them, with no edge counted twice.
     """
     pointer = g.pointer_cycles  # None when condition A fails
     found = pointer[0] if pointer else _kernels.simple_cycles(g.dst, *g.out_arcs)
-    on_cycles = set(map(g.dst.__getitem__, chain.from_iterable(found)))
-    # the edges into cycle vertices: every cycle edge and every entry
-    into_cycles = list(compress(range(len(g.dst)), map(on_cycles.__contains__, g.dst)))
-    edge_at = dict(zip(into_cycles, g.edges.at(into_cycles)))
-    cycles = [
-        # traversal order; path convention is its reverse
-        CycleRep(tuple(map(edge_at.__getitem__, reversed(arc_tuple))))
-        for arc_tuple in found
-    ]
-    cycles.sort(key=CycleRep.sort_key)
+    src, dst = g.src, g.dst
+    for arcs in found:  # traversal order: each edge's tail is the previous edge's head
+        heads = list(map(dst.__getitem__, arcs))
+        tails = list(map(src.__getitem__, arcs))
+        if not heads or tails != heads[-1:] + heads[:-1] or len(set(heads)) < len(heads):
+            _reject_cycle(g, arcs)
+    on_cycles = set(map(dst.__getitem__, chain.from_iterable(found)))
+    # the edges into cycle vertices, every cycle edge and every entry, in id
+    # order; an edge's rank is its place here
+    by_rank = sorted(
+        compress(range(len(dst)), map(on_cycles.__contains__, dst)), key=g.edge_ids.__getitem__
+    )
+    rank = dict(zip(by_rank, range(len(by_rank))))
+    keys = []  # per cycle, its length and its ranks in canonical rotation
+    for arcs in found:
+        ranks = list(map(rank.__getitem__, reversed(arcs)))  # path order
+        k = ranks.index(min(ranks))
+        keys.append((len(ranks), (*ranks[k:], *ranks[:k])))
+    keys.sort()
+    cycles = tuple(tuple(map(by_rank.__getitem__, ranks)) for _, ranks in keys)
     if pointer:
-        return tuple(cycles), ()
-    # each cycle's entries in edge id order, walking the sorted cycles, give
-    # the runs in (cycle, entry id) order without sorting across cycles
-    by_id = sorted(edge_at.values(), key=attrgetter("id"))
-    into: dict[str, list[int]] = {}  # ranks in by_id of the edges into each vertex
-    for rank, e in enumerate(by_id):
-        into.setdefault(e.rng, []).append(rank)
+        return cycles, ()
+    into: dict[int, list[int]] = {}  # per cycle vertex, the ranks of its in-edges, ascending
+    for r, j in enumerate(by_rank):
+        into.setdefault(dst[j], []).append(r)
+    # per rank, the other edges into its edge's head
+    others = [[s for s in into[dst[j]] if s != r] for r, j in enumerate(by_rank)]
     runs = []
-    for c in cycles:
-        on_cycle = {e.id for e in c.edges}
-        ranks = sorted(chain.from_iterable(into[e.rng] for e in c.edges))
-        run = tuple(e for e in map(by_id.__getitem__, ranks) if e.id not in on_cycle)
-        if run:
-            runs.append((c, run))
-    return tuple(cycles), tuple(runs)
+    for k, (_, ranks) in enumerate(keys):
+        entries = sorted(chain.from_iterable(map(others.__getitem__, ranks)))
+        if entries:
+            runs.append((k, tuple(map(by_rank.__getitem__, entries))))
+    return cycles, tuple(runs)
+
+
+def _reject_cycle(g: DiGraph, arcs) -> None:
+    """Raise ``CycleRep``'s error for edge indices in traversal order that are no simple cycle."""
+    if not arcs:
+        raise ValueError("cycle must contain at least one edge")
+    tails = list(map(g.src.__getitem__, arcs))
+    heads = list(map(g.dst.__getitem__, arcs))
+    broken = [k for k in range(1, len(arcs)) if tails[k] != heads[k - 1]]
+    if broken:
+        k = broken[-1]  # the first pair in path order, which is traversal order reversed
+        raise ValueError(
+            f"edges {g.edge_ids[arcs[k]]!r} and {g.edge_ids[arcs[k - 1]]!r} do not compose: "
+            f"src {g.names[tails[k]]!r} != rng {g.names[heads[k - 1]]!r}"
+        )
+    if tails[0] != heads[-1]:
+        raise ValueError("cycle does not close up")
+    raise ValueError("cycle is not simple: repeated vertex")
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ __all__ = [
     "so3_conj_residual",
     "so3_transport",
     "so3_spectrum_point",
+    "so3_norm_squared",
     "random_rotation",
 ]
 
@@ -272,7 +273,10 @@ def counterexample_family(i: int) -> tuple[ArrowDyadic, CharQ]:
 # ---------------------------------------------------------------------------
 # SO(3): the floating-point model
 #
-# numpy is imported inside each function, so that only SO(3) callers load it.
+# numpy is imported inside the functions that build matrices or draw random
+# numbers, so that only ``conj-test`` loads it.  The orbit invariant |v| needs
+# neither: it is taken in ``math``, with the fused multiply-adds that numpy's
+# norm of three floats rounds like (``so3_norm_squared``).
 
 
 def so3_rotation(axis, theta: float) -> np.ndarray:
@@ -317,10 +321,7 @@ class CharSO3(Record):
 
     @classmethod
     def at(cls, v, k: int) -> "CharSO3":
-        import numpy as np
-
-        arr = np.asarray(v, dtype=float)
-        return cls((float(arr[0]), float(arr[1]), float(arr[2])), int(k))
+        return cls((float(v[0]), float(v[1]), float(v[2])), int(k))
 
     def to_json(self) -> dict:
         return {"v": list(self.v), "k": self.k}
@@ -333,11 +334,44 @@ def so3_transport(u_mat: np.ndarray, chi: CharSO3) -> CharSO3:
     return CharSO3.at(np.asarray(u_mat, dtype=float) @ np.asarray(chi.v), chi.k)
 
 
+def _fma(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once, as IEEE 754 fusedMultiplyAdd (``math.fma`` from Python 3.13).
+
+    The exact value is a ratio of integers from ``float.as_integer_ratio``,
+    and int true division rounds to nearest even, subnormal results included.
+    A zero product adds exactly in floats, which also gives an exact zero sum
+    its IEEE sign; a sum past the float range is an infinity, and non-finite
+    arguments give what float arithmetic gives.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x * y + z
+    if not math.isfinite(z):
+        return z
+    if not (x and y):
+        return x * y + z
+    a, b = x.as_integer_ratio()
+    c, d = y.as_integer_ratio()
+    e, f = z.as_integer_ratio()
+    numerator = a * c * f + e * b * d
+    try:
+        return numerator / (b * d * f)
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def so3_norm_squared(v) -> float:
+    """|v|**2 of a point of R^3 as fma(z, z, fma(y, y, x * x)), each step rounded once.
+
+    numpy's norm of three floats rounds the same way; its square root is the
+    |v| that ``so3_spectrum_point`` reports.
+    """
+    x, y, z = v
+    return _fma(z, z, _fma(y, y, x * x))
+
+
 def so3_spectrum_point(chi: CharSO3) -> tuple[float, int]:
     """Orbit invariants (|v|, k); both are conjugation invariant."""
-    import numpy as np
-
-    return (float(np.linalg.norm(np.asarray(chi.v))), chi.k)
+    return (math.sqrt(so3_norm_squared(chi.v)), chi.k)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ The decision runs two graph conditions:
   period 0, so the period subgroups converge to {0} instead of nZ.  The
   record depends only on the cycle length n, so the entries are carried
   grouped per cycle, and ``ConditionAReport`` holds nothing but the cycles
-  and those runs; the verdict is whether there are any.
+  and those runs, as edge indices; the verdict is whether there are any.
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
@@ -108,32 +108,58 @@ def stabilizer_record(period: int) -> dict:
 
 
 class ConditionAReport(Record):
-    """Cycles and their entries, as ``entry_free_cycles`` returns them.
+    """Cycles and their entries, as edge indices of ``graph`` (``entry_free_cycles``).
 
-    ``runs`` holds, for each cycle with entries, in the order of ``cycles``,
-    the cycle and its entry edges in edge id order.  Condition A holds iff
-    there are none.  Every entry's certificate is the stabilizer record of
-    its cycle's length (``stabilizer_record``).
+    ``cycle_edges`` holds each cycle's edge indices in path order and
+    canonical rotation, the cycles sorted by ``CycleRep.sort_key``.
+    ``run_edges`` holds, for each cycle with entries, in cycle order, its
+    position in ``cycle_edges`` and its entry edge indices in edge id order.
+    Condition A holds iff there are no runs.  Every entry's certificate is the
+    stabilizer record of its cycle's length (``stabilizer_record``).
+
+    ``cycles``, ``runs`` and ``entries`` are read-only views of the same
+    data as ``CycleRep`` and ``Edge`` objects, built on first access and
+    cached; neither the decision nor the CLI reads them.
     """
 
-    __slots__ = ("cycles", "runs", "__dict__")  # __dict__ holds ``entries``
+    # __dict__ holds the views
+    __slots__ = ("graph", "cycle_edges", "run_edges", "__dict__")
 
     def __init__(
         self,
-        cycles: tuple[CycleRep, ...],
-        runs: tuple[tuple[CycleRep, tuple[Edge, ...]], ...],
+        graph: DiGraph,
+        cycle_edges: tuple[tuple[int, ...], ...],
+        run_edges: tuple[tuple[int, tuple[int, ...]], ...],
     ) -> None:
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cycle_edges", cycle_edges)
+        object.__setattr__(self, "run_edges", run_edges)
 
     @property
     def passed(self) -> bool:
-        return not self.runs
+        return not self.run_edges
+
+    @cached_property
+    def cycles(self) -> tuple[CycleRep, ...]:
+        """The cycles as ``CycleRep`` objects."""
+        at = self.graph.edges.at
+        return tuple(CycleRep._checked(tuple(at(c))) for c in self.cycle_edges)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[CycleRep, tuple[Edge, ...]], ...]:
+        """Each cycle with entries and its entry edges, in order."""
+        cycles, at = self.cycles, self.graph.edges.at
+        return tuple((cycles[k], tuple(at(run))) for k, run in self.run_edges)
 
     @cached_property
     def entries(self) -> tuple[tuple[CycleRep, Edge], ...]:
-        """Every (cycle, entry) pair, ordered by cycle; built on first access."""
+        """Every (cycle, entry) pair, ordered by cycle."""
         return tuple((c, e) for c, run in self.runs for e in run)
+
+    def cycle_ids(self) -> list[tuple[str, ...]]:
+        """Each cycle's edge ids, in the order of ``cycle_edges``."""
+        ids = self.graph.edge_ids
+        return [tuple(map(ids.__getitem__, c)) for c in self.cycle_edges]
 
     def to_json(self) -> dict:
         """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item.
@@ -142,26 +168,24 @@ class ConditionAReport(Record):
         are four small containers per entry and hold no reference cycles, so
         the collections their allocation triggers would find nothing to free.
         """
+        edge_ids, cycles = self.graph.edge_ids, self.cycle_ids()
         entries, discontinuity = [], []
         records: dict[int, dict] = {}  # stabilizer record per cycle length
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for c, run in self.runs:
-                ids = c.edge_ids()
+            for k, run in self.run_edges:
+                ids = cycles[k]
                 if len(ids) not in records:
                     records[len(ids)] = stabilizer_record(len(ids))
                 record = records[len(ids)]
-                entries += [{"cycle": list(ids), "entry": e.id} for e in run]
-                discontinuity += [{"cycle": list(ids), "entry": e.id, **record} for e in run]
+                entry_ids = list(map(edge_ids.__getitem__, run))
+                entries += [{"cycle": list(ids), "entry": e} for e in entry_ids]
+                discontinuity += [{"cycle": list(ids), "entry": e, **record} for e in entry_ids]
         finally:
             if enabled:
                 gc.enable()
-        out = {
-            "pass": self.passed,
-            "cycles": [list(c.edge_ids()) for c in self.cycles],
-            "entries": entries,
-        }
+        out = {"pass": self.passed, "cycles": list(map(list, cycles)), "entries": entries}
         if not self.passed:
             out["stabilizer_discontinuity"] = discontinuity
         return out
@@ -169,7 +193,7 @@ class ConditionAReport(Record):
 
 def check_condition_a(g: DiGraph) -> ConditionAReport:
     """Cycles and entry runs (see ``entry_free_cycles``)."""
-    return ConditionAReport(*entry_free_cycles(g))
+    return ConditionAReport(g, *entry_free_cycles(g))
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +203,34 @@ def check_condition_a(g: DiGraph) -> ConditionAReport:
 class ConditionBReport(Record):
     """Condition B's verdict and certificates.
 
-    ``status`` is "pass" or "skipped".  ``cycles`` is condition A's tuple.
-    When B passed, ``certificates`` holds one (u, v) pair of vertex ids per
-    pair (a, b), a < b, of the cycles, in ``combinations(cycles, 2)`` order;
-    the CLI renders them so.
+    ``status`` is "pass" or "skipped", and ``condition_a`` the report B was
+    decided from.  When B passed, ``certificates`` holds one (u, v) pair of
+    vertex ids per pair (a, b), a < b, of its cycles, in
+    ``combinations(cycles, 2)`` order; the CLI renders them so.
     """
 
-    __slots__ = ("status", "cycles", "certificates")
+    __slots__ = ("status", "condition_a", "certificates")
 
     def __init__(
-        self, status: str, cycles: tuple[CycleRep, ...], certificates: tuple[tuple[str, str], ...]
+        self, status: str, condition_a: ConditionAReport, certificates: tuple[tuple[str, str], ...]
     ) -> None:
         object.__setattr__(self, "status", status)
-        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "condition_a", condition_a)
         object.__setattr__(self, "certificates", certificates)
+
+    @property
+    def cycles(self) -> tuple[CycleRep, ...]:
+        """Condition A's cycles, as ``CycleRep`` objects."""
+        return self.condition_a.cycles
 
     def to_json(self) -> dict:
         return {
             "pass": True if self.status == "pass" else "skipped",
             "certificates": [
-                {"pair": [list(c.edge_ids()), list(d.edge_ids())], "u": u, "v": v}
-                for (c, d), (u, v) in zip(combinations(self.cycles, 2), self.certificates)
+                {"pair": [list(c), list(d)], "u": u, "v": v}
+                for (c, d), (u, v) in zip(
+                    combinations(self.condition_a.cycle_ids(), 2), self.certificates
+                )
             ],
         }
 
@@ -220,16 +251,16 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     candidate of b whose mask is disjoint from u's.  b's own vertices carry
     only bit b, so both exist.
     """
-    cycles = report_a.cycles  # sorted by CycleRep.sort_key
     if not report_a.passed:
-        return ConditionBReport("skipped", cycles, ())
+        return ConditionBReport("skipped", report_a, ())
+    cycles = report_a.cycle_edges  # sorted by CycleRep.sort_key
+    dst = g.dst
     # cycle vertices first, then each vertex after its in-edges' tails: one push finishes each mask
     _, peel = g.pointer_cycles
-    bit_of = {e.rng: 1 << bit for bit, c in enumerate(cycles) for e in c.edges}
     masks = [0] * len(g.names)  # per vertex, bit k set iff cycles[k] reaches it
-    for v in peel[: len(bit_of)]:
-        masks[v] = bit_of[g.names[v]]
-    dst = g.dst
+    for bit, c in enumerate(cycles):
+        for j in c:
+            masks[dst[j]] = 1 << bit
     start, arcs = g.out_arcs
     for u in peel:
         mask = masks[u]
@@ -257,7 +288,7 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
                 mask_u, u = next(c for c in first_a if not c[0] >> b & 1)
                 v = next(name for mask, name in first_b if not mask & mask_u)
             certificates.append((u, v))
-    return ConditionBReport("pass", cycles, tuple(certificates))
+    return ConditionBReport("pass", report_a, tuple(certificates))
 
 
 # ---------------------------------------------------------------------------

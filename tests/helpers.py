@@ -133,6 +133,21 @@ def bouquet(m: int) -> DiGraph:
     return DiGraph.build(["a"], [(f"L{i:03d}", "a", "a") for i in range(m)])
 
 
+def random_dense(seed: int, n: int) -> DiGraph:
+    """K_n less n // 2 random arcs, plus loops on n // 2 random vertices; validated.
+
+    Edge ids are shuffled against the edge order, so id order is not input order.
+    """
+    rng = random.Random(seed)
+    arcs = [(s, r) for s in range(n) for r in range(n) if s != r]
+    for arc in rng.sample(arcs, n // 2):
+        arcs.remove(arc)
+    arcs += [(v, v) for v in rng.sample(range(n), n // 2)]
+    ids = [f"d{j:02d}" for j in range(len(arcs))]
+    rng.shuffle(ids)
+    return DiGraph.build([f"v{i}" for i in range(n)], [(i, f"v{s}", f"v{r}") for i, (s, r) in zip(ids, arcs)])
+
+
 def planted_separated(seed: int, n: int = 160, k: int = 16, chain: int = 30) -> DiGraph:
     """An entry-free graph: k planted cycles, trees on them, a chain and forward cross edges.
 

@@ -204,6 +204,11 @@ class TestReportBytes:
         yield from helpers.corpus_slice()
         yield helpers.complete_graph(5)
         yield helpers.bouquet(30)
+        # the entry-dense path at the sizes the benchmark runs
+        yield helpers.complete_graph(6)
+        yield helpers.complete_graph(7)
+        yield helpers.bouquet(150)
+        yield helpers.random_dense(3, 6)
         yield helpers.graph_two_loops_funnel()
         yield helpers.planted_separated(1)
         yield helpers.planted_separated(2, n=300, k=20, chain=60)
@@ -380,18 +385,27 @@ class TestReportBytes:
         assert run("graph-orbits", str(path)) == (0, "\n".join(refused) + "\n", "")
 
     def test_reports_never_build_the_flat_entries(self, run, tmp_path, monkeypatch):
-        # the CLI renders condition A from the runs alone
-        def flat(report):
-            raise AssertionError("the flat entries view was built")
+        # the CLI renders conditions A and B from edge indices alone: no view
+        # of cycle and edge objects is built, the flat entries least of all
+        for view in ("cycles", "runs", "entries"):
+            def refuse(report, view=view):
+                raise AssertionError(f"the {view} view was built")
 
-        monkeypatch.setattr(spectrum.ConditionAReport, "entries", property(flat))
-        path = tmp_path / "k4.graph"
-        path.write_text(graph_to_text(helpers.complete_graph(4)))
-        for command in ("graph-analyze", "graph-orbits"):
+            monkeypatch.setattr(spectrum.ConditionAReport, view, property(refuse))
+        failing, separated = tmp_path / "k4.graph", tmp_path / "separated.graph"
+        failing.write_text(graph_to_text(helpers.complete_graph(4)))
+        separated.write_text(graph_to_text(helpers.planted_separated(1)))
+        cases = [
+            (failing, "graph-analyze", "entry"),
+            (failing, "graph-orbits", "entry"),
+            (separated, "graph-analyze", "certificates"),
+            (separated, "graph-orbits", "orbits"),
+        ]
+        for path, command, shown in cases:
             for flags in ([], ["--json"]):
                 code, out, err = run(command, str(path), *flags)
                 assert (code, err) == (0, ""), (command, flags)
-                assert "entry" in out
+                assert shown in out
 
 
     def test_reports_never_build_certificate_dicts(self, run, tmp_path, monkeypatch):
@@ -1023,7 +1037,7 @@ class TestByteOrderMark:
 
 
 class TestNumpyStaysOut:
-    """Only the SO(3) paths import numpy; every other command starts without it."""
+    """Only ``model-so3 conj-test`` imports numpy; every other command starts without it."""
 
     CHILD = (
         "import contextlib, io, json, sys\n"
@@ -1047,6 +1061,7 @@ class TestNumpyStaysOut:
             ["model-dyadic", "check-c-on-s", "--family", s_family_file, "--json"],
             ["check-family", dual_family_file, "--json"],
             ["check-family", dual_family_file, "--truncate", "30", "--json"],
+            ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json"],
         ]
         out = subprocess.run(
             [sys.executable, "-c", self.CHILD, json.dumps(commands)],
@@ -1073,8 +1088,8 @@ class TestImportsPerCommand:
     """Each command loads only the package modules it runs, in a child interpreter.
 
     No command loads ``dataclasses``, which with ``inspect`` cost a fresh
-    process about 20 ms; ``inspect`` comes only with numpy, which the SO(3)
-    commands load.
+    process about 20 ms; ``inspect`` comes only with numpy, which
+    ``model-so3 conj-test`` loads.
     """
 
     CHILD = (

@@ -31,7 +31,7 @@ from groupoid_spectrum.digraph import (
     validate_graph,
 )
 from groupoid_spectrum.oracle import naive_entries, naive_simple_cycles
-from groupoid_spectrum.spectrum import ConditionAReport, check_condition_a
+from groupoid_spectrum.spectrum import check_condition_a
 
 G3_TEXT = """\
 # two loops feeding a common sink
@@ -259,11 +259,13 @@ class TestEdgeView:
             built.clear()
             assert len(g.edges) == len(g.edge_ids) and built == []
             report = check_condition_a(g)
-            assert sorted(built) == sorted({e.id for e in reported(report)})
-            # each is built once: a second decision and the view reuse them
-            check_condition_a(g)
+            assert built == []  # the decision itself builds no edge; its views do
+            edges = reported(report)
+            assert sorted(built) == sorted({e.id for e in edges})
+            # each is built once: a second decision's views reuse them
+            reported(check_condition_a(g))
             assert len(built) == len(set(built))
-            assert all(g.edges[g.edge_ids.index(e.id)] is e for e in reported(report))
+            assert all(g.edges[g.edge_ids.index(e.id)] is e for e in edges)
 
     def test_indexing_matches_the_tuple(self):
         g = helpers.graph_three_cycle()
@@ -300,25 +302,31 @@ def flat_entries(runs):
     return tuple((c, e) for c, run in runs for e in run)
 
 
+def views(g: DiGraph):
+    """``entry_free_cycles`` of ``g`` as objects: its report's ``cycles`` and ``runs``."""
+    report = check_condition_a(g)
+    return report.cycles, report.runs
+
+
 class TestCycles:
     def test_funnel(self):
-        cycles, runs = entry_free_cycles(helpers.graph_two_loops_funnel())
+        cycles, runs = views(helpers.graph_two_loops_funnel())
         assert [c.edge_ids() for c in cycles] == [("La",), ("Lb",)]
         assert runs == ()
 
     def test_loop_with_entry(self):
-        cycles, runs = entry_free_cycles(helpers.graph_loop_with_entry())
+        cycles, runs = views(helpers.graph_loop_with_entry())
         assert [c.edge_ids() for c in cycles] == [("La",), ("Lb",)]
         assert [(c.edge_ids(), e.id) for c, e in flat_entries(runs)] == [(("La",), "e")]
 
     def test_three_cycle(self):
-        cycles, runs = entry_free_cycles(helpers.graph_three_cycle())
+        cycles, runs = views(helpers.graph_three_cycle())
         assert [c.edge_ids() for c in cycles] == [("c1", "c3", "c2")]
         assert runs == ()
 
     def test_parallel_loops_enter_each_other(self):
         g = DiGraph.build(["a"], [("p", "a", "a"), ("q", "a", "a")])
-        cycles, runs = entry_free_cycles(g)
+        cycles, runs = views(g)
         assert [c.edge_ids() for c in cycles] == [("p",), ("q",)]
         assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == {
             (("p",), "q"),
@@ -336,7 +344,7 @@ class TestCycles:
             graphs.append(DiGraph.build(g.vertices, [(i, e.src, e.rng) for i, e in zip(ids, g.edges)]))
         listed = 0
         for g in graphs:
-            cycles, runs = entry_free_cycles(g)
+            cycles, runs = views(g)
             pairs = [
                 (c, e)
                 for c in cycles
@@ -354,7 +362,8 @@ class TestCycles:
         # past the oracle's reach: K_n has C(n, k) (k - 1)! cycles of length k,
         # and each of the k vertices of one has n - 2 in-edges off it
         g = helpers.complete_graph(n)
-        cycles, runs = entry_free_cycles(g)
+        report = check_condition_a(g)
+        cycles, runs = report.cycles, report.runs
         assert len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
         assert [c.sort_key() for c in cycles] == sorted(c.sort_key() for c in cycles)
         # every cycle has entries, so there is one run per cycle, in cycle order
@@ -364,13 +373,26 @@ class TestCycles:
             assert len(run) == len(c) * (n - 2)
             assert ids == sorted(set(ids))
             assert all(e.rng in c.vertices and e not in c.edges for e in run)
-        entries = ConditionAReport(cycles, runs).entries
-        assert len(entries) == sum(len(run) for _, run in runs)
+        assert len(report.entries) == sum(len(run) for _, run in runs)
+        # the index form the views are built from
+        assert report.cycle_edges == entry_free_cycles(g)[0]
+        assert [k for k, _ in report.run_edges] == list(range(len(cycles)))
+
+    def test_entries_sharing_an_id_with_a_cycle_edge(self):
+        # an unvalidated bouquet of two loops with one id: each loop enters the
+        # other, so condition A fails although every entry's id is a cycle's
+        g = parse_graph_text("v a\ne L a a\ne L a a\n")
+        assert entry_free_cycles(g) == (((0,), (1,)), ((0, (1,)), (1, (0,))))
+        report = check_condition_a(g)
+        assert not report.passed
+        (first, entry_of_first), (second, entry_of_second) = report.entries
+        assert first.edges[0] is entry_of_second is g.edges[0]
+        assert second.edges[0] is entry_of_first is g.edges[1]
 
     def test_runs_skip_cycles_without_entries(self):
         # the funnel's loops have no entries; the loop at b enters nothing
         assert entry_free_cycles(helpers.graph_two_loops_funnel())[1] == ()
-        _, runs = entry_free_cycles(helpers.graph_loop_with_entry())
+        _, runs = views(helpers.graph_loop_with_entry())
         ((cycle, run),) = runs
         assert (cycle.edge_ids(), [e.id for e in run]) == (("La",), ["e"])
 
@@ -408,7 +430,7 @@ class TestCycles:
 
 
 def kernel_route(g: DiGraph):
-    """``entry_free_cycles`` by the kernel's search, with the entries taken from the definition."""
+    """The report's ``cycles`` and ``runs`` by the kernel's search, with the entries taken from the definition."""
     cycles = []
     for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs):
         # kernel output is in traversal order; path convention is its reverse
@@ -416,7 +438,8 @@ def kernel_route(g: DiGraph):
     cycles.sort(key=CycleRep.sort_key)
     runs = []
     for c in cycles:
-        entries = [e for e in g.edges if e not in c.edges and e.rng in c.vertices]
+        vertices = c.vertices
+        entries = [e for e in g.edges if e.rng in vertices and e not in c.edges]
         run = sorted(entries, key=attrgetter("id"))
         if run:
             runs.append((c, tuple(run)))
@@ -457,15 +480,96 @@ def decided_graphs(draw):
     return DiGraph.build(vertices, [(i, s, r) for i, (s, r) in zip(ids, arcs)])
 
 
+def index_route(g: DiGraph):
+    """``entry_free_cycles`` by its definition on edge indices, for any graph.
+
+    An edge ranks by (id, index), so repeated ids rank apart.  Each simple
+    cycle is grown once, in path order, from its least edge: each step adds an
+    edge of higher rank into the tail of the last one, until the path closes
+    or would repeat a vertex.  Its entries are the other edges into its vertices.
+    """
+    rank = [(eid, j) for j, eid in enumerate(g.edge_ids)]
+    into: dict[int, list[int]] = {}
+    for j, d in enumerate(g.dst):
+        into.setdefault(d, []).append(j)
+    found = []
+
+    def grow(path: list[int], heads: set[int]) -> None:
+        tail = g.src[path[-1]]
+        if tail == g.dst[path[0]]:
+            found.append(tuple(path))
+        elif tail not in heads:
+            for j in into.get(tail, ()):
+                if rank[j] > rank[path[0]]:
+                    grow(path + [j], heads | {tail})
+
+    for j in range(len(g.edge_ids)):
+        grow([j], {g.dst[j]})
+    found.sort(key=lambda c: (len(c), [rank[j] for j in c]))
+    runs = []
+    for k, c in enumerate(found):
+        on_cycle = {g.dst[j] for j in c}
+        entries = [j for j in range(len(g.dst)) if j not in c and g.dst[j] in on_cycle]
+        if entries:
+            runs.append((k, tuple(sorted(entries, key=rank.__getitem__))))
+    return tuple(found), tuple(runs)
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs on up to 7 declared vertices with loops and parallel edges, some unvalidated.
+
+    Sparse or dense.  The unvalidated ones repeat a vertex id, have
+    undeclared endpoints, or repeat edge ids, also along one cycle.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    density = draw(st.sampled_from([0.15, 0.4, 0.6]))
+    arcs = [(s, r) for s in vertices for r in vertices if rng.random() < density]
+    arcs += rng.sample(arcs, min(len(arcs), draw(st.integers(0, 3))))  # parallel edges
+    ids = [f"e{j:02d}" for j in range(len(arcs))]
+    rng.shuffle(ids)
+    flaws = draw(st.sets(st.sampled_from(["vertex", "endpoint", "edge"])))
+    if "vertex" in flaws:
+        vertices.append(rng.choice(vertices))
+    if "endpoint" in flaws:
+        ends = vertices + ["x0", "x1"]
+        arcs += [(rng.choice(ends), rng.choice(ends)) for _ in range(3)]
+        ids += ["x2", "x3", "x4"]
+    if "edge" in flaws and len(ids) > 1:
+        ids = [rng.choice(ids[:3]) if rng.random() < 0.3 else i for i in ids]
+    return DiGraph.build(vertices, [(i, s, r) for i, (s, r) in zip(ids, arcs)])
+
+
 class TestRoutes:
     @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
     @given(decided_graphs())
     def test_pointer_route_matches_the_kernel_route(self, g):
-        cycles, runs = entry_free_cycles(g)
+        cycles, runs = views(g)
         assert (cycles, runs) == kernel_route(g)
         if len(g.names) == len(g.vertices):  # every endpoint is declared
             assert {c.edge_ids() for c in cycles} == naive_simple_cycles(g)
             assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == naive_entries(g)
+
+    @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+    @given(multigraphs())
+    def test_index_form_matches_the_definition(self, g):
+        report = check_condition_a(g)
+        assert (report.cycle_edges, report.run_edges) == index_route(g)
+        # the views are the same cycles and entries as objects
+        assert [c.edges for c in report.cycles] == [tuple(g.edges.at(c)) for c in report.cycle_edges]
+        assert all(CycleRep(c.edges) == c for c in report.cycles)
+        assert [(c, run) for c, run in report.runs] == [
+            (report.cycles[k], tuple(g.edges.at(run))) for k, run in report.run_edges
+        ]
+        assert report.passed == (not report.entries)
+        if len(g.names) == len(g.vertices):  # every endpoint is declared
+            cycle_ids = {c.edge_ids() for c in report.cycles}
+            # a cycle that repeats an id has no one canonical rotation by ids
+            if all(len(set(ids)) == len(ids) for ids in cycle_ids):
+                assert cycle_ids == naive_simple_cycles(g)
+            if len(set(g.edge_ids)) == len(g.edge_ids):
+                assert {(c.edge_ids(), e.id) for c, e in report.entries} == naive_entries(g)
 
 
 class TestCycleRep:

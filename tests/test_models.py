@@ -27,8 +27,10 @@ from groupoid_spectrum.models import (
     green_phi,
     h_inv,
     h_mul,
+    _fma,
     random_rotation,
     so3_conj_residual,
+    so3_norm_squared,
     so3_rotation,
     so3_spectrum_point,
     so3_transport,
@@ -307,3 +309,75 @@ class TestSO3:
         chi = CharSO3.at(np.array([1, 0, 0]), 2)
         assert chi.v == (1.0, 0.0, 0.0)
         assert chi.to_json() == {"v": [1.0, 0.0, 0.0], "k": 2}
+
+
+def fraction_fma(x: float, y: float, z: float) -> float:
+    """x * y + z in ``Fraction`` arithmetic, rounded once, with IEEE 754's signed zeros and overflow."""
+    exact = Fraction(x) * Fraction(y) + Fraction(z)
+    if not exact:
+        # an exact zero is -0 only as the sum of two negative zeros
+        product_sign = math.copysign(1.0, x) * math.copysign(1.0, y)
+        return -0.0 if not (x and y) and product_sign < 0 and math.copysign(1.0, z) < 0 else 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal, with the sign of a zero told apart."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SMALLEST = 5e-324
+FMA_EDGES = [0.0, -0.0, SMALLEST, -SMALLEST, 2.2250738585072014e-308, 1e-160, -1e-160, 1.5e-162,
+             0.5, 1.0, -1.0, 3.0, 1e154, 1.3407807929942596e154, 1e300, -1e300,
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestFma:
+    """``_fma`` rounds x * y + z once, as ``Fraction`` arithmetic then one conversion does."""
+
+    @pytest.mark.parametrize("x", FMA_EDGES)
+    def test_edge_values(self, x):
+        for y in FMA_EDGES:
+            for z in FMA_EDGES:
+                assert same_float(_fma(x, y, z), fraction_fma(x, y, z)), (x, y, z)
+
+    def test_named_cases(self):
+        # signed zeros: -0 only from two negative zeros
+        assert same_float(_fma(-0.0, 1.0, -0.0), -0.0)
+        assert same_float(_fma(0.0, -1.0, 0.0), 0.0)
+        assert same_float(_fma(2.0, 3.0, -6.0), 0.0)
+        # a product below the subnormals rounds to a zero of its sign
+        assert same_float(_fma(1e-200, -1e-200, 0.0), -0.0)
+        # one rounding: the product's low bits survive where x * y + z loses them
+        x = 1.0 + 2.0**-30
+        assert _fma(x, x, -1.0) == 2.0**-29 + 2.0**-60 != x * x - 1.0
+        # a subnormal result is exact
+        assert _fma(1e-160, 1e-160, 0.0) == float(Fraction(1e-160) ** 2)
+        # past the float range
+        assert _fma(1e300, 1e10, 0.0) == math.inf and _fma(-1e300, 1e10, 1.0) == -math.inf
+        assert _fma(1.7976931348623157e308, 1.0, 1.7976931348623157e308) == math.inf
+        # a product past the range brought back by z
+        big = 1.7976931348623157e308
+        assert _fma(big, 1.5, -big) == big * 0.5
+
+    def test_non_finite_arguments(self):
+        assert math.isnan(_fma(math.nan, 1.0, 1.0)) and math.isnan(_fma(math.inf, 0.0, 1.0))
+        assert _fma(math.inf, 2.0, 1.0) == math.inf and _fma(1e300, 1e300, -math.inf) == -math.inf
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats(self, x, y, z):
+        assert same_float(_fma(x, y, z), fraction_fma(x, y, z))
+
+    def test_norm_equals_numpy(self):
+        # numpy's norm of three floats rounds like two fused multiply-adds
+        rng = np.random.default_rng(17)
+        for scale in (1.0, math.exp(30), math.exp(-30)):
+            for v in rng.normal(size=(2000, 3)) * scale:
+                chi = CharSO3.at(v, 0)
+                assert so3_spectrum_point(chi)[0] == float(np.linalg.norm(v))
+        assert so3_norm_squared((1e200, 1e200, 1e200)) == math.inf
+        assert so3_norm_squared((1e-170, 1e-170, 0.0)) < 2.2250738585072014e-308

@@ -3,7 +3,6 @@
 import helpers
 from groupoid_spectrum import oracle, spectrum
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
-from groupoid_spectrum.digraph import entry_free_cycles
 from groupoid_spectrum.oracle import (
     enumerate_eventual_paths,
     naive_entries,
@@ -30,8 +29,7 @@ def sample():
 class TestNaivePieces:
     def test_cycles_match_kernel(self):
         for g in list(sample()) + FIXTURES:
-            cycles, _ = entry_free_cycles(g)
-            fast = {c.edge_ids() for c in cycles}
+            fast = {c.edge_ids() for c in spectrum.check_condition_a(g).cycles}
             assert naive_simple_cycles(g) == fast
 
     def test_entries_match_kernel(self):
@@ -111,8 +109,8 @@ class TestSuite:
         def drop_last_entry(g):
             verdict = decide(g)
             a = verdict.condition_a
-            *runs, (cycle, run) = a.runs
-            short = a.replace(runs=(*runs, (cycle, run[:-1])))
+            *runs, (k, run) = a.run_edges
+            short = a.replace(run_edges=(*runs, (k, run[:-1])))
             return verdict.replace(condition_a=short)
 
         monkeypatch.setattr(oracle, "decide_hausdorff_spectrum", drop_last_entry)

@@ -134,8 +134,9 @@ class TestDecision:
         # neither condition A's pass nor the verdict is stored apart from the entries
         verdict = decide_hausdorff_spectrum(helpers.graph_loop_with_entry())
         assert not verdict.condition_a.passed and not verdict.hausdorff
-        cleared = verdict.condition_a.replace(runs=())
+        cleared = verdict.condition_a.replace(run_edges=())
         assert cleared.passed and verdict.replace(condition_a=cleared).hausdorff
+        assert cleared.runs == cleared.entries == ()
 
     def test_condition_a_json_matches_per_entry_reference(self):
         graphs = [*helpers.corpus_slice(), helpers.complete_graph(5), helpers.bouquet(12)]
