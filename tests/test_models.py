@@ -1,6 +1,7 @@
 """The exact dyadic model, the planar flow charts, and the SO(3) model."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -372,12 +373,13 @@ class TestFma:
     def test_finite_floats(self, x, y, z):
         assert same_float(_fma(x, y, z), fraction_fma(x, y, z))
 
-    def test_norm_equals_numpy(self):
-        # numpy's norm of three floats rounds like two fused multiply-adds
-        rng = np.random.default_rng(17)
+    def test_norm_is_two_rounded_fmas(self):
+        # |v| is the square root of fma(z, z, fma(y, y, x * x)), each step rounded once
+        rng = random.Random(17)
         for scale in (1.0, math.exp(30), math.exp(-30)):
-            for v in rng.normal(size=(2000, 3)) * scale:
-                chi = CharSO3.at(v, 0)
-                assert so3_spectrum_point(chi)[0] == float(np.linalg.norm(v))
+            for _ in range(2000):
+                x, y, z = (rng.gauss(0.0, 1.0) * scale for _ in range(3))
+                expected = math.sqrt(fraction_fma(z, z, fraction_fma(y, y, x * x)))
+                assert so3_spectrum_point(CharSO3.at((x, y, z), 0))[0] == expected
         assert so3_norm_squared((1e200, 1e200, 1e200)) == math.inf
         assert so3_norm_squared((1e-170, 1e-170, 0.0)) < 2.2250738585072014e-308
