@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 from . import __version__
@@ -110,11 +110,13 @@ SEED_ENV = "GROUPOID_SPECTRUM_SEED"
 EMIT_CHUNK = 4096  # text report lines per write
 
 
-def _emit(report: dict, lines, as_json: bool) -> None:
+def _emit(report: dict | None, lines, as_json: bool) -> None:
     """Write the JSON report, or the text lines in chunks, each line ending in a newline.
 
-    ``lines`` may be a generator: it is consumed one chunk at a time, so a
-    text report is never held whole.
+    Only the one written is read, so a graph command passes None as the
+    report of a text run.  ``lines`` may be a generator: it is consumed one
+    chunk at a time, so a text report is never held whole, and it is never
+    started for JSON.
     """
     if as_json:
         _write_json(sys.stdout.write, report)
@@ -329,25 +331,27 @@ def cmd_graph_analyze(args) -> int:
         lines = ["validated: no"] + [f"  {v.detail}" for v in exc.violations]
         _emit(report, lines, args.json)
         return 2
-    a, b = verdict.condition_a, verdict.condition_b
-    cycles, runs = _quoted_report(a)
-    condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
-    if not a.passed:
-        condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
-    condition_b = {
-        "pass": True if b.status == "pass" else "skipped",
-        "certificates": _certificate_items(cycles, b.certificates),
-    }
-    report = _envelope(
-        "graph-analyze",
-        input=args.graph,
-        transpose=args.transpose,
-        validated=True,
-        condition_a=condition_a,
-        condition_b=condition_b,
-        condition_c=CONDITION_C_NOTE,
-        hausdorff=verdict.hausdorff,
-    )
+    report = None
+    if args.json:  # a text report never reads the quoted ids
+        a, b = verdict.condition_a, verdict.condition_b
+        cycles, runs = _quoted_report(a)
+        condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
+        if not a.passed:
+            condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
+        condition_b = {
+            "pass": True if b.status == "pass" else "skipped",
+            "certificates": _certificate_items(cycles, b.certificates),
+        }
+        report = _envelope(
+            "graph-analyze",
+            input=args.graph,
+            transpose=args.transpose,
+            validated=True,
+            condition_a=condition_a,
+            condition_b=condition_b,
+            condition_c=CONDITION_C_NOTE,
+            hausdorff=verdict.hausdorff,
+        )
     _emit(report, _analyze_lines(verdict), args.json)
     return 0
 
@@ -397,32 +401,30 @@ def cmd_graph_orbits(args) -> int:
     g = _load_graph(args.graph, args.transpose)
     require_validated(g)
     report_a = check_condition_a(g)
-    if not report_a.passed:
-        _, runs = _quoted_report(report_a)
+    report = None
+    if args.json:  # a text report never reads the quoted ids
+        cycles, runs = _quoted_report(report_a)
+        if report_a.passed:
+            fields = {"refused": False, "orbits": _cycle_items(cycles), "count": len(cycles)}
+        else:
+            fields = {"refused": True, "reason": ORBIT_REFUSAL, "entries": _entry_items(runs)}
         report = _envelope(
-            "graph-orbits",
-            input=args.graph,
-            transpose=args.transpose,
-            validated=True,
-            refused=True,
-            reason=ORBIT_REFUSAL,
-            entries=_entry_items(runs),
+            "graph-orbits", input=args.graph, transpose=args.transpose, validated=True, **fields
         )
-        joined = [",".join(ids) for ids in report_a.cycle_ids()]
-        _emit(report, chain([f"refused: {ORBIT_REFUSAL}"], _entry_lines(report_a, joined)), args.json)
-        return 0
-    report = _envelope(
-        "graph-orbits",
-        input=args.graph,
-        transpose=args.transpose,
-        validated=True,
-        refused=False,
-        orbits=_cycle_items(_quoted_report(report_a)[0]),
-        count=len(report_a.cycle_edges),
-    )
-    lines = [f"orbits: {len(report_a.cycle_edges)}"] + [f"  {','.join(ids)}" for ids in report_a.cycle_ids()]
-    _emit(report, lines, args.json)
+    _emit(report, _orbit_lines(report_a), args.json)
     return 0
+
+
+def _orbit_lines(report_a):
+    """The text report's lines: the orbits, or the refusal and its entries."""
+    joined = [",".join(ids) for ids in report_a.cycle_ids()]
+    if report_a.passed:
+        yield f"orbits: {len(joined)}"
+        for ids in joined:
+            yield f"  {ids}"
+    else:
+        yield f"refused: {ORBIT_REFUSAL}"
+        yield from _entry_lines(report_a, joined)
 
 
 def _parse_path_literal(g: DiGraph, literal: str) -> EventualPath:
@@ -784,105 +786,160 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit a JSON report")
+    fmt.add_argument("--text", action="store_false", dest="json", help="emit plain text (default)")
+    p.set_defaults(json=False)
+
+
+def _add_graph_analyze(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help="graph file (line format or JSON)")
+    p.add_argument("--transpose", action="store_true", help="reverse every edge first")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_graph_analyze)
+
+
+def _add_graph_orbits(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("--transpose", action="store_true")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_graph_orbits)
+
+
+def _add_graph_equiv(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("--x", required=True, help="path literal 'p1,p2:c1,c2'")
+    p.add_argument("--y", required=True)
+    p.add_argument("--transpose", action="store_true")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_graph_equiv)
+
+
+def _add_model_green(parser: argparse.ArgumentParser) -> None:
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("verify-eq3", help="verify the chart translation identity")
+    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=20)
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_green_verify)
+
+
+def _add_model_dyadic(parser: argparse.ArgumentParser) -> None:
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("demo-c-failure", help="the dual-convergence counterexample")
+    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=10)
+    p.add_argument("--tests", help="comma separated rational test points")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_dyadic_demo)
+    p = verbs.add_parser("check-c-on-s", help="run an S-space family file")
+    p.add_argument("--family", required=True)
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_dyadic_check_s)
+
+
+def _add_model_so3(parser: argparse.ArgumentParser) -> None:
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("conj-test", help="random conjugation residuals")
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1000)
+    p.add_argument("--seed", type=_int_in(0), default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_so3_conj)
+    p = verbs.add_parser("spectrum", help="orbit invariants of a character datum")
+    p.add_argument("--v", required=True, help="base point 'x,y,z'")
+    p.add_argument("--k", type=int, required=True)
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_so3_spectrum)
+
+
+def _add_check_family(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family")
+    p.add_argument("--tests", help="comma separated rational test points")
+    p.add_argument("--truncate", type=int, default=None, help="non-certifying probe index")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for --truncate")
+    _add_output_flags(p)
+    p.set_defaults(func=cmd_check_family)
+
+
+PROG = "groupoid-spectrum"
+
+# each command's help line and the function that adds its arguments (and
+# nested verbs) to its parser, in the order the top-level help lists them
+_COMMANDS = {
+    "graph-analyze": ("decide the Hausdorff spectrum conditions", _add_graph_analyze),
+    "graph-orbits": ("orbit representatives of the path space", _add_graph_orbits),
+    "graph-equiv": ("shift equivalence of two eventually periodic paths", _add_graph_equiv),
+    "model-green": ("the flow model", _add_model_green),
+    "model-dyadic": ("the dyadic model", _add_model_dyadic),
+    "model-so3": ("the rotation model", _add_model_so3),
+    "check-family": ("run a family file (dual or S space)", _add_check_family),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every ``main`` call.
+    """The full argument parser: every command as a subparser, built once per process.
+
+    ``main`` runs it only when the first argument names no command (help,
+    an unknown or missing command) and for its usage on leftover arguments;
+    a call that names a command is parsed by ``_command_parser`` alone.  Its
+    subparsers are built from ``_COMMANDS`` as the command parsers are, so
+    the two give the same help, usage and errors.
 
     Sharing it is safe because ``parse_args`` never mutates the parser, and
     argparse looks up ``sys.stdout`` and ``sys.stderr`` when it writes help,
     usage and errors, not when the parser is built, so redirected streams
     still capture them.  ``prog`` is fixed.  Callers must not modify the
     returned parser.  The ``func`` defaults bind the ``cmd_*`` handlers at the
-    first build, so replacing ``cli.cmd_*`` afterwards has no effect on
-    ``main``.
+    first build, so replacing ``cli.cmd_*`` afterwards has no effect on it.
     """
     parser = argparse.ArgumentParser(
-        prog="groupoid-spectrum",
+        prog=PROG,
         description="Exact checks for Hausdorff spectra of groupoid algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="emit a JSON report")
-        fmt.add_argument(
-            "--text", action="store_false", dest="json", help="emit plain text (default)"
-        )
-        p.set_defaults(json=False)
-
-    p = sub.add_parser("graph-analyze", help="decide the Hausdorff spectrum conditions")
-    p.add_argument("graph", help="graph file (line format or JSON)")
-    p.add_argument("--transpose", action="store_true", help="reverse every edge first")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_graph_analyze)
-
-    p = sub.add_parser("graph-orbits", help="orbit representatives of the path space")
-    p.add_argument("graph")
-    p.add_argument("--transpose", action="store_true")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_graph_orbits)
-
-    p = sub.add_parser("graph-equiv", help="shift equivalence of two eventually periodic paths")
-    p.add_argument("graph")
-    p.add_argument("--x", required=True, help="path literal 'p1,p2:c1,c2'")
-    p.add_argument("--y", required=True)
-    p.add_argument("--transpose", action="store_true")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_graph_equiv)
-
-    green = sub.add_parser("model-green", help="the flow model").add_subparsers(
-        dest="verb", required=True
-    )
-    p = green.add_parser("verify-eq3", help="verify the chart translation identity")
-    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=20)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_green_verify)
-
-    dyadic = sub.add_parser("model-dyadic", help="the dyadic model").add_subparsers(
-        dest="verb", required=True
-    )
-    p = dyadic.add_parser("demo-c-failure", help="the dual-convergence counterexample")
-    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=10)
-    p.add_argument("--tests", help="comma separated rational test points")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_dyadic_demo)
-    p = dyadic.add_parser("check-c-on-s", help="run an S-space family file")
-    p.add_argument("--family", required=True)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_dyadic_check_s)
-
-    so3 = sub.add_parser("model-so3", help="the rotation model").add_subparsers(
-        dest="verb", required=True
-    )
-    p = so3.add_parser("conj-test", help="random conjugation residuals")
-    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1000)
-    p.add_argument("--seed", type=_int_in(0), default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_so3_conj)
-    p = so3.add_parser("spectrum", help="orbit invariants of a character datum")
-    p.add_argument("--v", required=True, help="base point 'x,y,z'")
-    p.add_argument("--k", type=int, required=True)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_so3_spectrum)
-
-    p = sub.add_parser("check-family", help="run a family file (dual or S space)")
-    p.add_argument("family")
-    p.add_argument("--tests", help="comma separated rational test points")
-    p.add_argument("--truncate", type=int, default=None, help="non-certifying probe index")
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for --truncate")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_check_family)
-
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
+
+
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built on its first use, once per process.
+
+    It equals ``build_parser``'s subparser of that name: the same ``prog``
+    (which argparse would derive from the top-level one), arguments and
+    nested verbs.  Sharing it is safe as for ``build_parser``.
+    """
+    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of one call, as ``build_parser().parse_args(argv)`` gives them.
+
+    A first argument that names a command selects that command's parser,
+    which parses the rest, so the full parser's own pass (which only picks
+    the subparser) and build are skipped.  Leftover arguments are the full
+    parser's error, as they are under it: its usage, then ``unrecognized
+    arguments``.  Any other argv (help, an unknown or a missing command, an
+    option before the command) goes to the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+        return args
+    return build_parser().parse_args(argv)
 
 
 EXIT_BROKEN_PIPE = 128 + 13  # shell status of a process ended by SIGPIPE
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         for module in _USES[args.command]:
             _bind(module)

@@ -9,6 +9,8 @@ reports agreement; it is the verification harness, not the fast path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ._record import Record
 from .digraph import CycleRep, DiGraph, Edge
 from .spectrum import EventualPath, decide_hausdorff_spectrum
@@ -189,13 +191,17 @@ class OracleReport(Record):
         )
 
 
-def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
-    """Cross-validate the spectrum decision against brute force on one graph.
+def oracle_suite(g: DiGraph, budgets: Sequence[int]) -> list[OracleReport]:
+    """Cross-validate the spectrum decision against brute force on one graph, once per budget.
 
     Compares cycle sets and entry sets, then (when condition A holds) the
-    orbit count against explicitly enumerated paths modulo naive shift
-    equivalence, and condition B quantified over all enumerated pairs of
-    non-equivalent paths against the cycle-representative decision.
+    orbit count against explicitly enumerated paths, with prefixes up to
+    each budget in ``budgets``, modulo naive shift equivalence, and
+    condition B quantified over all enumerated pairs of non-equivalent
+    paths against the cycle-representative decision.  Returns one report
+    per budget, in order.  The decision, the naive cycles and entries and
+    the reach and ancestor tables do not depend on the budget, so they are
+    computed once.
     """
     verdict = decide_hausdorff_spectrum(g)
     report_a = verdict.condition_a
@@ -207,19 +213,15 @@ def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
     a_agrees = (not slow_entries) == report_a.passed and fast_cycles == slow_cycles
     entries_agree = fast_entries == slow_entries
 
-    details: dict = {
-        "cycles": sorted(fast_cycles),
-        "entry_count": len(fast_entries),
-        "max_prefix": max_prefix,
-    }
-    if not report_a.passed:
-        return OracleReport(a_agrees, entries_agree, None, None, details)
+    def details(max_prefix: int) -> dict:
+        return {
+            "cycles": sorted(fast_cycles),
+            "entry_count": len(fast_entries),
+            "max_prefix": max_prefix,
+        }
 
-    paths = enumerate_eventual_paths(g, max_prefix)
-    classes = naive_shift_classes(paths)
-    orbit_count_agrees = len(classes) == len(report_a.cycles)
-    details["paths_enumerated"] = len(paths)
-    details["shift_classes"] = len(classes)
+    if not report_a.passed:
+        return [OracleReport(a_agrees, entries_agree, None, None, details(budget)) for budget in budgets]
 
     reach = naive_reach_sets(g)
     ancestors = {u: frozenset(w for w in g.vertices if u in reach[w]) for u in g.vertices}
@@ -235,14 +237,22 @@ def oracle_suite(g: DiGraph, max_prefix: int) -> OracleReport:
             )
         return sep_memo[key]
 
-    slow_b = all(
-        separated(x, y)
-        for i, cls in enumerate(classes)
-        for other in classes[i + 1 :]
-        for x in cls
-        for y in other
-    )
     fast_b = verdict.condition_b.status == "pass"
-    condition_b_agrees = slow_b == fast_b
-    details["condition_b"] = {"fast": fast_b, "paths": slow_b}
-    return OracleReport(a_agrees, entries_agree, orbit_count_agrees, condition_b_agrees, details)
+    reports = []
+    for max_prefix in budgets:
+        paths = enumerate_eventual_paths(g, max_prefix)
+        classes = naive_shift_classes(paths)
+        orbit_count_agrees = len(classes) == len(report_a.cycles)
+        slow_b = all(
+            separated(x, y)
+            for i, cls in enumerate(classes)
+            for other in classes[i + 1 :]
+            for x in cls
+            for y in other
+        )
+        found = details(max_prefix)
+        found["paths_enumerated"] = len(paths)
+        found["shift_classes"] = len(classes)
+        found["condition_b"] = {"fast": fast_b, "paths": slow_b}
+        reports.append(OracleReport(a_agrees, entries_agree, orbit_count_agrees, slow_b == fast_b, found))
+    return reports

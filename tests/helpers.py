@@ -8,9 +8,10 @@ import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import groupoid_spectrum
-from groupoid_spectrum import _kernels
+from groupoid_spectrum import _kernels, cli
 from groupoid_spectrum.cli import main
 from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
 from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
@@ -72,6 +73,16 @@ def run_main(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str
         out.flush()
         return code, buffer.getvalue().decode("ascii"), err.getvalue()
     return code, out.getvalue(), err.getvalue()
+
+
+def run_full_parser(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str]:
+    """``run_main`` with ``argv`` parsed by ``build_parser().parse_args``, then the handler run.
+
+    The reference for ``main``'s dispatch, which parses a call that names a
+    command with that command's own parser.
+    """
+    with mock.patch.object(cli, "_parse", lambda args: cli.build_parser().parse_args(args)):
+        return run_main(argv, ascii_stdout)
 
 
 def condition_a_json(report) -> dict:

@@ -183,9 +183,9 @@ def test_criterion_05_oracle_suite_agreement():
             helpers.graph_common_ancestor(),
         ],
     )
+    budgets = (0, 1, 2, 3)
     for g in deep_slice:
-        for budget in (0, 1, 2, 3):
-            report = oracle_suite(g, max_prefix=budget)
+        for budget, report in zip(budgets, oracle_suite(g, budgets), strict=True):
             assert report.all_agree, (g, budget, report.details)
             suites += 1
     print(

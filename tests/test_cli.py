@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -852,11 +853,12 @@ class TestVacuousCounts:
         assert f"must be at most {limit}, got {argv[-1]}" in captured.err
 
     def test_largest_counts_parse(self):
-        # running them takes seconds, so only the argument types are checked
-        parser = cli.build_parser()
-        assert parser.parse_args(["model-green", "verify-eq3", "--n-max", "1000"]).n_max == 1000
-        assert parser.parse_args(["model-dyadic", "demo-c-failure", "--n-max", "1000"]).n_max == 1000
-        assert parser.parse_args(["model-so3", "conj-test", "--trials", "10000"]).trials == 10000
+        # running them takes seconds, so only the argument types are checked, on
+        # main's path and by the full parser
+        for parse in (cli._parse, cli.build_parser().parse_args):
+            assert parse(["model-green", "verify-eq3", "--n-max", "1000"]).n_max == 1000
+            assert parse(["model-dyadic", "demo-c-failure", "--n-max", "1000"]).n_max == 1000
+            assert parse(["model-so3", "conj-test", "--trials", "10000"]).trials == 10000
 
     def test_smallest_counts_still_run(self, run):
         code, out, _ = run("model-green", "verify-eq3", "--n-max", "0", "--json")
@@ -1181,7 +1183,10 @@ class TestImportsPerCommand:
 
 
 class TestParserReuse:
-    """``main`` builds its parser once per process; reuse must not change any output."""
+    """``main`` builds each command's parser, and the full parser, at most once per process.
+
+    Reuse must not change any output: each call matches a fresh process.
+    """
 
     def test_interleaved_calls_match_fresh_processes(
         self, monkeypatch, funnel_file, entry_file, dual_family_file
@@ -1219,6 +1224,7 @@ class TestParserReuse:
         assert seen[5] == seen[6] == (2, False, "usage:")
         assert seen[7] == (2, False, "usage:")
         assert cli.build_parser() is cli.build_parser()
+        assert cli._command_parser("graph-analyze") is cli._command_parser("graph-analyze")
 
     def test_hook_set_before_the_first_call_is_called(self, funnel_file):
         # nothing is bound yet in the child, so binding must keep the hook
@@ -1239,6 +1245,86 @@ class TestParserReuse:
             [sys.executable, "-c", code, funnel_file], capture_output=True, text=True, env=child_env(), timeout=60
         )
         assert (out.returncode, out.stdout) == (0, "2 True\n"), out.stderr
+
+
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    """The parsers of ``parser``'s subcommands by name, or an empty dict."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class TestDispatch:
+    """A call that names a command is parsed by that command's parser alone (``cli._parse``).
+
+    The reference is the full parser: ``build_parser().parse_args`` and then
+    the handler (``helpers.run_full_parser``).  ``tests/test_fuzz.py``
+    compares the two on generated argument vectors.
+    """
+
+    def test_hand_picked_argvs_match_the_full_parser(self, monkeypatch, funnel_file):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            [],
+            ["--help"],
+            ["graph-analyze", "-h"],
+            ["graph-analyze", funnel_file, "--help"],
+            ["model-green", "verify-eq3", "-h"],
+            ["--", "graph-analyze", funnel_file],
+            ["-x", "graph-analyze", funnel_file],
+            ["no-such-command"],
+            ["graph-analyzeX", funnel_file],
+            ["model-green"],
+            ["model-green", "no-such-verb"],
+            ["model-green", "verify-eq3", "--n-max", "2", "extra", "--nope"],
+            ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--", "x"],
+            ["graph-orbits", funnel_file, "extra"],
+            ["graph-analyze", funnel_file, "--json", "--text"],
+            ["graph-analyze", funnel_file, "--tr", "--js"],  # abbreviated options
+            ["graph-analyze", "--", funnel_file],
+            ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La"],
+            ["check-family", funnel_file, "--tol", "inf"],
+        ]
+        for argv in calls:
+            assert run_main(argv) == helpers.run_full_parser(argv), argv
+
+    def test_command_parsers_match_the_full_tree(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        commands = subparsers(cli.build_parser())
+        assert list(commands) == list(cli._COMMANDS)
+        pairs = []
+        for name, full in commands.items():
+            own = cli._command_parser(name)
+            pairs.append((own, full))
+            verbs, full_verbs = subparsers(own), subparsers(full)
+            assert list(verbs) == list(full_verbs)
+            pairs += [(verbs[verb], full_verbs[verb]) for verb in verbs]
+        assert len(pairs) == 12  # 7 commands and 5 nested verbs
+        for own, full in pairs:
+            assert own is not full
+            assert own.prog == full.prog
+            assert own.format_help() == full.format_help()
+            assert own.format_usage() == full.format_usage()
+
+    def test_full_parser_is_built_only_for_help_and_errors(self, funnel_file):
+        code = (
+            "import contextlib, io, sys\n"
+            "from groupoid_spectrum import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['graph-analyze', sys.argv[1], '--json']) == 0\n"
+            "print(cli.build_parser.cache_info().currsize)\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        cli.main(['no-such-command'])\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code)\n"
+            "print(cli.build_parser.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, funnel_file], capture_output=True, text=True, env=child_env(), timeout=60
+        )
+        assert (out.returncode, out.stdout) == (0, "0\n2\n1\n"), out.stderr
 
 
 class TestClosedPipe:

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groupoid_spectrum.cli import MAX_N, MAX_TRIALS
-from helpers import DUAL_FAMILY, S_FAMILY, run_main, strict_json
+from helpers import DUAL_FAMILY, S_FAMILY, run_full_parser, run_main, strict_json
 
 # derandomized, so the suite runs the same examples every time
 FUZZ = settings(
@@ -279,6 +279,12 @@ class TestArguments:
     def test_argv(self, workdir, data):
         argv, as_json = data.draw(argvs(workdir))
         assert_contract(argv, as_json and "--text" not in argv)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_dispatch_matches_the_full_parser(self, workdir, data):
+        argv, _ = data.draw(argvs(workdir))
+        assert run_main(argv, ascii_stdout=True) == run_full_parser(argv, ascii_stdout=True), argv
 
 
 class TestCountLimits:

@@ -69,27 +69,29 @@ class TestPathEnumeration:
 class TestSuite:
     def test_fixture_agreement(self):
         for g in FIXTURES:
-            report = oracle_suite(g, max_prefix=3)
+            [report] = oracle_suite(g, (3,))
             assert report.all_agree, report.details
 
     def test_funnel_details(self):
-        report = oracle_suite(helpers.graph_two_loops_funnel(), max_prefix=3)
+        [report] = oracle_suite(helpers.graph_two_loops_funnel(), (3,))
         assert report.details["paths_enumerated"] == 4
         assert report.details["shift_classes"] == 2
         assert report.orbit_count_agrees
         assert report.condition_b_agrees
 
     def test_entry_graph_skips_path_stage(self):
-        report = oracle_suite(helpers.graph_loop_with_entry(), max_prefix=3)
+        [report] = oracle_suite(helpers.graph_loop_with_entry(), (3,))
         assert report.condition_a_agrees and report.entries_agree
         assert report.orbit_count_agrees is None
         assert report.condition_b_agrees is None
 
     def test_sample_agreement_at_increasing_budgets(self):
         for g in sample():
-            for budget in (0, 2):
-                report = oracle_suite(g, max_prefix=budget)
+            reports = oracle_suite(g, (0, 2))
+            for budget, report in zip((0, 2), reports, strict=True):
                 assert report.all_agree, (g, budget, report.details)
+                # the graph-level work shared between budgets leaves each report as a call of its own
+                assert [report] == oracle_suite(g, (budget,))
 
     def test_entries_come_from_the_runs(self, monkeypatch):
         def flat(report):
@@ -101,7 +103,7 @@ class TestSuite:
             helpers.graph_common_ancestor(),
             helpers.complete_graph(4),
         ):
-            report = oracle_suite(g, max_prefix=1)
+            [report] = oracle_suite(g, (1,))
             assert report.entries_agree and report.details["entry_count"] > 0
         # a run missing its last entry is caught
         decide = oracle.decide_hausdorff_spectrum
@@ -114,4 +116,4 @@ class TestSuite:
             return verdict.replace(condition_a=short)
 
         monkeypatch.setattr(oracle, "decide_hausdorff_spectrum", drop_last_entry)
-        assert not oracle_suite(helpers.complete_graph(4), max_prefix=1).entries_agree
+        assert not oracle_suite(helpers.complete_graph(4), (1,))[0].entries_agree

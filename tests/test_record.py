@@ -71,7 +71,7 @@ def samples() -> dict[type, Record]:
         SConditionVerdict(True, "zero-parameter", s, t, {"note": "a note"}),
         SO3ConditionCReport(True, False, so3_chi, CharSO3((0.0, 1.0, 0.0), 2), 0.0, "a note"),
         spec,
-        oracle_suite(graph, max_prefix=1),
+        *oracle_suite(graph, (1,)),
     ]
     return {type(r): r for r in records}
 
