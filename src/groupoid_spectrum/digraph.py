@@ -172,7 +172,7 @@ class DiGraph(Record):
 
     @cached_property
     def pointer_cycles(self) -> tuple[list[tuple[int, ...]], list[int]] | None:
-        """The first-in-edge pointer cycles and the Kahn peel order; None unless condition A holds.
+        """The pointer cycles and each vertex's mask of the cycles that reach it; None unless A holds.
 
         Each vertex with an in-edge points back along its first one; each
         cycle of these pointers is a cycle of the graph, given as its edge
@@ -180,9 +180,11 @@ class DiGraph(Record):
         them has in-degree 1 and a Kahn peel (Kahn 1962) seeded with them and
         the vertices without in-edges takes every vertex: a cycle the peel
         leaves is no pointer cycle, so some vertex of it has an entry as its
-        first in-edge.  Then the pointer cycles are all the cycles, and the
-        order lists their vertices, the other seeds, then each vertex after
-        the tails of its in-edges.  O(V + E).
+        first in-edge.  Then the pointer cycles are all the cycles, and bit i
+        of ``masks[v]`` is set iff the i-th pointer cycle reaches v: the peel
+        seeds each cycle's vertices with its bit and ORs each vertex's mask
+        into the heads of its out-edges, and it takes a vertex only after the
+        tails of all its in-edges.  O(V + E) mask operations.
         """
         n = len(self.names)
         src, dst = self.src, self.dst
@@ -192,7 +194,8 @@ class DiGraph(Record):
                 first[d] = j
             left[d] += 1
         walked = [-1] * n  # the root of the walk that reached each vertex
-        cycles, on_cycles = [], []
+        masks = [0] * n
+        cycles = []
         for root in range(n):
             v, path = root, []
             while walked[v] < 0:
@@ -206,19 +209,22 @@ class DiGraph(Record):
                     ring = path[path.index(v):]
                     if any(left[u] > 1 for u in ring):
                         return None
+                    bit = 1 << len(cycles)
+                    for u in ring:
+                        masks[u] = bit
+                        left[u] = 0  # its only in-edge is its cycle's, which takes it below 0
                     cycles.append(tuple(map(first.__getitem__, reversed(ring))))
-                    on_cycles += ring
-        order = on_cycles + [v for v in range(n) if first[v] < 0]
-        for v in on_cycles:
-            left[v] = 0  # its only in-edge is its cycle's, which takes it below 0
+        order = [v for v in range(n) if masks[v] or first[v] < 0]
         start, arcs = self.out_arcs
         heads = list(map(dst.__getitem__, arcs))
         for u in order:
+            mask = masks[u]
             for w in heads[start[u]:start[u + 1]]:
+                masks[w] |= mask
                 left[w] -= 1
                 if not left[w]:
                     order.append(w)
-        return (cycles, order) if len(order) == n else None
+        return (cycles, masks) if len(order) == n else None
 
     def transpose(self) -> "DiGraph":
         """Same graph with every edge reversed."""
@@ -441,19 +447,25 @@ def entry_free_cycles(
 # Input/output formats
 
 
-def _numbered_records(text: str):
-    """(line number, record) pairs, where lines end only at \\n, \\r\\n and \\r.
+def _line_of(text: str, record: str) -> int:
+    """The number of the line that holds the first record of ``text`` equal to ``record``.
 
-    Records also end where ``str.splitlines`` breaks: \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029.
+    Lines end only at \\n, \\r\\n and \\r.  Records end at every break of
+    ``str.splitlines``, which adds \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and
+    \\u2029, and each line's records are its ``splitlines``, so every
+    nonblank record of ``text.splitlines()`` is a record of some line.
     """
-    if not any(c in text for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-        return enumerate(text.splitlines(), start=1)
-    by_line = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return ((n, record) for n, line in enumerate(by_line, start=1) for record in line.splitlines())
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return next(n for n, line in enumerate(lines, start=1) if record in line.splitlines())
 
 
 def parse_graph_text(text: str) -> DiGraph:
-    """Line format: 'v <id>' and 'e <id> <src> <rng>'; '#' starts a comment."""
+    """Line format: 'v <id>' and 'e <id> <src> <rng>'; '#' starts a comment.
+
+    The records are read without line numbers.  A bad record's number is
+    found when it raises, as that of the first record equal to it: an equal
+    earlier record would have raised first.
+    """
     vertices: list[str] = []
     ids: list[str] = []
     srcs: list[str] = []
@@ -461,7 +473,7 @@ def parse_graph_text(text: str) -> DiGraph:
     # one column per field, not a list per line: the columns are what the graph is built from
     add_id, add_src, add_rng = ids.append, srcs.append, rngs.append
     comments = "#" in text
-    for lineno, raw in _numbered_records(text):
+    for raw in text.splitlines():
         parts = (raw.split("#", 1)[0] if comments else raw).split()
         if not parts:
             continue
@@ -471,12 +483,14 @@ def parse_graph_text(text: str) -> DiGraph:
             add_rng(parts[3])
         elif parts[0] == "v" and len(parts) == 2:
             vertices.append(parts[1])
-        elif parts[0] == "v":
-            raise GraphParseError(f"expected 'v <id>', got {raw.strip()!r}", lineno)
-        elif parts[0] == "e":
-            raise GraphParseError(f"expected 'e <id> <src> <rng>', got {raw.strip()!r}", lineno)
         else:
-            raise GraphParseError(f"unknown record {parts[0]!r}", lineno)
+            if parts[0] == "v":
+                message = f"expected 'v <id>', got {raw.strip()!r}"
+            elif parts[0] == "e":
+                message = f"expected 'e <id> <src> <rng>', got {raw.strip()!r}"
+            else:
+                message = f"unknown record {parts[0]!r}"
+            raise GraphParseError(message, _line_of(text, raw))
     return DiGraph._from_ids(vertices, ids, srcs, rngs)
 
 

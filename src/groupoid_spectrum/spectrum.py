@@ -22,8 +22,8 @@ The decision runs two graph conditions:
   condition A fails.
 
 Both conditions read one O(V + E) pass, ``DiGraph.pointer_cycles``: it
-decides condition A from the in-degrees on cycles, and its peel order
-carries condition B's masks of the cycles reaching each vertex.
+decides condition A from the in-degrees on cycles, and its Kahn peel
+computes, for each vertex, condition B's mask of the cycles reaching it.
 
 When both pass, the remaining separation condition for convergent character
 sequences holds automatically: an arrow between two characters in the same
@@ -241,51 +241,44 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     Skipped unless condition A holds.  ``g`` must be validated, as
     ``decide_hausdorff_spectrum`` ensures: then every ancestor chain starts
     on a cycle, and under A nothing enters a cycle, so u and v are separated
-    exactly when no cycle reaches both: their masks of reaching cycles, pushed
-    along the peel order of ``g.pointer_cycles``, are disjoint.  A cycle's own
-    vertices carry only its own bit, so every pair of cycles is separated.
+    exactly when no cycle reaches both: their masks of reaching cycles, which
+    ``g.pointer_cycles`` computed while deciding A, are disjoint.  A cycle's
+    own vertices carry only its own bit, so every pair of cycles is
+    separated.  B reads the masks alone and never walks the graph.
 
     It also gives the least pair of cycles a < b by two scans of the
-    candidates in name order: u is the first candidate of a whose mask lacks
-    bit b, since every vertex reached from b carries bit b; v is the first
-    candidate of b whose mask is disjoint from u's.  b's own vertices carry
-    only bit b, so both exist.
+    candidates in name order, the least vertex of each distinct mask: u is
+    the first candidate of a whose mask lacks b's bit, since every vertex
+    reached from b carries that bit; v is the first candidate of b whose mask
+    is disjoint from u's.  b's own vertices carry only b's bit, so both exist.
     """
     if not report_a.passed:
         return ConditionBReport("skipped", report_a, ())
     cycles = report_a.cycle_edges  # sorted by CycleRep.sort_key
-    dst = g.dst
-    # cycle vertices first, then each vertex after its in-edges' tails: one push finishes each mask
-    _, peel = g.pointer_cycles
-    masks = [0] * len(g.names)  # per vertex, bit k set iff cycles[k] reaches it
-    for bit, c in enumerate(cycles):
-        for j in c:
-            masks[dst[j]] = 1 << bit
-    start, arcs = g.out_arcs
-    for u in peel:
-        mask = masks[u]
-        if mask:
-            for j in arcs[start[u]:start[u + 1]]:
-                masks[dst[j]] |= mask
+    pointer, masks = g.pointer_cycles  # bit i of a mask is the i-th pointer cycle
+    bit_of_edge = {j: bit for bit, arcs in enumerate(pointer) for j in arcs}
+    bits = [bit_of_edge[c[0]] for c in cycles]  # each cycle's bit, in the order of cycles
     # the least vertex, in name order, of each distinct mask; the candidates
     # from a cycle's reach set are the masks holding its bit
-    order = sorted(range(len(g.vertices)), key=g.vertices.__getitem__)
-    ranked = list(map(masks.__getitem__, order))
-    least = dict(zip(reversed(ranked), range(len(ranked) - 1, -1, -1)))  # mask -> least rank
-    firsts: list[list[tuple[int, str]]] = [[] for _ in cycles]
-    for rank, mask in sorted((rank, mask) for mask, rank in least.items()):
-        candidate = (mask, g.vertices[order[rank]])
-        bits = mask
-        while bits:
-            firsts[(bits & -bits).bit_length() - 1].append(candidate)
-            bits &= bits - 1
+    least: dict[int, str] = {}
+    for name, mask in zip(g.vertices, masks):
+        if least.setdefault(mask, name) > name:
+            least[mask] = name
+    by_bit: list[list[tuple[int, str]]] = [[] for _ in cycles]
+    for name, mask in sorted(zip(least.values(), least)):
+        candidate = (mask, name)
+        rest = mask
+        while rest:
+            by_bit[(rest & -rest).bit_length() - 1].append(candidate)
+            rest &= rest - 1
+    firsts = [by_bit[bit] for bit in bits]
 
     certificates = []
     for a, first_a in enumerate(firsts):
         for b, first_b in enumerate(firsts[a + 1 :], a + 1):
             (mask_u, u), (mask_v, v) = first_a[0], first_b[0]
             if mask_u & mask_v:  # the least vertices share a reaching cycle
-                mask_u, u = next(c for c in first_a if not c[0] >> b & 1)
+                mask_u, u = next(c for c in first_a if not c[0] >> bits[b] & 1)
                 v = next(name for mask, name in first_b if not mask & mask_u)
             certificates.append((u, v))
     return ConditionBReport("pass", report_a, tuple(certificates))

@@ -31,7 +31,7 @@ from groupoid_spectrum.digraph import (
     require_validated,
     validate_graph,
 )
-from groupoid_spectrum.oracle import naive_entries, naive_simple_cycles
+from groupoid_spectrum.oracle import naive_entries, naive_reach_sets, naive_simple_cycles
 from groupoid_spectrum.spectrum import check_condition_a
 
 G3_TEXT = """\
@@ -87,6 +87,21 @@ class TestParsing:
         with pytest.raises(GraphParseError) as exc:
             parse_graph_text("v a\r\nv b\rbogus\n")
         assert exc.value.line == 3
+
+    def test_bad_record_after_a_break_or_repeated(self):
+        # the line of the first bad record, not of a record it is part of
+        cases = [
+            ("v a\vbogus\nv b\n", 1, "unknown record 'bogus'"),
+            ("v a\n\x85v a b\nv c\n", 2, "expected 'v <id>', got 'v a b'"),
+            ("v a\r\nv b\r\n\r\ne x a\r\n", 4, "expected 'e <id> <src> <rng>', got 'e x a'"),
+            ("v a\nbogus\nv b\nbogus\n", 2, "unknown record 'bogus'"),
+            ("e x a b\ne x a\n", 2, "expected 'e <id> <src> <rng>', got 'e x a'"),
+            ("v a\x85v a b # c\nv a b # c\n", 1, "expected 'v <id>', got 'v a b # c'"),
+        ]
+        for text, line, message in cases:
+            with pytest.raises(GraphParseError) as exc:
+                parse_graph_text(text)
+            assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}"), repr(text)
 
     def test_crlf_and_cr_line_breaks(self):
         g = helpers.graph_two_loops_funnel()
@@ -309,6 +324,41 @@ def views(g: DiGraph):
     return report.cycles, report.runs
 
 
+@st.composite
+def entry_free_forests(draw):
+    """Validated graphs where condition A holds: up to five rings, then vertices below them.
+
+    Each later vertex has one to three in-edges from earlier vertices, in its
+    own tree or across from others, so it can be reached from several rings.
+    Declaration order differs from construction order.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    vertices: list[str] = []
+    arcs: list[tuple[str, str]] = []
+    for c in range(rng.randint(1, 5)):
+        ring = [f"r{c}_{i}" for i in range(rng.randint(1, 3))]
+        arcs += [(ring[k - 1], ring[k]) for k in range(len(ring))]
+        vertices += ring
+    for k in range(rng.randint(0, 12)):
+        arcs += [(s, f"t{k}") for s in rng.sample(vertices, min(len(vertices), rng.randint(1, 3)))]
+        vertices.append(f"t{k}")
+    rng.shuffle(vertices)
+    ids = [f"e{j:02d}" for j in range(len(arcs))]
+    rng.shuffle(ids)
+    return DiGraph.build(vertices, [(i, s, r) for i, (s, r) in zip(ids, arcs)])
+
+
+def assert_masks_match_reach(g: DiGraph) -> None:
+    """Bit i of ``masks[v]`` is set iff the i-th pointer cycle reaches v, by BFS."""
+    cycles, masks = g.pointer_cycles
+    assert len(masks) == len(g.names)
+    reach = naive_reach_sets(g)
+    for bit, arcs in enumerate(cycles):
+        reached = reach[g.names[g.dst[arcs[0]]]]
+        assert [bool(mask >> bit & 1) for mask in masks] == [v in reached for v in g.names]
+    assert all(mask < 1 << len(cycles) for mask in masks)
+
+
 class TestCycles:
     def test_funnel(self):
         cycles, runs = views(helpers.graph_two_loops_funnel())
@@ -427,17 +477,31 @@ class TestCycles:
         assert peak < 8 * 2**20  # n**2 list items would take 72 MB
 
     def test_pointer_cycles(self):
-        # the funnel's loops are its pointer cycles, and the peel takes t last
-        assert helpers.graph_two_loops_funnel().pointer_cycles == ([(0,), (1,)], [0, 1, 2])
+        # the funnel's loops are its pointer cycles, with bits 1 and 2, and both reach t
+        assert helpers.graph_two_loops_funnel().pointer_cycles == ([(0,), (1,)], [1, 2, 3])
         # a's first in-edge is its loop, and e enters it
         assert helpers.graph_loop_with_entry().pointer_cycles is None
         # a cycle the peel leaves: the pointers of x and y run back to the source s
         g = DiGraph.build(["s", "x", "y"], [("a", "s", "x"), ("b", "x", "y"), ("c", "y", "x")])
         assert g.pointer_cycles is None
-        # undeclared endpoints and a repeated id are peel sources; nothing follows a missing pointer
+        # undeclared endpoints and a repeated id are peel sources, and no cycle
+        # reaches them; nothing follows a missing pointer
         g = DiGraph.build(["a", "a", "b"], [("L", "a", "a"), ("f", "a", "z"), ("h", "w", "b")])
         assert g.names == ("a", "a", "b", "w", "z")
-        assert g.pointer_cycles == ([(0,)], [0, 1, 3, 4, 2])
+        assert g.pointer_cycles == ([(0,)], [1, 0, 0, 0, 1])
+
+    @settings(max_examples=100, deadline=timedelta(seconds=2), derandomize=True)
+    @given(entry_free_forests())
+    def test_masks_are_the_cycles_reaching_each_vertex(self, g):
+        assert not validate_graph(g)
+        assert_masks_match_reach(g)
+
+    def test_masks_past_a_machine_word(self):
+        # 70 cycles with trees below them and cross edges between the trees
+        g = helpers.planted_separated(4, n=300, k=70, chain=10)
+        assert_masks_match_reach(g)
+        _, masks = g.pointer_cycles
+        assert any(mask >> 64 and mask & (mask - 1) for mask in masks)
 
     def test_entry_free_iff_unit_in_degree_on_cycles(self):
         # an entry is exactly a second edge into some cycle vertex

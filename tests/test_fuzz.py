@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupoid_spectrum.cli import MAX_N, MAX_TRIALS
+from groupoid_spectrum.cli import MAX_N, MAX_TRIALS, PROG, build_parser
 from helpers import DUAL_FAMILY, S_FAMILY, run_full_parser, run_main, strict_json
 
 # derandomized, so the suite runs the same examples every time
@@ -86,10 +86,8 @@ def csv(part):
     return st.lists(part, max_size=4).map(",".join)
 
 
-path_literals = st.one_of(
-    st.builds("{}:{}".format, csv(edge_ids | st.just("")), csv(edge_ids | st.just(""))),
-    st.text(max_size=6),
-)
+literal_pairs = st.builds("{}:{}".format, csv(edge_ids | st.just("")), csv(edge_ids | st.just("")))
+path_literals = st.one_of(literal_pairs, st.text(max_size=6))
 junk_lines = st.one_of(
     st.sampled_from(["", "# comment", "v", "v a", "e e0 a a", "e e9 a z", "e e9 a", "x a", "v a b"]),
     st.text(max_size=10),
@@ -214,57 +212,74 @@ def argvs(draw, workdir):
     """A subcommand with its positionals and options, sometimes broken, and maybe a junk token.
 
     Hypothesis favours the least value of a draw, so that value picks the well-formed branch.
+    Returns the argv, whether it asks for JSON, and its leftover: in about one draw in five,
+    every value is one the command's parser takes, and an unknown token is appended, which is
+    returned as the leftover (None otherwise).
     """
+    leftover = draw(st.integers(0, 4)) == 4
+
+    def either(valid, anything):  # the leftover branch draws only values the parser takes
+        return valid if leftover else anything
 
     def file(name):  # mostly the right file, sometimes another or none
         files = [str(workdir / f) for f in ("funnel.graph", "dual.json", "s.json", "missing")]
-        return st.one_of(*[st.just(str(workdir / name))] * 3, st.sampled_from(files), st.text(max_size=6))
+        right = st.just(str(workdir / name))
+        return either(right, st.one_of(*[right] * 3, st.sampled_from(files), st.text(max_size=6)))
 
-    counts = as_text(st.integers(-3, 39) | above_limits)
+    counts = either(st.integers(1, 39).map(str), as_text(st.integers(-3, 39) | above_limits))
+    integers = either(st.integers(0, 99).map(str), as_text(st.integers()))
+    tests = either(csv(st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12))), csv(rational_text))
+    tolerance = either(st.floats(0, 1).map(repr), floats_text)
+    vector = either(st.lists(st.floats(0, 9).map(repr), min_size=3, max_size=3).map(",".join), vectors)
+    literals = either(literal_pairs, path_literals)
     graph = [file("funnel.graph")]
     command, positionals, required, optional = draw(
         st.sampled_from(
             [
                 (["graph-analyze"], graph, [], [("--transpose", None)]),
                 (["graph-orbits"], graph, [], [("--transpose", None)]),
-                (["graph-equiv"], graph, [("--x", path_literals), ("--y", path_literals)], [("--transpose", None)]),
+                (["graph-equiv"], graph, [("--x", literals), ("--y", literals)], [("--transpose", None)]),
                 (["model-green", "verify-eq3"], [], [], [("--n-max", counts)]),
                 (
                     ["model-dyadic", "demo-c-failure"],
                     [],
                     [],
-                    [("--n-max", counts), ("--tests", csv(rational_text))],
+                    [("--n-max", counts), ("--tests", tests)],
                 ),
                 (["model-dyadic", "check-c-on-s"], [], [("--family", file("s.json"))], []),
                 (
                     ["model-so3", "conj-test"],
                     [],
                     [],
-                    [("--trials", counts), ("--seed", as_text(st.integers())), ("--tol", floats_text)],
+                    [("--trials", counts), ("--seed", integers), ("--tol", tolerance)],
                 ),
-                (["model-so3", "spectrum"], [], [("--v", vectors), ("--k", as_text(st.integers()))], []),
+                (["model-so3", "spectrum"], [], [("--v", vector), ("--k", integers)], []),
                 (
                     ["check-family"],
                     [file("dual.json")],
                     [],
-                    [("--tests", csv(rational_text)), ("--truncate", as_text(st.integers())), ("--tol", floats_text)],
+                    [("--tests", tests), ("--truncate", integers), ("--tol", tolerance)],
                 ),
             ]
         )
     )
     argv = list(command) + [draw(p) for p in positionals]
-    options = [(o, draw(st.integers(0, 7)) < 7) for o in required]
+    options = [(o, leftover or draw(st.integers(0, 7)) < 7) for o in required]
     options += [(o, draw(st.booleans())) for o in optional]
     for (flag, values), present in draw(st.permutations(options)):
         if present:
             argv += [flag] if values is None else [flag, draw(values)]
-    if draw(st.integers(0, 3)) == 3:
+    if not leftover and draw(st.integers(0, 3)) == 3:
         argv.insert(
             draw(st.integers(0, len(argv))),
             draw(st.sampled_from(["--nope", "-x", "--", "extra", "--json", "--text"])),
         )
     as_json = draw(st.booleans())
-    return argv + (["--json"] if as_json else []), as_json
+    argv += ["--json"] if as_json else []
+    if not leftover:
+        return argv, as_json, None
+    extra = draw(st.sampled_from(["--nope", "-x", "extra", "--nope=1", "é"]))
+    return argv + [extra], as_json, extra
 
 
 class TestArguments:
@@ -277,13 +292,17 @@ class TestArguments:
     @FUZZ
     @given(data=st.data())
     def test_argv(self, workdir, data):
-        argv, as_json = data.draw(argvs(workdir))
-        assert_contract(argv, as_json and "--text" not in argv)
+        argv, as_json, extra = data.draw(argvs(workdir))
+        if extra is None:
+            assert_contract(argv, as_json and "--text" not in argv)
+        else:  # the full parser's usage and error, as under build_parser().parse_args
+            error = f"{PROG}: error: unrecognized arguments: {extra}\n"
+            assert run_main(argv, ascii_stdout=True) == (2, "", build_parser().format_usage() + error), argv
 
     @FUZZ
     @given(data=st.data())
     def test_dispatch_matches_the_full_parser(self, workdir, data):
-        argv, _ = data.draw(argvs(workdir))
+        argv, _, _ = data.draw(argvs(workdir))
         assert run_main(argv, ascii_stdout=True) == run_full_parser(argv, ascii_stdout=True), argv
 
 

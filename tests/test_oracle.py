@@ -60,6 +60,12 @@ class TestPathEnumeration:
         assert len(paths) == 3  # one presentation per rotation
         assert len(naive_shift_classes(paths)) == 1
 
+    def test_given_cycles_are_the_naive_ones(self):
+        for g in FIXTURES:
+            cycles = naive_simple_cycles(g)
+            assert enumerate_eventual_paths(g, 2, cycles) == enumerate_eventual_paths(g, 2)
+            assert naive_entries(g, cycles) == naive_entries(g)
+
     def test_prefix_budget_is_respected(self):
         for budget in range(4):
             paths = enumerate_eventual_paths(helpers.graph_two_loops_funnel(), budget)
@@ -92,6 +98,20 @@ class TestSuite:
                 assert report.all_agree, (g, budget, report.details)
                 # the graph-level work shared between budgets leaves each report as a call of its own
                 assert [report] == oracle_suite(g, (budget,))
+
+    def test_naive_cycles_are_found_once_per_graph(self, monkeypatch):
+        calls = []
+        naive = oracle.naive_simple_cycles
+
+        def counted(g):
+            calls.append(g)
+            return naive(g)
+
+        monkeypatch.setattr(oracle, "naive_simple_cycles", counted)
+        g = helpers.graph_two_loops_funnel()
+        reports = oracle_suite(g, (0, 1, 2, 3))
+        assert all(report.all_agree for report in reports)
+        assert calls == [g]
 
     def test_entries_come_from_the_runs(self, monkeypatch):
         def flat(report):

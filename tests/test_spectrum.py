@@ -272,6 +272,14 @@ class TestConditionBReference:
         # the least pair is sometimes the first candidate pair, sometimes later
         assert beyond_first == {False, True}
 
+    def test_cycles_past_a_machine_word(self):
+        # masks wider than 64 bits: 100 disjoint rings, and 70 cycles whose trees cross
+        for g in (helpers.disjoint_rings(100, 5), helpers.planted_separated(4, n=300, k=70, chain=10)):
+            verdict = decide_hausdorff_spectrum(g)
+            expected, _ = brute_condition_b(g, verdict.condition_a.cycles)
+            assert len(expected["certificates"]) > 64 * 63 // 2
+            assert verdict.condition_b.to_json() == expected
+
     def test_certificates_are_name_pairs_in_cycle_pair_order(self):
         loops = DiGraph.build(
             [f"v{i:02d}" for i in range(40)], [(f"L{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(40)]
