@@ -158,7 +158,11 @@ class DiGraph(Record):
 
     @cached_property
     def out_arcs(self) -> tuple[list[int], list[int]]:
-        """The out-edges as ``(start, arcs)``: ``arcs[start[v]:start[v + 1]]`` leave vertex v, in edge order."""
+        """The out-edges as ``(start, arcs)``: ``arcs[start[v]:start[v + 1]]`` leave vertex v, in edge order.
+
+        Only Johnson's search reads them, when condition A fails
+        (``entry_free_cycles``); the pointer pass keeps its own head lists.
+        """
         counts = [0] * (len(self.names) + 1)
         for s in self.src:
             counts[s + 1] += 1
@@ -183,8 +187,9 @@ class DiGraph(Record):
         first in-edge.  Then the pointer cycles are all the cycles, and bit i
         of ``masks[v]`` is set iff the i-th pointer cycle reaches v: the peel
         seeds each cycle's vertices with its bit and ORs each vertex's mask
-        into the heads of its out-edges, and it takes a vertex only after the
-        tails of all its in-edges.  O(V + E) mask operations.
+        into the heads of its out-edges, read from per-vertex head lists built
+        after the walk, and it takes a vertex only after the tails of all its
+        in-edges.  O(V + E) mask operations.
         """
         n = len(self.names)
         src, dst = self.src, self.dst
@@ -197,6 +202,8 @@ class DiGraph(Record):
         masks = [0] * n
         cycles = []
         for root in range(n):
+            if walked[root] >= 0:
+                continue
             v, path = root, []
             while walked[v] < 0:
                 walked[v] = root
@@ -215,11 +222,12 @@ class DiGraph(Record):
                         left[u] = 0  # its only in-edge is its cycle's, which takes it below 0
                     cycles.append(tuple(map(first.__getitem__, reversed(ring))))
         order = [v for v in range(n) if masks[v] or first[v] < 0]
-        start, arcs = self.out_arcs
-        heads = list(map(dst.__getitem__, arcs))
+        heads: list[list[int]] = [[] for _ in range(n)]  # the heads of each vertex's out-edges
+        for s, d in zip(src, dst):
+            heads[s].append(d)
         for u in order:
             mask = masks[u]
-            for w in heads[start[u]:start[u + 1]]:
+            for w in heads[u]:
                 masks[w] |= mask
                 left[w] -= 1
                 if not left[w]:
@@ -412,12 +420,14 @@ def entry_free_cycles(
         tails = list(map(src.__getitem__, arcs))
         if not heads or tails != heads[-1:] + heads[:-1] or len(set(heads)) < len(heads):
             CycleRep(tuple(g.edges.at(arcs[::-1])))  # raises CycleRep's error for these edges
-    on_cycles = set(map(dst.__getitem__, chain.from_iterable(found)))
+    if pointer:  # each cycle vertex has one in-edge, its cycle's
+        into_cycles = sorted(chain.from_iterable(found))
+    else:
+        on_cycles = set(map(dst.__getitem__, chain.from_iterable(found)))
+        into_cycles = compress(range(len(dst)), map(on_cycles.__contains__, dst))
     # the edges into cycle vertices, every cycle edge and every entry, in id
-    # order; an edge's rank is its place here
-    by_rank = sorted(
-        compress(range(len(dst)), map(on_cycles.__contains__, dst)), key=g.edge_ids.__getitem__
-    )
+    # order, ties in index order; an edge's rank is its place here
+    by_rank = sorted(into_cycles, key=g.edge_ids.__getitem__)
     rank = dict(zip(by_rank, range(len(by_rank))))
     keys = []  # per cycle, its length and its ranks in canonical rotation
     for arcs in found:

@@ -440,6 +440,17 @@ class TestCycles:
         assert first.edges[0] is entry_of_second is g.edges[0]
         assert second.edges[0] is entry_of_first is g.edges[1]
 
+    def test_repeated_ids_on_entry_free_cycles_rank_by_index(self):
+        # the walk finds the loops "x" as edges 1, 0, 2 and the ring's edges
+        # "u" as 4, 3: ties in id still rank by edge index
+        g = DiGraph.build(
+            ["a", "b", "c", "d", "e", "f"],
+            [("x", "b", "b"), ("x", "a", "a"), ("x", "c", "c")]
+            + [("u", "e", "f"), ("u", "d", "e"), ("v", "f", "d")],
+        )
+        assert g.pointer_cycles[0] == [(1,), (0,), (2,), (4, 3, 5)]
+        assert entry_free_cycles(g) == index_route(g) == (((0,), (1,), (2,), (3, 4, 5)), ())
+
     def test_runs_skip_cycles_without_entries(self):
         # the funnel's loops have no entries; the loop at b enters nothing
         assert entry_free_cycles(helpers.graph_two_loops_funnel())[1] == ()
@@ -516,20 +527,26 @@ class TestCycles:
 
 
 def kernel_route(g: DiGraph):
-    """The report's ``cycles`` and ``runs`` by the kernel's search, with the entries taken from the definition."""
-    cycles = []
+    """The report's ``cycles`` and ``runs`` by the kernel's search, with the entries taken from the definition.
+
+    A cycle's entries are the edges into its vertices that are not its own,
+    told apart by edge index.
+    """
+    into: dict[int, list[int]] = {}  # per vertex, the indices of its in-edges
+    for j, d in enumerate(g.dst):
+        into.setdefault(d, []).append(j)
+    found = []
     for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs):
         # kernel output is in traversal order; path convention is its reverse
-        cycles.append(CycleRep(tuple(g.edges[j] for j in reversed(arcs))))
-    cycles.sort(key=CycleRep.sort_key)
+        found.append((CycleRep(tuple(g.edges.at(arcs[::-1]))), arcs))
+    found.sort(key=lambda pair: pair[0].sort_key())
     runs = []
-    for c in cycles:
-        vertices = c.vertices
-        entries = [e for e in g.edges if e.rng in vertices and e not in c.edges]
-        run = sorted(entries, key=attrgetter("id"))
+    for c, arcs in found:
+        entries = [j for a in arcs for j in into[g.dst[a]] if j not in arcs]
+        run = sorted(g.edges.at(entries), key=attrgetter("id"))
         if run:
             runs.append((c, tuple(run)))
-    return tuple(cycles), tuple(runs)
+    return tuple(c for c, _ in found), tuple(runs)
 
 
 @st.composite
@@ -634,8 +651,9 @@ class TestRoutes:
         cycles, runs = views(g)
         assert (cycles, runs) == kernel_route(g)
         if len(g.names) == len(g.vertices):  # every endpoint is declared
-            assert {c.edge_ids() for c in cycles} == naive_simple_cycles(g)
-            assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == naive_entries(g)
+            naive = naive_simple_cycles(g)
+            assert {c.edge_ids() for c in cycles} == naive
+            assert {(c.edge_ids(), e.id) for c, e in flat_entries(runs)} == naive_entries(g, naive)
 
     @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
     @given(multigraphs())

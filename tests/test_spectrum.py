@@ -356,15 +356,19 @@ class TestEntryFreeNeedsNoKernel:
         monkeypatch.setattr(_kernels, "simple_cycles", refuse)
 
     def test_chain(self):
-        verdict = decide_hausdorff_spectrum(helpers.two_loop_chain(100_000))
+        g = helpers.two_loop_chain(100_000)
+        verdict = decide_hausdorff_spectrum(g)
         assert verdict.hausdorff
         assert [c.edge_ids() for c in verdict.condition_a.cycles] == [("Lp",), ("Lq",)]
         assert verdict.condition_b.certificates == (("p", "q"),)
+        assert "out_arcs" not in g.__dict__  # the arc rows are Johnson's alone
 
     def test_disjoint_rings(self):
         # each ring's least vertex separates it from every other ring
-        verdict = decide_hausdorff_spectrum(helpers.disjoint_rings(300, 5))
+        g = helpers.disjoint_rings(300, 5)
+        verdict = decide_hausdorff_spectrum(g)
         assert verdict.hausdorff
+        assert "out_arcs" not in g.__dict__
         cycles = verdict.condition_a.cycles
         # head-first: x{c}_4 runs into r{c}_0, where x{c}_0 starts
         expected = {tuple(f"x{c}_{i}" for i in (0, 4, 3, 2, 1)) for c in range(300)}
@@ -377,6 +381,7 @@ class TestEntryFreeNeedsNoKernel:
         g = helpers.planted_separated(3)
         verdict = decide_hausdorff_spectrum(g)
         assert verdict.hausdorff
+        assert "out_arcs" not in g.__dict__
         assert {c.edge_ids() for c in verdict.condition_a.cycles} == naive_simple_cycles(g)
         expected, _ = brute_condition_b(g, verdict.condition_a.cycles)
         assert verdict.condition_b.to_json() == expected
