@@ -199,23 +199,23 @@ def _write_json(write, value, depth: int = 0) -> None:
 
 
 def _id_list(ids: str, depth: int) -> str:
-    """A cycle's quoted ids, joined by newlines (``_quoted_report``), as a list ``depth`` deep."""
+    """A cycle's quoted ids, joined by newlines (``_ranked_report``), as a list ``depth`` deep."""
     inner = _PAD[depth + 1]
     return "[" + inner + ids.replace("\n", "," + inner) + _PAD[depth] + "]"
 
 
-def _quoted_report(report_a) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
-    """A ``ConditionAReport``'s cycles and runs with their edge ids quoted, each id once per graph.
+def _ranked_report(report_a, quoted: bool) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
+    """A ``ConditionAReport``'s cycles and runs by edge id, each ranked edge's id quoted (or not) once.
 
-    Returns each cycle's quoted ids joined by newlines, in cycle order, and
-    per run its cycle's length, that string and the quoted ids of its
-    entries.  A report renders a cycle's lists at any depth from its one
-    string: a quoted id holds no raw newline.
+    Returns each cycle's ids joined, in cycle order, and per run its cycle's
+    length, that string and the ids of its entries.  Quoted ids are joined by
+    newlines, which no quoted id holds, so a JSON report renders a cycle's
+    lists at any depth from its one string; text ids are joined by commas.
     """
-    edges = report_a.cycle_edges
-    quoted = list(map(_quote, report_a.graph.edge_ids)).__getitem__
-    cycles = ["\n".join(map(quoted, c)) for c in edges]
-    runs = [(len(edges[k]), cycles[k], list(map(quoted, run))) for k, run in report_a.run_edges]
+    ranks, ids = report_a.cycle_ranks, report_a.ranked_ids()
+    named = list(map(_quote, ids)).__getitem__ if quoted else ids.__getitem__
+    cycles = [("\n" if quoted else ",").join(map(named, c)) for c in ranks]
+    runs = [(len(ranks[k]), cycles[k], list(map(named, run))) for k, run in report_a.run_ranks]
     return cycles, runs
 
 
@@ -246,7 +246,7 @@ def _entry_tail(record, length: int, depth: int) -> str:
 def _entry_items(runs: list[tuple[int, str, list[str]]], record=None):
     """Item renderer of the ``entries`` list, or of ``stabilizer_discontinuity`` given ``record``.
 
-    ``runs`` comes from ``_quoted_report``, so both lists share one pass over the
+    ``runs`` comes from ``_ranked_report``, so both lists share one pass over the
     entries.  Every item opens with the cycle and the entry, so each cycle's
     items are one join of its quoted entry ids between that head and a tail.
     The tail closes an entries item; ``record`` maps a cycle length to the
@@ -331,10 +331,10 @@ def cmd_graph_analyze(args) -> int:
         lines = ["validated: no"] + [f"  {v.detail}" for v in exc.violations]
         _emit(report, lines, args.json)
         return 2
+    a, b = verdict.condition_a, verdict.condition_b
+    cycles, runs = _ranked_report(a, quoted=args.json)
     report = None
-    if args.json:  # a text report never reads the quoted ids
-        a, b = verdict.condition_a, verdict.condition_b
-        cycles, runs = _quoted_report(a)
+    if args.json:
         condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
         if not a.passed:
             condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
@@ -352,58 +352,47 @@ def cmd_graph_analyze(args) -> int:
             condition_c=CONDITION_C_NOTE,
             hausdorff=verdict.hausdorff,
         )
-    _emit(report, _analyze_lines(verdict), args.json)
+    _emit(report, _analyze_lines(verdict, cycles, runs), args.json)
     return 0
 
 
-def _analyze_lines(verdict):
-    """The text report's lines, generated one at a time."""
+def _analyze_lines(verdict, cycles, runs):
+    """The text report's lines, from ``_ranked_report``'s unquoted cycles and runs, one at a time."""
     a, b = verdict.condition_a, verdict.condition_b
     yield "validated: yes"
     yield (
         f"condition A: {'PASS' if a.passed else 'FAIL'} "
-        f"({len(a.cycle_edges)} cycles, {sum(len(run) for _, run in a.run_edges)} entries)"
+        f"({len(cycles)} cycles, {sum(len(ids) for _, _, ids in runs)} entries)"
     )
-    joined = [",".join(ids) for ids in a.cycle_ids()]
-    for ids in joined:
-        yield f"  cycle: {ids}"
-    yield from _entry_lines(a, joined)
+    for cycle in cycles:
+        yield f"  cycle: {cycle}"
+    yield from (f"  entry: {entry} -> cycle {cycle}" for _, cycle, ids in runs for entry in ids)
     discontinuity: dict[int, str] = {}  # the line per cycle length
-    for k, run in a.run_edges:
-        length = len(a.cycle_edges[k])
+    for length, _, ids in runs:
         if length not in discontinuity:
             record = stabilizer_record(length)
             discontinuity[length] = (
                 f"  stabilizer discontinuity: approximating periods 0, "
                 f"Fell limit {record['approx_fell_limit']} vs {record['period_at_limit']} at the cycle"
             )
-        yield from repeat(discontinuity[length], len(run))
+        yield from repeat(discontinuity[length], len(ids))
     if b.status == "skipped":
         yield "condition B: SKIPPED (condition A failed)"
     else:
         yield f"condition B: PASS ({len(b.certificates)} certificates)"
-        for (first, second), (u, v) in zip(combinations(joined, 2), b.certificates):
+        for (first, second), (u, v) in zip(combinations(cycles, 2), b.certificates):
             yield f"  pair ({first} | {second}): u={u} v={v}"
     yield f"condition C: {CONDITION_C_NOTE}"
     yield f"hausdorff: {'YES' if verdict.hausdorff else 'NO'}"
-
-
-def _entry_lines(report_a, joined: list[str]):
-    """The text lines of the entries, one per entry, given each cycle's ids joined by commas."""
-    ids = report_a.graph.edge_ids
-    for k, run in report_a.run_edges:
-        cycle = joined[k]
-        for j in run:
-            yield f"  entry: {ids[j]} -> cycle {cycle}"
 
 
 def cmd_graph_orbits(args) -> int:
     g = _load_graph(args.graph, args.transpose)
     require_validated(g)
     report_a = check_condition_a(g)
+    cycles, runs = _ranked_report(report_a, quoted=args.json)
     report = None
-    if args.json:  # a text report never reads the quoted ids
-        cycles, runs = _quoted_report(report_a)
+    if args.json:
         if report_a.passed:
             fields = {"refused": False, "orbits": _cycle_items(cycles), "count": len(cycles)}
         else:
@@ -411,20 +400,19 @@ def cmd_graph_orbits(args) -> int:
         report = _envelope(
             "graph-orbits", input=args.graph, transpose=args.transpose, validated=True, **fields
         )
-    _emit(report, _orbit_lines(report_a), args.json)
+    _emit(report, _orbit_lines(cycles, runs), args.json)
     return 0
 
 
-def _orbit_lines(report_a):
-    """The text report's lines: the orbits, or the refusal and its entries."""
-    joined = [",".join(ids) for ids in report_a.cycle_ids()]
-    if report_a.passed:
-        yield f"orbits: {len(joined)}"
-        for ids in joined:
-            yield f"  {ids}"
+def _orbit_lines(cycles, runs):
+    """The text report's lines: the orbits, or the refusal and its entries (as ``_analyze_lines``)."""
+    if not runs:
+        yield f"orbits: {len(cycles)}"
+        for cycle in cycles:
+            yield f"  {cycle}"
     else:
         yield f"refused: {ORBIT_REFUSAL}"
-        yield from _entry_lines(report_a, joined)
+        yield from (f"  entry: {entry} -> cycle {cycle}" for _, cycle, ids in runs for entry in ids)
 
 
 def _parse_path_literal(g: DiGraph, literal: str) -> EventualPath:

@@ -14,7 +14,7 @@ Conventions (fixed throughout the package):
 A ``DiGraph`` is held as integer arrays: each edge's source and range are
 indices into the vertex names.  ``Edge`` objects are built on demand, once
 per edge, for the edges a caller looks at; the decision builds none, since
-its cycles and entries are edge indices too.
+its cycles and entries are ranks: places in one ranking of edge indices by id.
 
 Condition A (no cycle has an entry) is an in-degree property, decided in
 O(V + E) by ``DiGraph.pointer_cycles``; only when it fails does the kernel
@@ -161,18 +161,14 @@ class DiGraph(Record):
         """The out-edges as ``(start, arcs)``: ``arcs[start[v]:start[v + 1]]`` leave vertex v, in edge order.
 
         Only Johnson's search reads them, when condition A fails
-        (``entry_free_cycles``); the pointer pass keeps its own head lists.
+        (``entry_free_cycles``), through the rank permutation: it maps each
+        arc to its edge's rank.  The pointer pass keeps its own head lists.
         """
         counts = [0] * (len(self.names) + 1)
         for s in self.src:
             counts[s + 1] += 1
-        start = list(accumulate(counts))
-        free = start[:-1]  # the next place of each vertex's arcs
-        arcs = [0] * len(self.src)
-        for j, s in enumerate(self.src):
-            arcs[free[s]] = j
-            free[s] += 1
-        return start, arcs
+        # a stable sort keeps each vertex's arcs in edge order
+        return list(accumulate(counts)), sorted(range(len(self.src)), key=self.src.__getitem__)
 
     @cached_property
     def pointer_cycles(self) -> tuple[list[tuple[int, ...]], list[int]] | None:
@@ -396,61 +392,61 @@ class CycleRep(Record):
 
 def entry_free_cycles(
     g: DiGraph,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """All simple cycles and their entry runs, as edge indices of ``g``.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """All simple cycles and their entry runs, as ranks of edges of ``g``: ``(order, cycles, runs)``.
 
-    Each cycle is its edge indices in path order and canonical rotation: the
-    least edge id first, a repeated id ranked by edge index.  The cycles are
-    sorted by length, then by their ids in that order (``CycleRep.sort_key``).
-    Each run is a pair ``(k, entries)``: the position k of a cycle with
-    entries and the indices of its entry edges in edge id order.  Runs follow
-    the cycle order and none is empty; condition A holds iff there are none.
+    ``order[r]`` is the index of the edge of rank r: edges rank by id, ties
+    by index.  Each cycle is its ranks in path order, the least first, and
+    the cycles are sorted by length, then by ranks (``CycleRep.sort_key``).
+    Each run ``(k, entries)`` is the position k of a cycle with entries and
+    its entry ranks, ascending, in cycle order; condition A holds iff there
+    are no runs.
 
     ``g.pointer_cycles`` decides condition A in O(V + E) and, when it holds,
-    gives all the cycles.  Only otherwise does the kernel enumerate them, in
-    time bounded by the output.  Every cycle gets ``CycleRep``'s checks, on
-    the indices.  A simple cycle has one edge into each of its vertices, so
-    its entries are the other edges into them, with no edge counted twice.
+    gives all the cycles, whose edges are then the only edges ranked.
+    Otherwise every edge is, and the kernel enumerates the cycles on
+    rank-indexed arrays, in time bounded by the output.  Every cycle gets
+    ``CycleRep``'s checks, on the ranks.  A cycle's entries are the other
+    edges into its vertices, each of which has one edge of the cycle.
     """
     pointer = g.pointer_cycles  # None when condition A fails
-    found = pointer[0] if pointer else _kernels.simple_cycles(g.dst, *g.out_arcs)
-    src, dst = g.src, g.dst
-    for arcs in found:  # traversal order: each edge's tail is the previous edge's head
-        heads = list(map(dst.__getitem__, arcs))
-        tails = list(map(src.__getitem__, arcs))
-        if not heads or tails != heads[-1:] + heads[:-1] or len(set(heads)) < len(heads):
-            CycleRep(tuple(g.edges.at(arcs[::-1])))  # raises CycleRep's error for these edges
-    if pointer:  # each cycle vertex has one in-edge, its cycle's
-        into_cycles = sorted(chain.from_iterable(found))
-    else:
-        on_cycles = set(map(dst.__getitem__, chain.from_iterable(found)))
-        into_cycles = compress(range(len(dst)), map(on_cycles.__contains__, dst))
-    # the edges into cycle vertices, every cycle edge and every entry, in id
-    # order, ties in index order; an edge's rank is its place here
-    by_rank = sorted(into_cycles, key=g.edge_ids.__getitem__)
-    rank = dict(zip(by_rank, range(len(by_rank))))
-    keys = []  # per cycle, its length and its ranks in canonical rotation
-    for arcs in found:
-        ranks = list(map(rank.__getitem__, reversed(arcs)))  # path order
-        k = ranks.index(min(ranks))
-        keys.append((len(ranks), (*ranks[k:], *ranks[:k])))
-    keys.sort()
-    cycles = tuple(tuple(map(by_rank.__getitem__, ranks)) for _, ranks in keys)
+    ranked = sorted(chain.from_iterable(pointer[0])) if pointer else range(len(g.edge_ids))
+    order = tuple(sorted(ranked, key=g.edge_ids.__getitem__))
+    rank = dict(zip(order, range(len(order))))
+    heads_of = list(map(g.dst.__getitem__, order))  # per rank, the edge's head and tail
+    tails_of = list(map(g.src.__getitem__, order))
     if pointer:
-        return cycles, ()
-    into: dict[int, list[int]] = {}  # per cycle vertex, the ranks of its in-edges, ascending
-    for r, j in enumerate(by_rank):
-        into.setdefault(dst[j], []).append(r)
+        found = [tuple(map(rank.__getitem__, arcs)) for arcs in pointer[0]]
+    else:
+        start, arcs = g.out_arcs
+        found = _kernels.simple_cycles(heads_of, start, list(map(rank.__getitem__, arcs)))
+    cycles = []
+    for ranks in found:  # traversal order: each edge's tail is the previous edge's head
+        heads = list(map(heads_of.__getitem__, ranks))
+        if heads:
+            heads.insert(0, heads.pop())  # per edge, the head of the edge before it
+        if not heads or list(map(tails_of.__getitem__, ranks)) != heads or len(set(heads)) < len(heads):
+            CycleRep(tuple(g.edges.at([order[r] for r in reversed(ranks)])))  # raises CycleRep's error
+        k = ranks.index(min(ranks))
+        cycles.append(ranks[k::-1] + ranks[:k:-1])  # path order, from the least rank
+    cycles.sort()
+    cycles.sort(key=len)  # stable: by length, then by ranks
+    if pointer:
+        return order, tuple(cycles), ()
+    on_a_cycle = set(chain.from_iterable(cycles))
+    into: dict[int, list[int]] = {heads_of[r]: [] for r in on_a_cycle}
+    # per cycle vertex, the ranks of its in-edges, ascending
+    for r in compress(range(len(order)), map(into.__contains__, heads_of)):
+        into[heads_of[r]].append(r)
     # per rank of a cycle edge, the other edges into its head: each is an entry
     # of every cycle through that edge, so these lists are bounded by the output
-    on_a_cycle = set(chain.from_iterable(ranks for _, ranks in keys))
-    others = {r: [s for s in into[dst[by_rank[r]]] if s != r] for r in on_a_cycle}
+    others = {r: [s for s in into[heads_of[r]] if s != r] for r in on_a_cycle}
     runs = []
-    for k, (_, ranks) in enumerate(keys):
+    for k, ranks in enumerate(cycles):
         entries = sorted(chain.from_iterable(map(others.__getitem__, ranks)))
         if entries:
-            runs.append((k, tuple(map(by_rank.__getitem__, entries))))
-    return cycles, tuple(runs)
+            runs.append((k, tuple(entries)))
+    return order, tuple(cycles), tuple(runs)
 
 
 # ---------------------------------------------------------------------------

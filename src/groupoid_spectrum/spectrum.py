@@ -9,7 +9,8 @@ The decision runs two graph conditions:
   period 0, so the period subgroups converge to {0} instead of nZ.  The
   record depends only on the cycle length n, so the entries are carried
   grouped per cycle, and ``ConditionAReport`` holds nothing but the cycles
-  and those runs, as edge indices; the verdict is whether there are any.
+  and those runs, as ranks of edges by id; the verdict is whether there
+  are any.
 
 * Condition B: for every pair of distinct cycles, some vertex u reachable
   from the first and v reachable from the second have no common ancestor
@@ -108,36 +109,42 @@ def stabilizer_record(period: int) -> dict:
 
 
 class ConditionAReport(Record):
-    """Cycles and their entries, as edge indices of ``graph`` (``entry_free_cycles``).
+    """Cycles and entry runs as ranks of ``graph``'s edges, and each rank's edge (``entry_free_cycles``).
 
-    ``cycle_edges`` holds each cycle's edge indices in path order and
-    canonical rotation, the cycles sorted by ``CycleRep.sort_key``.
-    ``run_edges`` holds, for each cycle with entries, in cycle order, its
-    position in ``cycle_edges`` and its entry edge indices in edge id order.
-    Condition A holds iff there are no runs.  Every entry's certificate is the
-    stabilizer record of its cycle's length (``stabilizer_record``).
-
-    ``cycles``, ``runs`` and ``entries`` are read-only views of the same
-    data as ``CycleRep`` and ``Edge`` objects, built on first access and
-    cached; neither the decision nor the CLI reads them.
+    Condition A holds iff there are no runs.  Every entry's certificate is
+    the stabilizer record of its cycle's length (``stabilizer_record``).
+    ``cycle_edges`` and ``run_edges`` are the same data as edge indices, and
+    ``cycles``, ``runs`` and ``entries`` as ``CycleRep`` and ``Edge``
+    objects: read-only views, built on first access and cached; neither the
+    decision nor the CLI reads them.
     """
 
     # __dict__ holds the views
-    __slots__ = ("graph", "cycle_edges", "run_edges", "__dict__")
+    __slots__ = ("graph", "order", "cycle_ranks", "run_ranks", "__dict__")
 
     def __init__(
         self,
         graph: DiGraph,
-        cycle_edges: tuple[tuple[int, ...], ...],
-        run_edges: tuple[tuple[int, tuple[int, ...]], ...],
+        order: tuple[int, ...],
+        cycle_ranks: tuple[tuple[int, ...], ...],
+        run_ranks: tuple[tuple[int, tuple[int, ...]], ...],
     ) -> None:
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "cycle_edges", cycle_edges)
-        object.__setattr__(self, "run_edges", run_edges)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cycle_ranks", cycle_ranks)
+        object.__setattr__(self, "run_ranks", run_ranks)
 
     @property
     def passed(self) -> bool:
-        return not self.run_edges
+        return not self.run_ranks
+
+    @cached_property
+    def cycle_edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(self.order.__getitem__, c)) for c in self.cycle_ranks)
+
+    @cached_property
+    def run_edges(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple((k, tuple(map(self.order.__getitem__, run))) for k, run in self.run_ranks)
 
     @cached_property
     def cycles(self) -> tuple[CycleRep, ...]:
@@ -156,10 +163,14 @@ class ConditionAReport(Record):
         """Every (cycle, entry) pair, ordered by cycle."""
         return tuple((c, e) for c, run in self.runs for e in run)
 
+    def ranked_ids(self) -> list[str]:
+        """The edge id of each rank: ``order`` mapped to ids."""
+        return list(map(self.graph.edge_ids.__getitem__, self.order))
+
     def cycle_ids(self) -> list[tuple[str, ...]]:
-        """Each cycle's edge ids, in the order of ``cycle_edges``."""
-        ids = self.graph.edge_ids
-        return [tuple(map(ids.__getitem__, c)) for c in self.cycle_edges]
+        """Each cycle's edge ids, in the order of ``cycle_ranks``."""
+        ids = self.ranked_ids().__getitem__
+        return [tuple(map(ids, c)) for c in self.cycle_ranks]
 
     def to_json(self) -> dict:
         """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item.
@@ -168,13 +179,13 @@ class ConditionAReport(Record):
         are four small containers per entry and hold no reference cycles, so
         the collections their allocation triggers would find nothing to free.
         """
-        edge_ids, cycles = self.graph.edge_ids, self.cycle_ids()
+        edge_ids, cycles = self.ranked_ids(), self.cycle_ids()
         entries, discontinuity = [], []
         records: dict[int, dict] = {}  # stabilizer record per cycle length
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for k, run in self.run_edges:
+            for k, run in self.run_ranks:
                 ids = cycles[k]
                 if len(ids) not in records:
                     records[len(ids)] = stabilizer_record(len(ids))
@@ -254,10 +265,10 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
     """
     if not report_a.passed:
         return ConditionBReport("skipped", report_a, ())
-    cycles = report_a.cycle_edges  # sorted by CycleRep.sort_key
-    pointer, masks = g.pointer_cycles  # bit i of a mask is the i-th pointer cycle
-    bit_of_edge = {j: bit for bit, arcs in enumerate(pointer) for j in arcs}
-    bits = [bit_of_edge[c[0]] for c in cycles]  # each cycle's bit, in the order of cycles
+    cycles, order = report_a.cycle_ranks, report_a.order  # sorted by CycleRep.sort_key
+    masks = g.pointer_cycles[1]  # bit i of a mask is the i-th pointer cycle
+    # each cycle's bit, in the order of cycles: the mask of its vertices, which carry it alone
+    bits = [masks[g.dst[order[c[0]]]].bit_length() - 1 for c in cycles]
     # the least vertex, in name order, of each distinct mask; the candidates
     # from a cycle's reach set are the masks holding its bit
     least: dict[int, str] = {}

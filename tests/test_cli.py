@@ -213,6 +213,26 @@ class TestReportBytes:
         yield helpers.graph_two_loops_funnel()
         yield helpers.planted_separated(1)
         yield helpers.planted_separated(2, n=300, k=20, chain=60)
+        yield from TestReportBytes.escaped_graphs()
+
+    @staticmethod
+    def escaped_graphs():
+        """Graphs whose edge ids need JSON escaping and sort in another order once quoted.
+
+        By id, a! < a" < a$ < a\\ < é; quoted, "\\u00e9" < "a!" < "a$" < "a\\"" <
+        "a\\\\".  Edges are declared in neither order, so a rank is neither the
+        place of a quoted id in sorted order nor an edge index.
+        """
+        # condition A fails: both loops and both 2-cycles have entries
+        yield DiGraph.build(
+            ["p", "q"],
+            [("é", "p", "q"), ("a\\", "q", "p"), ("a$", "p", "p"), ('a"', "q", "q"), ("a!", "p", "q")],
+        )
+        # entry-free: a ring and a loop, and a vertex below the ring
+        yield DiGraph.build(
+            ["p", "q", "r", "s", "t"],
+            [("é", "p", "q"), ("a\\", "q", "r"), ("a$", "r", "t"), ("a!", "r", "p"), ('a"', "s", "s")],
+        )
 
     @staticmethod
     def analyze_reference(g: DiGraph, path: str) -> str:
@@ -243,7 +263,7 @@ class TestReportBytes:
         path = str(tmp_path / "g.graph")
         outcomes = set()
         for g in self.graphs():
-            Path(path).write_text(graph_to_text(g))
+            Path(path).write_text(graph_to_text(g), encoding="utf-8")
             code, out, _ = run("graph-analyze", path, "--json")
             assert code == 0
             assert out == self.analyze_reference(g, path)
@@ -298,12 +318,48 @@ class TestReportBytes:
         for g in self.graphs():
             if check_condition_a(g).passed:
                 continue
-            Path(path).write_text(graph_to_text(g))
+            Path(path).write_text(graph_to_text(g), encoding="utf-8")
             code, out, _ = run("graph-orbits", path, "--json")
             assert code == 0
             assert out == self.refusal_reference(g, path)
             refused += 1
         assert refused > 100
+
+    def test_escaped_ids_in_orbits(self, run, tmp_path):
+        path = tmp_path / "g.graph"
+        _, g = self.escaped_graphs()
+        path.write_text(graph_to_text(g), encoding="utf-8")
+        orbits = [list(c.edge_ids()) for c in check_condition_a(g).cycles]
+        assert orbits == [['a"'], ["a!", "a\\", "é"]]
+        report = _envelope(
+            "graph-orbits", input=str(path), transpose=False, validated=True,
+            refused=False, orbits=orbits, count=len(orbits),
+        )
+        assert run("graph-orbits", str(path), "--json") == (0, json.dumps(report, indent=2) + "\n", "")
+
+    def test_reports_read_ranks_alone(self, run, tmp_path, monkeypatch):
+        # no report builds condition A's views, and a JSON report quotes each
+        # ranked edge once: on an entry-free graph, only the cycle edges
+        def refuse(report):
+            raise AssertionError("a report read a view of condition A")
+
+        for name in ("cycle_edges", "run_edges", "cycles", "runs", "entries"):
+            monkeypatch.setattr(spectrum.ConditionAReport, name, property(refuse))
+        quoted = []
+        monkeypatch.setattr(cli, "_quote", lambda text: quoted.append(text) or _quote(text))
+        path = tmp_path / "g.graph"
+        planted = helpers.planted_separated(1)
+        for g in (planted, helpers.graph_loop_with_entry(), helpers.complete_graph(4)):
+            path.write_text(graph_to_text(g))
+            for command in ("graph-analyze", "graph-orbits"):
+                for flags in ([], ["--json"]):
+                    quoted.clear()
+                    code, out, err = run(command, str(path), *flags)
+                    assert (code, err) == (0, "") and out
+                    if flags and g is planted:
+                        on_cycles = [i for ids in check_condition_a(g).cycle_ids() for i in ids]
+                        assert 0 < len(on_cycles) < len(g.edge_ids) / 4
+                        assert sorted(t for t in quoted if t in set(g.edge_ids)) == sorted(on_cycles)
 
     def test_entry_tails_are_shared_across_reports_and_depths(self, run, tmp_path):
         # The tail of an entries or stabilizer item is rendered once per

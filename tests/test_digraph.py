@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from datetime import timedelta
+from itertools import chain
 from math import comb, factorial
 from operator import attrgetter
 
@@ -318,6 +319,16 @@ def flat_entries(runs):
     return tuple((c, e) for c, run in runs for e in run)
 
 
+def as_edges(result):
+    """``entry_free_cycles``' cycles and runs with every rank mapped to its edge index through ``order``."""
+    order, cycles, runs = result
+    edge = order.__getitem__
+    return (
+        tuple(tuple(map(edge, c)) for c in cycles),
+        tuple((k, tuple(map(edge, run))) for k, run in runs),
+    )
+
+
 def views(g: DiGraph):
     """``entry_free_cycles`` of ``g`` as objects: its report's ``cycles`` and ``runs``."""
     report = check_condition_a(g)
@@ -425,15 +436,15 @@ class TestCycles:
             assert ids == sorted(set(ids))
             assert all(e.rng in c.vertices and e not in c.edges for e in run)
         assert len(report.entries) == sum(len(run) for _, run in runs)
-        # the index form the views are built from
-        assert report.cycle_edges == entry_free_cycles(g)[0]
-        assert [k for k, _ in report.run_edges] == list(range(len(cycles)))
+        # the rank form the views are built from
+        assert report.cycle_edges == as_edges(entry_free_cycles(g))[0]
+        assert [k for k, _ in report.run_ranks] == list(range(len(cycles)))
 
     def test_entries_sharing_an_id_with_a_cycle_edge(self):
         # an unvalidated bouquet of two loops with one id: each loop enters the
         # other, so condition A fails although every entry's id is a cycle's
         g = parse_graph_text("v a\ne L a a\ne L a a\n")
-        assert entry_free_cycles(g) == (((0,), (1,)), ((0, (1,)), (1, (0,))))
+        assert as_edges(entry_free_cycles(g)) == (((0,), (1,)), ((0, (1,)), (1, (0,))))
         report = check_condition_a(g)
         assert not report.passed
         (first, entry_of_first), (second, entry_of_second) = report.entries
@@ -449,19 +460,21 @@ class TestCycles:
             + [("u", "e", "f"), ("u", "d", "e"), ("v", "f", "d")],
         )
         assert g.pointer_cycles[0] == [(1,), (0,), (2,), (4, 3, 5)]
-        assert entry_free_cycles(g) == index_route(g) == (((0,), (1,), (2,), (3, 4, 5)), ())
+        assert as_edges(entry_free_cycles(g)) == index_route(g) == (((0,), (1,), (2,), (3, 4, 5)), ())
 
     def test_runs_skip_cycles_without_entries(self):
         # the funnel's loops have no entries; the loop at b enters nothing
-        assert entry_free_cycles(helpers.graph_two_loops_funnel())[1] == ()
+        assert entry_free_cycles(helpers.graph_two_loops_funnel())[2] == ()
         _, runs = views(helpers.graph_loop_with_entry())
         ((cycle, run),) = runs
         assert (cycle.edge_ids(), [e.id for e in run]) == (("La",), ["e"])
 
     def test_kernel_cycles_are_validated(self, monkeypatch):
-        # a cycle from the kernel runs every CycleRep check
+        # a cycle from the kernel runs every CycleRep check; the kernel's arcs
+        # are ranks, and p, x and y rank 0, 1 and 2
         g = DiGraph.build(["a", "b"], [("x", "a", "b"), ("y", "b", "a"), ("p", "a", "a")])
-        cases = [((), "at least one edge"), ((0,), "close"), ((2, 2), "not simple"), ((0, 0), "compose")]
+        assert entry_free_cycles(g)[0] == (2, 0, 1)
+        cases = [((), "at least one edge"), ((1,), "close"), ((0, 0), "not simple"), ((1, 1), "compose")]
         for arcs, message in cases:
             monkeypatch.setattr(_kernels, "simple_cycles", lambda *_, arcs=arcs: [arcs])
             with pytest.raises(ValueError, match=message):
@@ -478,10 +491,11 @@ class TestCycles:
         g = DiGraph.build(["hub", *leaves], edges)
         tracemalloc.start()
         try:
-            cycles, runs = entry_free_cycles(g)
+            result = entry_free_cycles(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        cycles, runs = as_edges(result)
         assert len(cycles) == n + 1
         ((k, entries),) = runs
         assert cycles[k] == (0,) and sorted(entries) == list(range(n + 1, 2 * n + 1))
@@ -660,6 +674,12 @@ class TestRoutes:
     def test_index_form_matches_the_definition(self, g):
         report = check_condition_a(g)
         assert (report.cycle_edges, report.run_edges) == index_route(g)
+        # order ranks the edges by (id, index): every edge when condition A
+        # fails, only the cycle edges when it holds
+        keys = [(g.edge_ids[j], j) for j in report.order]
+        assert keys == sorted(keys)
+        ranked = sorted(chain.from_iterable(report.cycle_edges)) if report.passed else range(len(g.edge_ids))
+        assert sorted(report.order) == list(ranked)
         # the views are the same cycles and entries as objects
         assert [c.edges for c in report.cycles] == [tuple(g.edges.at(c)) for c in report.cycle_edges]
         assert all(CycleRep(c.edges) == c for c in report.cycles)

@@ -131,8 +131,8 @@ class TestSuite:
         def drop_last_entry(g):
             verdict = decide(g)
             a = verdict.condition_a
-            *runs, (k, run) = a.run_edges
-            short = a.replace(run_edges=(*runs, (k, run[:-1])))
+            *runs, (k, run) = a.run_ranks
+            short = a.replace(run_ranks=(*runs, (k, run[:-1])))
             return verdict.replace(condition_a=short)
 
         monkeypatch.setattr(oracle, "decide_hausdorff_spectrum", drop_last_entry)

@@ -134,7 +134,7 @@ class TestDecision:
         # neither condition A's pass nor the verdict is stored apart from the entries
         verdict = decide_hausdorff_spectrum(helpers.graph_loop_with_entry())
         assert not verdict.condition_a.passed and not verdict.hausdorff
-        cleared = verdict.condition_a.replace(run_edges=())
+        cleared = verdict.condition_a.replace(run_ranks=())
         assert cleared.passed and verdict.replace(condition_a=cleared).hausdorff
         assert cleared.runs == cleared.entries == ()
 
