@@ -1,60 +1,64 @@
-"""Graph kernels over dense integer indices: components and simple cycles.
+"""Graph kernels over dense integer indices: cyclic components and simple cycles.
 
-Vertices and arcs are dense integer indices, and the arcs leaving each
-vertex are given in compressed rows: offsets ``start`` into a flat array.
-The cycle search splits the graph into strongly connected components itself.
+Vertex v has the arcs ``out[v]``, and arc a runs to ``head[a]``.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate, chain
 
 BACKEND = "python"
 
 __all__ = ["BACKEND", "components", "simple_cycles"]
 
 
-def components(start: list[int], heads: list[int]) -> list[list[int]]:
-    """Strongly connected components, sources first (Tarjan 1972, iterative).
+def components(out: list[list[int]], head, roots=None, index=None) -> list[list[int]]:
+    """The strongly connected components with a cycle, sources first (Tarjan 1972, iterative).
 
-    Vertex v has arcs to ``heads[start[v]:start[v + 1]]``.  A vertex whose
-    component is complete gets the index n, above every visit number, so it
-    never lowers a link, and a vertex without arcs is a component at once.
+    A component has a cycle when it has more than one vertex or a loop, an
+    arc that does not lower its tail's link.  The search starts from each of
+    ``roots`` (default: every vertex) whose ``index`` is -1 (default: every
+    vertex).  A vertex whose component is complete gets the index n =
+    ``len(out)``, above every visit number, so it never lowers a link: a
+    caller leaves a vertex out by giving it that index.
     """
-    n = len(start) - 1
-    index = [-1] * n  # visit number, then n
-    low = [0] * n
+    n = len(out)
+    index = [-1] * n if index is None else index  # visit number, then n
+    # the lowest visit number reached; a search from given roots visits few vertices
+    low: list[int] | dict[int, int] = [0] * n if roots is None else {}
+    looped = set()
     stack: list[int] = []
     found: list[list[int]] = []  # reverse topological order
     counter = 0
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(heads[start[root]:start[root + 1]]))]
+        work, its = [root], [iter(out[root])]  # the search path, and the arcs left at each vertex
         while work:
-            v, it = work[-1]
-            for w in it:
+            v = work[-1]
+            for a in its[-1]:
+                w = head[a]
                 x = index[w]
                 if x < 0:
-                    a, b = start[w], start[w + 1]
-                    if a == b:
+                    if not out[w]:  # a component without a cycle
                         index[w] = n
-                        found.append([w])
                         continue
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(heads[a:b])))
+                    work.append(w)
+                    its.append(iter(out[w]))
                     break
                 if x < low[v]:
                     low[v] = x
+                elif w == v:
+                    looped.add(v)
             else:
                 work.pop()
+                its.pop()
                 if work:
-                    u = work[-1][0]
+                    u = work[-1]
                     if low[v] < low[u]:
                         low[u] = low[v]
                 if low[v] == index[v]:
@@ -65,48 +69,35 @@ def components(start: list[int], heads: list[int]) -> list[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    found.append(comp)
+                    if len(comp) > 1 or v in looped:
+                        found.append(comp)
     return found[::-1]
 
 
-def simple_cycles(dst: list[int], start: list[int], arcs: list[int]) -> list[tuple[int, ...]]:
-    """All simple cycles, as tuples of arc indices in traversal order.
+def simple_cycles(head, out: list[list[int]], parts: list[list[int]]) -> list[tuple[int, ...]]:
+    """All simple cycles in ``parts``, the ``components``, as tuples of arcs in traversal order.
 
-    Arc j runs to ``dst[j]``; the arcs leaving vertex v are
-    ``arcs[start[v]:start[v + 1]]``.  Johnson's algorithm (1975): search each
-    cyclic component from its least vertex with blocking, then the cyclic
-    components of the rest.  Every part searched is a cyclic component, so
-    each search finds a cycle and the time is O((V + E)(C + 1)) for C cycles.
+    Johnson's algorithm (1975): search each part with blocking from the
+    vertex its component search reached first, then the cyclic components
+    of the rest, over the same lists with every other vertex left out.  Each
+    search finds a cycle, so the time is O((V + E)(C + 1)) for C cycles.
     Parallel arcs yield distinct cycles; the output order is deterministic.
     """
-    todo = _cyclic_parts(range(len(start) - 1), start, list(map(dst.__getitem__, arcs)))
-    out = {v: arcs[start[v]:start[v + 1]] for part in todo for v in part}
+    index = [len(out)] * len(out)  # components visits only the vertices reset to -1
+    todo = [list(part) for part in parts]
     cycles: list[tuple[int, ...]] = []
     while todo:
         part = todo.pop()
-        s = part.pop()  # the least vertex: parts are sorted in descending order
-        _circuits(out, dst, {s, *part}, s, cycles)
-        local = {v: k for k, v in enumerate(part)}
-        succ = [[local[dst[j]] for j in out[v] if dst[j] in local] for v in part]
-        if any(succ):  # a rest without arcs has no cycle
-            rows = list(accumulate(map(len, succ), initial=0))
-            todo += _cyclic_parts(part, rows, list(chain.from_iterable(succ)))
+        s = part.pop()  # a component's last vertex is the one its search reached first
+        _circuits(out, head, {s, *part}, s, cycles)
+        if part:
+            for v in part:
+                index[v] = -1
+            todo += components(out, head, part, index)
     return cycles
 
 
-def _cyclic_parts(names, start: list[int], heads: list[int]) -> list[list[int]]:
-    """The components with a cycle (>1 vertex or a loop), as ``names`` in descending order.
-
-    Vertex k, called ``names[k]``, has arcs to ``heads[start[k]:start[k + 1]]``.
-    """
-    return [
-        sorted(map(names.__getitem__, comp), reverse=True)
-        for comp in components(start, heads)
-        if len(comp) > 1 or comp[0] in heads[start[comp[0]]:start[comp[0] + 1]]
-    ]
-
-
-def _circuits(out, dst, inside: set[int], s: int, cycles: list) -> None:
+def _circuits(out, head, inside: set[int], s: int, cycles: list) -> None:
     """Johnson's blocked search for the cycles through ``s`` and ``inside``."""
     blocked = {s}
     waiting: dict[int, set[int]] = {}  # w -> vertices to unblock with w
@@ -115,7 +106,7 @@ def _circuits(out, dst, inside: set[int], s: int, cycles: list) -> None:
     while frames:
         frame = frames[-1]
         for j in frame[1]:
-            w = dst[j]
+            w = head[j]
             if w == s:
                 cycles.append((*path, j))
                 frame[2] = True
@@ -135,7 +126,7 @@ def _circuits(out, dst, inside: set[int], s: int, cycles: list) -> None:
                         stack += waiting.pop(u, ())
             else:
                 for j in out[v]:
-                    waiting.setdefault(dst[j], set()).add(v)
+                    waiting.setdefault(head[j], set()).add(v)
             if frames:
                 path.pop()
                 frames[-1][2] |= found

@@ -21,7 +21,7 @@ from itertools import combinations, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 from . import __version__
-from .exact import InputError
+from .exact import InputError, _unique_keys
 
 # The names this module takes from each sibling module.  They are bound as
 # globals by ``_bind`` when a command first needs them, so a process imports
@@ -113,10 +113,9 @@ EMIT_CHUNK = 4096  # text report lines per write
 def _emit(report: dict | None, lines, as_json: bool) -> None:
     """Write the JSON report, or the text lines in chunks, each line ending in a newline.
 
-    Only the one written is read, so a graph command passes None as the
-    report of a text run.  ``lines`` may be a generator: it is consumed one
-    chunk at a time, so a text report is never held whole, and it is never
-    started for JSON.
+    Only the one written is read: a graph command writes its own JSON and
+    passes None as a text run's report.  ``lines`` may be a generator: it is
+    consumed one chunk at a time, so a text report is never held whole.
     """
     if as_json:
         _write_json(sys.stdout.write, report)
@@ -135,10 +134,10 @@ def _emit(report: dict | None, lines, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 # indent-2 JSON writer
 #
-# Writes exactly what ``json.dumps(report, indent=2)`` would, in pieces.  The
-# per-entry lists of a graph report are rendered from per-cycle templates
-# instead of one dict per entry; strings, ints, booleans and None are written
-# directly, and everything else goes through the stdlib.
+# Writes exactly what ``json.dumps(report, indent=2)`` would, in pieces.  A
+# graph report is its fixed skeleton and lists rendered from per-cycle
+# templates; ``_write_json`` writes strings, ints, booleans and None of the
+# other reports directly, and everything else goes through the stdlib.
 
 
 class _Pads(dict):
@@ -159,27 +158,19 @@ _SCALARS = {
     int: int.__repr__,
     type(None): lambda _: "null",
 }
+_BOOLS = ("false", "true")  # json.dumps of False and True, indexed by them
+_fixed = cache(_quote)  # a fixed string of the graph reports, quoted once per process
 
 
 def _write_json(write, value, depth: int = 0) -> None:
     """Write ``value`` as ``json.dumps(value, indent=2)`` renders it ``depth`` levels deep.
 
-    Dict keys must be strings.  Dicts are opened here, so their values may
-    be item renderers: functions that take the depth of the items and yield
-    blocks of rendered items, each block one or more items joined by a comma
-    and the item indent.
+    Dict keys must be strings.  Scalars and non-empty dicts are written
+    here; lists and empty dicts go through ``json.dumps``.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         write(scalar(value))
-    elif callable(value):
-        inner = _PAD[depth + 1]
-        opener = "[" + inner
-        for block in value(depth + 1):
-            write(opener)
-            write(block)
-            opener = "," + inner
-        write("[]" if opener[0] == "[" else _PAD[depth] + "]")
     elif isinstance(value, dict) and value:
         inner = _PAD[depth + 1]
         opener = "{" + inner
@@ -196,6 +187,17 @@ def _write_json(write, value, depth: int = 0) -> None:
         write(json.dumps(value, indent=2).replace("\n", _PAD[depth]))
     else:
         write(json.dumps(value))
+
+
+def _write_list(write, blocks, depth: int) -> None:
+    """Write a list ``depth`` deep of ``blocks``: items one level deeper, joined by a comma and indent."""
+    inner = _PAD[depth + 1]
+    opener = "[" + inner
+    for block in blocks:
+        write(opener)
+        write(block)
+        opener = "," + inner
+    write("[]" if opener[0] == "[" else _PAD[depth] + "]")
 
 
 def _id_list(ids: str, depth: int) -> str:
@@ -219,16 +221,6 @@ def _ranked_report(report_a, quoted: bool) -> tuple[list[str], list[tuple[int, s
     return cycles, runs
 
 
-def _cycle_items(quoted):
-    """Item renderer of a list of cycles, given their quoted ids, one block per cycle."""
-
-    def render(depth: int):
-        for ids in quoted:
-            yield _id_list(ids, depth)
-
-    return render
-
-
 @lru_cache(maxsize=1024)
 def _entry_tail(record, length: int, depth: int) -> str:
     """What follows the entry id in an item ``depth`` deep of a cycle of ``length`` edges.
@@ -243,56 +235,60 @@ def _entry_tail(record, length: int, depth: int) -> str:
     return fields + _PAD[depth] + "}"
 
 
-def _entry_items(runs: list[tuple[int, str, list[str]]], record=None):
-    """Item renderer of the ``entries`` list, or of ``stabilizer_discontinuity`` given ``record``.
+def _write_entries(write, runs: list[tuple[int, str, list[str]]], depth: int, record=None) -> None:
+    """Write the ``entries`` list ``depth`` deep, or ``stabilizer_discontinuity`` given ``record``.
 
-    ``runs`` comes from ``_ranked_report``, so both lists share one pass over the
-    entries.  Every item opens with the cycle and the entry, so each cycle's
-    items are one join of its quoted entry ids between that head and a tail.
-    The tail closes an entries item; ``record`` maps a cycle length to the
-    rest of a stabilizer item, which the tail renders first (``_entry_tail``).
+    ``runs`` comes from ``_ranked_report``.  Every item opens with the cycle
+    and the entry, so each cycle's items are one join of its quoted entry ids
+    between that head and a tail, written apart.  The tail closes an entries
+    item, after the rest of a stabilizer item given ``record`` (``_entry_tail``).
     """
+    pad = _PAD[depth + 2]
+    item = "," + _PAD[depth + 1]
+    opener = "[" + _PAD[depth + 1]
+    for length, cycle, ids in runs:
+        head = f'{{{pad}"cycle": {_id_list(cycle, depth + 2)},{pad}"entry": '
+        tail = _entry_tail(record, length, depth + 1)
+        write(opener + head)
+        write((tail + item + head).join(ids))
+        write(tail)
+        opener = item
+    write("[]" if opener[0] == "[" else _PAD[depth] + "]")
 
-    def render(depth: int):
-        pad = _PAD[depth + 1]
-        item = "," + _PAD[depth]
-        for length, cycle, ids in runs:
-            head = f'{{{pad}"cycle": {_id_list(cycle, depth + 1)},{pad}"entry": '
-            tail = _entry_tail(record, length, depth)
-            yield head + (tail + item + head).join(ids) + tail
 
-    return render
-
-
-def _certificate_items(quoted, certificates):
-    """Item renderer of condition B's ``certificates``, one block per first cycle.
+def _certificate_blocks(quoted, certificates, depth: int):
+    """Condition B's ``certificates`` rendered ``depth`` deep, one block per first cycle.
 
     ``quoted`` are the cycles' quoted ids, and ``certificates`` those of
     ``check_condition_b``: one (u, v) per pair (a, b), a < b, of the cycles,
     in that order.  Each cycle's id list is rendered once; an item is its
     pair's two lists and the quoted u and v between fixed pieces.
     """
+    if not certificates:  # condition B skipped
+        return
+    pad = _PAD[depth + 1]
+    lists = [_id_list(ids, depth + 2) for ids in quoted]
+    between = "," + _PAD[depth + 2]
+    u_key = pad + "]," + pad + '"u": '
+    v_key = "," + pad + '"v": '
+    close = _PAD[depth] + "}"
+    remaining = iter(certificates)
+    for a, first in enumerate(lists[:-1]):
+        head = f'{{{pad}"pair": [{_PAD[depth + 2]}{first}{between}'
+        yield ("," + _PAD[depth]).join(
+            [
+                head + second + u_key + _quote(u) + v_key + _quote(v) + close
+                for second, (u, v) in zip(lists[a + 1:], remaining)
+            ]
+        )
 
-    def render(depth: int):
-        if not certificates:  # condition B skipped
-            return
-        pad = _PAD[depth + 1]
-        lists = [_id_list(ids, depth + 2) for ids in quoted]
-        between = "," + _PAD[depth + 2]
-        u_key = pad + "]," + pad + '"u": '
-        v_key = "," + pad + '"v": '
-        close = _PAD[depth] + "}"
-        remaining = iter(certificates)
-        for a, first in enumerate(lists[:-1]):
-            head = f'{{{pad}"pair": [{_PAD[depth + 2]}{first}{between}'
-            yield ("," + _PAD[depth]).join(
-                [
-                    head + second + u_key + _quote(u) + v_key + _quote(v) + close
-                    for second, (u, v) in zip(lists[a + 1:], remaining)
-                ]
-            )
 
-    return render
+def _write_head(write, command: str, args) -> None:
+    """Write a graph command's JSON report up to its ``validated`` field, with the comma after it."""
+    write(
+        f'{{\n  "command": "{command}",\n  "version": {_fixed(__version__)},\n  "input": {_quote(args.graph)},'
+        f'\n  "transpose": {_BOOLS[args.transpose]},\n  "validated": true,'
+    )
 
 
 def _read_text(path: str) -> str:
@@ -333,26 +329,25 @@ def cmd_graph_analyze(args) -> int:
         return 2
     a, b = verdict.condition_a, verdict.condition_b
     cycles, runs = _ranked_report(a, quoted=args.json)
-    report = None
-    if args.json:
-        condition_a = {"pass": a.passed, "cycles": _cycle_items(cycles), "entries": _entry_items(runs)}
-        if not a.passed:
-            condition_a["stabilizer_discontinuity"] = _entry_items(runs, stabilizer_record)
-        condition_b = {
-            "pass": True if b.status == "pass" else "skipped",
-            "certificates": _certificate_items(cycles, b.certificates),
-        }
-        report = _envelope(
-            "graph-analyze",
-            input=args.graph,
-            transpose=args.transpose,
-            validated=True,
-            condition_a=condition_a,
-            condition_b=condition_b,
-            condition_c=CONDITION_C_NOTE,
-            hausdorff=verdict.hausdorff,
-        )
-    _emit(report, _analyze_lines(verdict, cycles, runs), args.json)
+    if not args.json:
+        _emit(None, _analyze_lines(verdict, cycles, runs), False)
+        return 0
+    write = sys.stdout.write
+    _write_head(write, "graph-analyze", args)
+    write(f'\n  "condition_a": {{\n    "pass": {_BOOLS[a.passed]},\n    "cycles": ')
+    _write_list(write, map(_id_list, cycles, repeat(3)), 2)
+    write(',\n    "entries": ')
+    _write_entries(write, runs, 2)
+    if not a.passed:
+        write(',\n    "stabilizer_discontinuity": ')
+        _write_entries(write, runs, 2, stabilizer_record)
+    b_pass = "true" if b.status == "pass" else '"skipped"'
+    write(f'\n  }},\n  "condition_b": {{\n    "pass": {b_pass},\n    "certificates": ')
+    _write_list(write, _certificate_blocks(cycles, b.certificates, 3), 2)
+    write(
+        f'\n  }},\n  "condition_c": {_fixed(CONDITION_C_NOTE)},'
+        f'\n  "hausdorff": {_BOOLS[verdict.hausdorff]}\n}}\n'
+    )
     return 0
 
 
@@ -391,16 +386,19 @@ def cmd_graph_orbits(args) -> int:
     require_validated(g)
     report_a = check_condition_a(g)
     cycles, runs = _ranked_report(report_a, quoted=args.json)
-    report = None
-    if args.json:
-        if report_a.passed:
-            fields = {"refused": False, "orbits": _cycle_items(cycles), "count": len(cycles)}
-        else:
-            fields = {"refused": True, "reason": ORBIT_REFUSAL, "entries": _entry_items(runs)}
-        report = _envelope(
-            "graph-orbits", input=args.graph, transpose=args.transpose, validated=True, **fields
-        )
-    _emit(report, _orbit_lines(cycles, runs), args.json)
+    if not args.json:
+        _emit(None, _orbit_lines(cycles, runs), False)
+        return 0
+    write = sys.stdout.write
+    _write_head(write, "graph-orbits", args)
+    if report_a.passed:
+        write('\n  "refused": false,\n  "orbits": ')
+        _write_list(write, map(_id_list, cycles, repeat(2)), 1)
+        write(f',\n  "count": {len(cycles)}\n}}\n')
+    else:
+        write(f'\n  "refused": true,\n  "reason": {_fixed(ORBIT_REFUSAL)},\n  "entries": ')
+        _write_entries(write, runs, 1)
+        write("\n}\n")
     return 0
 
 
@@ -580,7 +578,7 @@ def cmd_dyadic_demo(args) -> int:
 def _load_family(path: str):
     text = _read_text(path)
     try:
-        return parse_family(json.loads(text))
+        return parse_family(json.loads(text, object_pairs_hook=_unique_keys))
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past the digit limit
         raise InputError(f"bad family file: {exc}") from None

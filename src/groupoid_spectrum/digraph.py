@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 
 from . import _kernels
 from ._record import Record
-from .exact import InputError
+from .exact import InputError, _unique_keys
 
 __all__ = [
     "Edge",
@@ -155,20 +155,6 @@ class DiGraph(Record):
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
-
-    @cached_property
-    def out_arcs(self) -> tuple[list[int], list[int]]:
-        """The out-edges as ``(start, arcs)``: ``arcs[start[v]:start[v + 1]]`` leave vertex v, in edge order.
-
-        Only Johnson's search reads them, when condition A fails
-        (``entry_free_cycles``), through the rank permutation: it maps each
-        arc to its edge's rank.  The pointer pass keeps its own head lists.
-        """
-        counts = [0] * (len(self.names) + 1)
-        for s in self.src:
-            counts[s + 1] += 1
-        # a stable sort keeps each vertex's arcs in edge order
-        return list(accumulate(counts)), sorted(range(len(self.src)), key=self.src.__getitem__)
 
     @cached_property
     def pointer_cycles(self) -> tuple[list[tuple[int, ...]], list[int]] | None:
@@ -402,24 +388,45 @@ def entry_free_cycles(
     its entry ranks, ascending, in cycle order; condition A holds iff there
     are no runs.
 
-    ``g.pointer_cycles`` decides condition A in O(V + E) and, when it holds,
-    gives all the cycles, whose edges are then the only edges ranked.
-    Otherwise every edge is, and the kernel enumerates the cycles on
-    rank-indexed arrays, in time bounded by the output.  Every cycle gets
-    ``CycleRep``'s checks, on the ranks.  A cycle's entries are the other
-    edges into its vertices, each of which has one edge of the cycle.
+    Only the edges into cycle vertices are ranked: the cycle edges and their
+    entries.  ``g.pointer_cycles`` decides condition A in O(V + E) and, when
+    it holds, gives all the cycles.  Otherwise one Tarjan search of the
+    kernel finds the cyclic components, and one pass over the ranks lists,
+    per cycle vertex, its out-edges inside its component, for Johnson's
+    search, and all its in-edges: a cycle's entries are the other edges into
+    its vertices.  The search runs in time bounded by the output.  Every
+    cycle gets ``CycleRep``'s checks, on the ranks.
     """
     pointer = g.pointer_cycles  # None when condition A fails
-    ranked = sorted(chain.from_iterable(pointer[0])) if pointer else range(len(g.edge_ids))
-    order = tuple(sorted(ranked, key=g.edge_ids.__getitem__))
-    rank = dict(zip(order, range(len(order))))
-    heads_of = list(map(g.dst.__getitem__, order))  # per rank, the edge's head and tail
-    tails_of = list(map(g.src.__getitem__, order))
     if pointer:
+        order = tuple(sorted(sorted(chain.from_iterable(pointer[0])), key=g.edge_ids.__getitem__))
+        rank = dict(zip(order, range(len(order))))
         found = [tuple(map(rank.__getitem__, arcs)) for arcs in pointer[0]]
+        heads_of = list(map(g.dst.__getitem__, order))  # per rank, the edge's head and tail
+        tails_of = list(map(g.src.__getitem__, order))
     else:
-        start, arcs = g.out_arcs
-        found = _kernels.simple_cycles(heads_of, start, list(map(rank.__getitem__, arcs)))
+        n = len(g.names)
+        out: list[list[int]] = [[] for _ in range(n)]  # per vertex, the indices of its out-edges
+        for j, s in enumerate(g.src):
+            out[s].append(j)
+        parts = _kernels.components(out, g.dst)
+        part_of = [0] * n  # 1 + the position of a vertex's component, 0 off every cycle
+        inner: list = [None] * n  # per cycle vertex, the ranks of its out-edges inside its component
+        into: list = [None] * n  # and of all its in-edges
+        for k, part in enumerate(parts, 1):
+            for v in part:
+                part_of[v] = k
+                inner[v], into[v] = [], []
+        # the edges into cycle vertices: the cycle edges and their entries
+        ranked = compress(range(len(g.dst)), map(part_of.__getitem__, g.dst))
+        order = tuple(sorted(ranked, key=g.edge_ids.__getitem__))
+        heads_of = list(map(g.dst.__getitem__, order))
+        tails_of = list(map(g.src.__getitem__, order))
+        for r, (s, d) in enumerate(zip(tails_of, heads_of)):
+            into[d].append(r)
+            if part_of[s] == part_of[d]:
+                inner[s].append(r)
+        found = _kernels.simple_cycles(heads_of, inner, parts)
     cycles = []
     for ranks in found:  # traversal order: each edge's tail is the previous edge's head
         heads = list(map(heads_of.__getitem__, ranks))
@@ -433,17 +440,10 @@ def entry_free_cycles(
     cycles.sort(key=len)  # stable: by length, then by ranks
     if pointer:
         return order, tuple(cycles), ()
-    on_a_cycle = set(chain.from_iterable(cycles))
-    into: dict[int, list[int]] = {heads_of[r]: [] for r in on_a_cycle}
-    # per cycle vertex, the ranks of its in-edges, ascending
-    for r in compress(range(len(order)), map(into.__contains__, heads_of)):
-        into[heads_of[r]].append(r)
-    # per rank of a cycle edge, the other edges into its head: each is an entry
-    # of every cycle through that edge, so these lists are bounded by the output
-    others = {r: [s for s in into[heads_of[r]] if s != r] for r in on_a_cycle}
     runs = []
     for k, ranks in enumerate(cycles):
-        entries = sorted(chain.from_iterable(map(others.__getitem__, ranks)))
+        # the other edges into the head of each cycle edge: each is an entry
+        entries = sorted([s for r in ranks for s in into[heads_of[r]] if s != r])
         if entries:
             runs.append((k, tuple(entries)))
     return order, tuple(cycles), tuple(runs)
@@ -532,7 +532,7 @@ def parse_graph(text: str) -> DiGraph:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and integers past the digit limit
             raise GraphParseError(f"invalid JSON: {exc}") from None

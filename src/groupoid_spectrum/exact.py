@@ -52,6 +52,15 @@ class CatalogError(InputError):
     """An operation would leave the closed sequence catalog."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON inputs' ``object_pairs_hook``: a repeated key is a ValueError, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return obj
+
+
 class _Divergent:
     """Sentinel limit value for sequences without a finite limit."""
 

@@ -111,8 +111,9 @@ def stabilizer_record(period: int) -> dict:
 class ConditionAReport(Record):
     """Cycles and entry runs as ranks of ``graph``'s edges, and each rank's edge (``entry_free_cycles``).
 
-    Condition A holds iff there are no runs.  Every entry's certificate is
-    the stabilizer record of its cycle's length (``stabilizer_record``).
+    ``order`` ranks the cycle edges and their entries alone.  Condition A
+    holds iff there are no runs.  Every entry's certificate is the
+    stabilizer record of its cycle's length (``stabilizer_record``).
     ``cycle_edges`` and ``run_edges`` are the same data as edge indices, and
     ``cycles``, ``runs`` and ``entries`` as ``CycleRep`` and ``Edge``
     objects: read-only views, built on first access and cached; neither the

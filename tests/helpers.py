@@ -265,28 +265,33 @@ def brute_reach(g: DiGraph) -> dict[str, frozenset[str]]:
     }
 
 
-def kernel_components(g: DiGraph) -> tuple[dict[str, int], set[str]]:
-    """The kernel's strongly connected components of g: each vertex's id, and the vertices on cycles."""
-    start, arcs = g.out_arcs
-    heads = list(map(g.dst.__getitem__, arcs))
-    found = _kernels.components(start, heads)
+def out_lists(g: DiGraph) -> list[list[int]]:
+    """The kernel's out-lists of g: per vertex index, the indices of its out-edges."""
+    out: list[list[int]] = [[] for _ in g.names]
+    for j, s in enumerate(g.src):
+        out[s].append(j)
+    return out
+
+
+def kernel_components(g: DiGraph) -> dict[str, int]:
+    """The kernel's strongly connected components with a cycle: the component of each vertex on a cycle."""
+    found = _kernels.components(out_lists(g), g.dst)
     of = {g.names[v]: c for c, comp in enumerate(found) for v in comp}
-    assert sorted(v for comp in found for v in comp) == list(range(len(g.names)))
-    parts = _kernels._cyclic_parts(range(len(g.names)), start, heads)
-    return of, {g.names[v] for part in parts for v in part}
+    assert len(of) == sum(map(len, found))  # no vertex in two components
+    return of
 
 
 def assert_components_match_reach(g: DiGraph, reach: dict[str, frozenset[str]]) -> None:
-    """The kernel's strongly connected components of g agree with a reachability table."""
-    of, on_cycles = kernel_components(g)
+    """The kernel's strongly connected components with a cycle agree with a reachability table."""
+    of = kernel_components(g)
     loops = {e.src for e in g.edges if e.src == e.rng}
     for v in g.vertices:
-        for u in g.vertices:
+        on_cycle = v in loops or any(u != v and v in reach[u] for u in reach[v])
+        assert (v in of) == on_cycle, v
+        for u in of if on_cycle else ():
             assert (of[v] == of[u]) == (u in reach[v] and v in reach[u]), (v, u)
             if u in reach[v]:
                 assert of[v] <= of[u], (v, u)  # ids are topological
-        on_cycle = v in loops or any(u != v and v in reach[u] for u in reach[v])
-        assert (v in on_cycles) == on_cycle, v
 
 
 def window_fell_probe(family: PeriodFamily, window: int):

@@ -235,15 +235,15 @@ class TestReportBytes:
         )
 
     @staticmethod
-    def analyze_reference(g: DiGraph, path: str) -> str:
+    def analyze_reference(g: DiGraph, path: str, transpose: bool = False) -> str:
         """``graph-analyze --json`` of ``g`` read from ``path``, as json.dumps writes it."""
         verdict = decide_hausdorff_spectrum(g)
-        report = _envelope("graph-analyze", input=path, transpose=False) | verdict.to_json()
+        report = _envelope("graph-analyze", input=path, transpose=transpose) | verdict.to_json()
         report["condition_a"] = helpers.condition_a_json(verdict.condition_a)
         return json.dumps(report, indent=2) + "\n"
 
     @staticmethod
-    def refusal_reference(g: DiGraph, path: str) -> str:
+    def refusal_reference(g: DiGraph, path: str, transpose: bool = False) -> str:
         """``graph-orbits --json`` of ``g`` (condition A fails) read from ``path``, as json.dumps writes it."""
         report_a = check_condition_a(g)
         with pytest.raises(ConditionARequired) as refusal:
@@ -251,11 +251,21 @@ class TestReportBytes:
         report = _envelope(
             "graph-orbits",
             input=path,
-            transpose=False,
+            transpose=transpose,
             validated=True,
             refused=True,
             reason=str(refusal.value),
             entries=helpers.condition_a_json(report_a)["entries"],
+        )
+        return json.dumps(report, indent=2) + "\n"
+
+    @staticmethod
+    def orbits_reference(g: DiGraph, path: str, transpose: bool = False) -> str:
+        """``graph-orbits --json`` of ``g`` (condition A holds) read from ``path``, as json.dumps writes it."""
+        found = [list(c.edge_ids()) for c in orbits(g)]
+        report = _envelope(
+            "graph-orbits", input=path, transpose=transpose, validated=True,
+            refused=False, orbits=found, count=len(found),
         )
         return json.dumps(report, indent=2) + "\n"
 
@@ -329,17 +339,13 @@ class TestReportBytes:
         path = tmp_path / "g.graph"
         _, g = self.escaped_graphs()
         path.write_text(graph_to_text(g), encoding="utf-8")
-        orbits = [list(c.edge_ids()) for c in check_condition_a(g).cycles]
-        assert orbits == [['a"'], ["a!", "a\\", "é"]]
-        report = _envelope(
-            "graph-orbits", input=str(path), transpose=False, validated=True,
-            refused=False, orbits=orbits, count=len(orbits),
-        )
-        assert run("graph-orbits", str(path), "--json") == (0, json.dumps(report, indent=2) + "\n", "")
+        assert [c.edge_ids() for c in check_condition_a(g).cycles] == [('a"',), ("a!", "a\\", "é")]
+        assert run("graph-orbits", str(path), "--json") == (0, self.orbits_reference(g, str(path)), "")
 
     def test_reports_read_ranks_alone(self, run, tmp_path, monkeypatch):
         # no report builds condition A's views, and a JSON report quotes each
-        # ranked edge once: on an entry-free graph, only the cycle edges
+        # ranked edge once: on an entry-free graph, only the cycle edges; on a
+        # failing one, only the edges into cycle vertices
         def refuse(report):
             raise AssertionError("a report read a view of condition A")
 
@@ -349,17 +355,30 @@ class TestReportBytes:
         monkeypatch.setattr(cli, "_quote", lambda text: quoted.append(text) or _quote(text))
         path = tmp_path / "g.graph"
         planted = helpers.planted_separated(1)
-        for g in (planted, helpers.graph_loop_with_entry(), helpers.complete_graph(4)):
+        # a loop with an entry and a second loop above a chain of 1,000 vertices
+        chain = [f"c{i}" for i in range(1000)]
+        tail = DiGraph.build(
+            ["a", "b", *chain],
+            [("La", "a", "a"), ("x", "b", "a"), ("Lb", "b", "b"), ("t0", "a", "c0")]
+            + [(f"t{i + 1}", s, r) for i, (s, r) in enumerate(zip(chain, chain[1:]))],
+        )
+        # the cycles are the loops: the edges into their vertices are La, x and Lb
+        into_loops = [j for j, d in enumerate(tail.dst) if tail.names[d] in ("a", "b")]
+        assert sorted(check_condition_a(tail).order) == into_loops
+        for g in (planted, helpers.graph_loop_with_entry(), helpers.complete_graph(4), tail):
             path.write_text(graph_to_text(g))
             for command in ("graph-analyze", "graph-orbits"):
                 for flags in ([], ["--json"]):
                     quoted.clear()
                     code, out, err = run(command, str(path), *flags)
                     assert (code, err) == (0, "") and out
+                    edge_quotes = sorted(t for t in quoted if t in set(g.edge_ids))
                     if flags and g is planted:
                         on_cycles = [i for ids in check_condition_a(g).cycle_ids() for i in ids]
                         assert 0 < len(on_cycles) < len(g.edge_ids) / 4
-                        assert sorted(t for t in quoted if t in set(g.edge_ids)) == sorted(on_cycles)
+                        assert edge_quotes == sorted(on_cycles)
+                    if flags and g is tail:
+                        assert edge_quotes == ["La", "Lb", "x"]
 
     def test_entry_tails_are_shared_across_reports_and_depths(self, run, tmp_path):
         # The tail of an entries or stabilizer item is rendered once per
@@ -521,13 +540,6 @@ class TestJsonWriter:
     def test_equals_json_dumps(self, value):
         assert self.written(value) == json.dumps(value, indent=2)
 
-    @given(json_values, st.lists(st.lists(json_texts, min_size=1, max_size=3), max_size=3))
-    @settings(max_examples=150, derandomize=True)
-    def test_equals_json_dumps_next_to_an_item_renderer(self, value, cycles):
-        quoted = ["\n".join(map(_quote, ids)) for ids in cycles]
-        written = self.written({"before": value, "cycles": cli._cycle_items(quoted), "after": {"x": value}})
-        assert written == json.dumps({"before": value, "cycles": cycles, "after": {"x": value}}, indent=2)
-
     @given(json_texts, json_texts)
     @settings(max_examples=200, derandomize=True)
     def test_strings_and_keys(self, key, text):
@@ -535,6 +547,51 @@ class TestJsonWriter:
         assert self.written({key: text, "nested": {key: [text]}}) == json.dumps(
             {key: text, "nested": {key: [text]}}, indent=2
         )
+
+
+# ids and file names that JSON escapes: quotes, backslashes and non-ASCII
+# characters, none of them whitespace or '#'
+escaped_ids = st.text(st.sampled_from('ab"\\é\u2603\U0001f600'), min_size=1, max_size=3)
+
+
+@st.composite
+def escaped_graphs(draw) -> DiGraph:
+    """Validated graphs on up to four vertices with escaped ids.
+
+    Every vertex has one in-edge, which alone keeps condition A (a vertex
+    of in-degree 1 has no entry); up to four more edges may break it.
+    """
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(escaped_ids, min_size=n, max_size=n, unique=True))
+    ends = st.integers(0, n - 1)
+    arcs = [(draw(ends), v) for v in range(n)] + draw(st.lists(st.tuples(ends, ends), max_size=4))
+    ids = draw(st.lists(escaped_ids, min_size=len(arcs), max_size=len(arcs), unique=True))
+    return DiGraph.build(names, [(i, names[s], names[r]) for i, (s, r) in zip(ids, arcs)])
+
+
+class TestGraphWriters:
+    """The graph commands write their JSON reports from a fixed skeleton; the bytes are json.dumps'."""
+
+    def test_equal_the_references(self, tmp_path):
+        outcomes = set()
+
+        @given(escaped_graphs(), escaped_ids, st.booleans())
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        def check(g, name, transpose):
+            path = str(tmp_path / name)
+            # with --transpose, the file holds the reversed graph, which the run reverses back
+            Path(path).write_text(graph_to_text(g.transpose() if transpose else g), encoding="utf-8")
+            flags = ["--json", "--transpose"] if transpose else ["--json"]
+            passed = check_condition_a(g).passed
+            ref = TestReportBytes.orbits_reference if passed else TestReportBytes.refusal_reference
+            assert run_main(["graph-analyze", path, *flags]) == (
+                0, TestReportBytes.analyze_reference(g, path, transpose), ""
+            )
+            assert run_main(["graph-orbits", path, *flags]) == (0, ref(g, path, transpose), "")
+            outcomes.add((passed, transpose))
+
+        check()
+        assert outcomes == {(p, t) for p in (False, True) for t in (False, True)}
 
 
 class TestTextStreaming:
@@ -1023,6 +1080,18 @@ class TestHostileInputs:
             code, out, err = run(*argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    def test_repeated_keys(self, run, tmp_path):
+        # json.loads alone keeps a repeated key's last value: the first edge
+        # list, which fails condition A, and the S-space family would be dropped
+        loop = '{"id": "x", "src": "a", "rng": "a"}'
+        graph = tmp_path / "repeated.json"
+        graph.write_text(f'{{"vertices": ["a"], "edges": [{loop}, {loop.replace("x", "y")}], "edges": [{loop}]}}')
+        assert run("graph-analyze", str(graph), "--json") == (2, "", "error: invalid JSON: repeated key 'edges'\n")
+        family = tmp_path / "repeated-family.json"
+        family.write_text(json.dumps(S_FAMILY)[:-1] + ', "space": "dual"}')
+        for argv in (["check-family", str(family)], ["model-dyadic", "check-c-on-s", "--family", str(family)]):
+            assert run(*argv) == (2, "", "error: bad family file: repeated key 'space'\n"), argv
 
     def test_nul_in_a_path(self, run):
         code, out, err = run("graph-analyze", "g\x00.graph")

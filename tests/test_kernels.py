@@ -9,19 +9,22 @@ from groupoid_spectrum.digraph import CycleRep, DiGraph
 from groupoid_spectrum.oracle import naive_simple_cycles
 
 
+def kernel_cycles(head, out: list[list[int]]) -> list[tuple[int, ...]]:
+    """The kernel's cycles of the arcs in ``out``, searched in their components with a cycle."""
+    return _kernels.simple_cycles(head, out, _kernels.components(out, head))
+
+
 def kernel_cycle_ids(g: DiGraph) -> list[tuple[str, ...]]:
     return [
         CycleRep(tuple(g.edges[j] for j in reversed(arcs))).edge_ids()
-        for arcs in _kernels.simple_cycles(g.dst, *g.out_arcs)
+        for arcs in kernel_cycles(g.dst, helpers.out_lists(g))
     ]
 
 
-def arc_arrays(arcs: list[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
-    """The kernel's arrays for (src, dst) arcs: ``dst``, row offsets and arcs by source."""
+def arc_arrays(arcs: list[tuple[int, int]]) -> tuple[list[int], list[list[int]]]:
+    """The kernel's arrays for (src, dst) arcs: each arc's head, and per vertex its arcs."""
     n = 1 + max(max(arc) for arc in arcs)
-    by_source = sorted(range(len(arcs)), key=lambda j: arcs[j][0])
-    start = [sum(s < v for s, _ in arcs) for v in range(n + 1)]
-    return [d for _, d in arcs], start, by_source
+    return [d for _, d in arcs], [[j for j, (s, _) in enumerate(arcs) if s == v] for v in range(n)]
 
 
 def one_component_multigraph(rng: random.Random) -> DiGraph:
@@ -44,20 +47,20 @@ class TestBackendSelection:
 class TestDispatch:
     def test_wide_ring(self):
         n = 70
-        cycles = _kernels.simple_cycles(*arc_arrays([(i, (i + 1) % n) for i in range(n)]))
+        cycles = kernel_cycles(*arc_arrays([(i, (i + 1) % n) for i in range(n)]))
         assert cycles == [tuple(range(n))]
 
     def test_deterministic(self):
         g = random_validated_graph(random.Random(99), max_vertices=8)
-        arrays = (g.dst, *g.out_arcs)
-        first = _kernels.simple_cycles(*arrays)
+        arrays = (g.dst, helpers.out_lists(g))
+        first = kernel_cycles(*arrays)
         for _ in range(3):
-            assert _kernels.simple_cycles(*arrays) == first
+            assert kernel_cycles(*arrays) == first
 
     def test_parts_leave_out_acyclic_vertices(self):
         # loop at 0 feeds 1 -> 2 -> 3 -> 1 and then the acyclic tail 4 -> 5
         arcs = arc_arrays([(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 5)])
-        assert sorted(_kernels.simple_cycles(*arcs)) == [(0,), (2, 3, 4), (7,)]
+        assert sorted(kernel_cycles(*arcs)) == [(0,), (2, 3, 4), (7,)]
 
 
 class TestAgainstOracle:
@@ -66,7 +69,7 @@ class TestAgainstOracle:
         total = 0
         for _ in range(400):
             g = one_component_multigraph(rng)
-            assert len(set(helpers.kernel_components(g)[0].values())) == 1
+            assert set(helpers.kernel_components(g).values()) == {0}
             found = kernel_cycle_ids(g)
             assert len(found) == len(set(found))
             assert set(found) == naive_simple_cycles(g)
