@@ -9,7 +9,6 @@ invalid input, 1 for an internal error.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import math
@@ -19,6 +18,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
+from types import SimpleNamespace
 
 from . import __version__
 from .exact import InputError, _unique_keys
@@ -292,11 +292,19 @@ def _write_head(write, command: str, args) -> None:
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file, a byte-order mark dropped and newlines read as text mode reads them.
+
+    The file is decoded whole, so a cut-off byte-order mark is a decode
+    error like any other cut-off sequence, not an empty file.
+    """
     try:
-        with open(path, encoding="utf-8-sig") as file:  # a byte-order mark is dropped
-            return file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8-sig")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
+    if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_graph(path: str, transpose: bool) -> DiGraph:
@@ -635,6 +643,8 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
+        import argparse  # for the error _int_in raises
+
         try:
             return _int_in(0)(env)
         except (ValueError, argparse.ArgumentTypeError):
@@ -736,6 +746,13 @@ MAX_N = 1000  # --n-max: the report grows quadratically, 1.2 MB of JSON at 1000
 MAX_TRIALS = 10_000  # --trials: about 2 s of SO(3) trials
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's error for a value that a type function refuses; argparse is imported only then."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_in(minimum: int, maximum: int | None = None):
     """An argparse type: an integer no smaller than ``minimum`` and no larger than ``maximum``.
 
@@ -747,9 +764,9 @@ def _int_in(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise _type_error(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+            raise _type_error(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -765,160 +782,261 @@ def _tolerance(text: str) -> float:
     """
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+        raise _type_error(f"must be finite and at least 0, got {text!r}")
     return value
 
 
 _tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit a JSON report")
-    fmt.add_argument("--text", action="store_false", dest="json", help="emit plain text (default)")
-    p.set_defaults(json=False)
+# The command table.  ``_COMMANDS`` maps each command, in the order the
+# top-level help lists them, to its help line and either a dict of its nested
+# verbs (each a help line and a leaf) or a leaf: the handler, the positionals
+# (name -> help) and the options by flag, each (dest, kind, default,
+# required, help).  ``kind`` is the type function of an option that takes a
+# value (None keeps the text) or, for a flag that takes none, the bool it
+# stores.  ``build_parser`` builds the argparse tree from the table and
+# ``_read_plain`` reads plain calls from it.
 
-
-def _add_graph_analyze(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="graph file (line format or JSON)")
-    p.add_argument("--transpose", action="store_true", help="reverse every edge first")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_graph_analyze)
-
-
-def _add_graph_orbits(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("--transpose", action="store_true")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_graph_orbits)
-
-
-def _add_graph_equiv(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("--x", required=True, help="path literal 'p1,p2:c1,c2'")
-    p.add_argument("--y", required=True)
-    p.add_argument("--transpose", action="store_true")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_graph_equiv)
-
-
-def _add_model_green(parser: argparse.ArgumentParser) -> None:
-    verbs = parser.add_subparsers(dest="verb", required=True)
-    p = verbs.add_parser("verify-eq3", help="verify the chart translation identity")
-    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=20)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_green_verify)
-
-
-def _add_model_dyadic(parser: argparse.ArgumentParser) -> None:
-    verbs = parser.add_subparsers(dest="verb", required=True)
-    p = verbs.add_parser("demo-c-failure", help="the dual-convergence counterexample")
-    p.add_argument("--n-max", type=_int_in(0, MAX_N), default=10)
-    p.add_argument("--tests", help="comma separated rational test points")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_dyadic_demo)
-    p = verbs.add_parser("check-c-on-s", help="run an S-space family file")
-    p.add_argument("--family", required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_dyadic_check_s)
-
-
-def _add_model_so3(parser: argparse.ArgumentParser) -> None:
-    verbs = parser.add_subparsers(dest="verb", required=True)
-    p = verbs.add_parser("conj-test", help="random conjugation residuals")
-    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=1000)
-    p.add_argument("--seed", type=_int_in(0), default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_so3_conj)
-    p = verbs.add_parser("spectrum", help="orbit invariants of a character datum")
-    p.add_argument("--v", required=True, help="base point 'x,y,z'")
-    p.add_argument("--k", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_so3_spectrum)
-
-
-def _add_check_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family")
-    p.add_argument("--tests", help="comma separated rational test points")
-    p.add_argument("--truncate", type=int, default=None, help="non-certifying probe index")
-    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for --truncate")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_check_family)
-
-
-PROG = "groupoid-spectrum"
-
-# each command's help line and the function that adds its arguments (and
-# nested verbs) to its parser, in the order the top-level help lists them
-_COMMANDS = {
-    "graph-analyze": ("decide the Hausdorff spectrum conditions", _add_graph_analyze),
-    "graph-orbits": ("orbit representatives of the path space", _add_graph_orbits),
-    "graph-equiv": ("shift equivalence of two eventually periodic paths", _add_graph_equiv),
-    "model-green": ("the flow model", _add_model_green),
-    "model-dyadic": ("the dyadic model", _add_model_dyadic),
-    "model-so3": ("the rotation model", _add_model_so3),
-    "check-family": ("run a family file (dual or S space)", _add_check_family),
+_OUTPUT = {  # every leaf's options end with this mutually exclusive pair
+    "--json": ("json", True, False, False, "emit a JSON report"),
+    "--text": ("json", False, False, False, "emit plain text (default)"),
 }
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The full argument parser: every command as a subparser, built once per process.
+def _option(help: str, kind=None, default=None, required: bool = False) -> tuple:
+    return kind, default, required, help
 
-    ``main`` runs it only when the first argument names no command (help,
-    an unknown or missing command) and for its usage on leftover arguments;
-    a call that names a command is parsed by ``_command_parser`` alone.  Its
-    subparsers are built from ``_COMMANDS`` as the command parsers are, so
-    the two give the same help, usage and errors.
+
+def _flag(help: str) -> tuple:
+    return True, False, False, help
+
+
+def _leaf(handler, positionals: dict, options: dict) -> tuple:
+    """A leaf of the table: each option gets the dest argparse gives its flag; the output pair follows."""
+    options = {flag: (flag[2:].replace("-", "_"), *option) for flag, option in options.items()}
+    return handler, positionals, {**options, **_OUTPUT}
+
+
+_GRAPH = {"graph": "graph file (line format or JSON)"}
+_TRANSPOSE = {"--transpose": _flag("reverse every edge first")}
+_PATH = "path literal 'p1,p2:c1,c2'"
+_TESTS = _option("comma separated rational test points")
+
+_COMMANDS = {
+    "graph-analyze": (
+        "decide the Hausdorff spectrum conditions",
+        _leaf(cmd_graph_analyze, _GRAPH, _TRANSPOSE),
+    ),
+    "graph-orbits": (
+        "orbit representatives of the path space",
+        _leaf(cmd_graph_orbits, _GRAPH, _TRANSPOSE),
+    ),
+    "graph-equiv": (
+        "shift equivalence of two eventually periodic paths",
+        _leaf(
+            cmd_graph_equiv,
+            _GRAPH,
+            {"--x": _option(_PATH, required=True), "--y": _option(_PATH, required=True), **_TRANSPOSE},
+        ),
+    ),
+    "model-green": (
+        "the flow model",
+        {
+            "verify-eq3": (
+                "verify the chart translation identity",
+                _leaf(
+                    cmd_green_verify,
+                    {},
+                    {"--n-max": _option(f"check n = 0 to N_MAX, at most {MAX_N}", _int_in(0, MAX_N), 20)},
+                ),
+            ),
+        },
+    ),
+    "model-dyadic": (
+        "the dyadic model",
+        {
+            "demo-c-failure": (
+                "the dual-convergence counterexample",
+                _leaf(
+                    cmd_dyadic_demo,
+                    {},
+                    {
+                        "--n-max": _option(f"list n = 0 to N_MAX, at most {MAX_N}", _int_in(0, MAX_N), 10),
+                        "--tests": _TESTS,
+                    },
+                ),
+            ),
+            "check-c-on-s": (
+                "run an S-space family file",
+                _leaf(
+                    cmd_dyadic_check_s, {}, {"--family": _option("S-space family file (JSON)", required=True)}
+                ),
+            ),
+        },
+    ),
+    "model-so3": (
+        "the rotation model",
+        {
+            "conj-test": (
+                "random conjugation residuals",
+                _leaf(
+                    cmd_so3_conj,
+                    {},
+                    {
+                        "--trials": _option(
+                            f"number of random trials, 1 to {MAX_TRIALS}", _int_in(1, MAX_TRIALS), 1000
+                        ),
+                        "--seed": _option(f"random seed (default: ${SEED_ENV}, else 0)", _int_in(0)),
+                        "--tol": _option("largest residual that passes", _tolerance, 1e-10),
+                    },
+                ),
+            ),
+            "spectrum": (
+                "orbit invariants of a character datum",
+                _leaf(
+                    cmd_so3_spectrum,
+                    {},
+                    {
+                        "--v": _option("base point 'x,y,z'", required=True),
+                        "--k": _option("integer index of the character", int, required=True),
+                    },
+                ),
+            ),
+        },
+    ),
+    "check-family": (
+        "run a family file (dual or S space)",
+        _leaf(
+            cmd_check_family,
+            {"family": "family file (JSON)"},
+            {
+                "--tests": _TESTS,
+                "--truncate": _option("non-certifying probe index", int),
+                "--tol": _option("tolerance for --truncate", _tolerance, 1e-9),
+            },
+        ),
+    ),
+}
+
+PROG = "groupoid-spectrum"
+
+
+def _add_subparsers(subparsers, entries: dict) -> None:
+    """Add each command or verb of ``entries`` (a level of the table) as a subparser with its arguments."""
+    for name, (summary, spec) in entries.items():
+        parser = subparsers.add_parser(name, help=summary)
+        if type(spec) is dict:  # nested verbs
+            _add_subparsers(parser.add_subparsers(dest="verb", required=True), spec)
+            continue
+        handler, positionals, options = spec
+        for positional, text in positionals.items():
+            parser.add_argument(positional, help=text)
+        output = parser.add_mutually_exclusive_group()
+        for flag, (dest, kind, default, required, text) in options.items():
+            add = output.add_argument if flag in _OUTPUT else parser.add_argument
+            if type(kind) is bool:
+                add(flag, action="store_true" if kind else "store_false", dest=dest, help=text)
+            else:
+                add(flag, dest=dest, type=kind, default=default, required=required, help=text)
+        parser.set_defaults(json=False, func=handler)
+
+
+@cache
+def build_parser():
+    """The full argument parser, built from ``_COMMANDS`` once per process.
+
+    ``_parse`` runs it on every call that ``_read_plain`` passes on: help,
+    usage errors and the spellings only argparse reads, so help, usage,
+    error messages and exit codes are those of this one argparse tree.
+    argparse is imported here, so a plain call never loads it.
 
     Sharing it is safe because ``parse_args`` never mutates the parser, and
     argparse looks up ``sys.stdout`` and ``sys.stderr`` when it writes help,
     usage and errors, not when the parser is built, so redirected streams
     still capture them.  ``prog`` is fixed.  Callers must not modify the
-    returned parser.  The ``func`` defaults bind the ``cmd_*`` handlers at the
-    first build, so replacing ``cli.cmd_*`` afterwards has no effect on it.
+    returned parser.  The ``func`` defaults are the table's ``cmd_*``
+    handlers, bound when the module is imported, so replacing ``cli.cmd_*``
+    afterwards has no effect on it (nor on ``_read_plain``).
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact checks for Hausdorff spectra of groupoid algebras",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=summary))
+    _add_subparsers(parser.add_subparsers(dest="command", required=True), _COMMANDS)
     return parser
 
 
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, built on its first use, once per process.
+def _read_plain(argv) -> SimpleNamespace | None:
+    """A call in plain form read from ``_COMMANDS``, as ``build_parser().parse_args`` reads it; else None.
 
-    It equals ``build_parser``'s subparser of that name: the same ``prog``
-    (which argparse would derive from the top-level one), arguments and
-    nested verbs.  Sharing it is safe as for ``build_parser``.
+    A plain call names a command (and its verb), then gives its positionals
+    and each option spelled exactly and at most once, as ``--opt value``
+    with a value not starting with ``-`` or as ``--opt=value``; every
+    required option and positional is there, and every type function takes
+    its value.  Every other call (help, errors, abbreviations, ``--``,
+    repeats, ``--json --text``, a value starting with ``-`` given without
+    ``=``) is left to the full parser.
     """
-    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0]}
+    leaf, start = command[1], 1
+    if type(leaf) is dict:  # nested verbs
+        verb = leaf.get(argv[1]) if len(argv) > 1 else None
+        if verb is None:
+            return None
+        values["verb"], leaf, start = argv[1], verb[1], 2
+    handler, positionals, options = leaf
+    names = iter(positionals)  # the positionals still to fill, in order
+    tokens = iter(argv[start:])
+    for token in tokens:
+        if token[:1] != "-":
+            name = next(names, None)
+            if name is None:
+                return None
+            values[name] = token
+            continue
+        flag, given, value = token.partition("=")
+        option = options.get(flag)
+        if option is None or option[0] in values:  # unknown, abbreviated, repeated, or both of a pair
+            return None
+        dest, kind = option[:2]
+        if type(kind) is bool:
+            if given:
+                return None
+            values[dest] = kind
+            continue
+        if not given:
+            value = next(tokens, "-")  # a missing value reads as one starting with "-"
+            if value[:1] == "-":
+                return None
+        elif value == "--":  # argparse drops a "--" value, even after "="
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # what a type refuses, argparse refuses again and reports
+                return None
+        values[dest] = value
+    if next(names, None) is not None:
+        return None
+    for dest, _, default, required, _ in options.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    values["func"] = handler
+    return SimpleNamespace(**values)
 
 
-def _parse(argv) -> argparse.Namespace:
-    """The arguments of one call, as ``build_parser().parse_args(argv)`` gives them.
-
-    A first argument that names a command selects that command's parser,
-    which parses the rest, so the full parser's own pass (which only picks
-    the subparser) and build are skipped.  Leftover arguments are the full
-    parser's error, as they are under it: its usage, then ``unrecognized
-    arguments``.  Any other argv (help, an unknown or a missing command, an
-    option before the command) goes to the full parser.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-        return args
-    return build_parser().parse_args(argv)
+def _parse(argv):
+    """The arguments of one call: ``_read_plain``'s namespace, or else ``build_parser().parse_args(argv)``."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 EXIT_BROKEN_PIPE = 128 + 13  # shell status of a process ended by SIGPIPE

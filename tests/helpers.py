@@ -78,8 +78,8 @@ def run_main(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str
 def run_full_parser(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str]:
     """``run_main`` with ``argv`` parsed by ``build_parser().parse_args``, then the handler run.
 
-    The reference for ``main``'s dispatch, which parses a call that names a
-    command with that command's own parser.
+    The reference for ``main``'s dispatch, which reads a call in plain form
+    from the command table and passes every other call to that parser.
     """
     with mock.patch.object(cli, "_parse", lambda args: cli.build_parser().parse_args(args)):
         return run_main(argv, ascii_stdout)

@@ -16,6 +16,7 @@ import helpers
 from groupoid_spectrum import cli, digraph, spectrum
 from groupoid_spectrum.cli import EXIT_BROKEN_PIPE, _envelope, _quote, main
 from groupoid_spectrum.digraph import DiGraph, graph_to_json, graph_to_text, validate_graph
+from groupoid_spectrum.exact import InputError
 from groupoid_spectrum.spectrum import (
     ConditionARequired,
     check_condition_a,
@@ -1162,6 +1163,78 @@ class TestByteOrderMark:
         path.write_text(text, encoding="utf-8-sig")
         assert run(*command, str(path), "--json") == plain
 
+    @pytest.mark.parametrize("command", [["graph-analyze"], ["check-family"]])
+    @pytest.mark.parametrize(
+        "content, undecoded",
+        [(b"\xef", "byte 0xef in position 0"), (b"\xef\xbb", "bytes in position 0-1")],
+        ids=["one-byte", "two-bytes"],
+    )
+    def test_cut_off_mark_is_a_decode_error(self, run, tmp_path, command, content, undecoded):
+        # as every other cut-off sequence is, not an empty file
+        path = tmp_path / "cut"
+        path.write_bytes(content)
+        message = f"'utf-8' codec can't decode {undecoded}: unexpected end of data"
+        assert run(*command, str(path)) == (2, "", f"error: cannot read {path}: {message}\n")
+
+
+def text_mode_read(path: str) -> str:
+    """The file read in text mode: the reference for every input but a cut-off byte-order mark."""
+    try:
+        with open(path, encoding="utf-8-sig") as file:
+            return file.read()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+class TestReadInput:
+    """Input files are read as bytes and decoded whole, with the messages and text of a text-mode read."""
+
+    GRAPH = "v a\nv b\ne La a a\ne f a b\ne Lb b b\n"
+    FAMILY = json.dumps(DUAL_FAMILY, indent=1)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            GRAPH.encode(),
+            b"\xef\xbb\xbf" + GRAPH.encode(),
+            GRAPH.replace("\n", "\r\n").encode(),
+            GRAPH.replace("\n", "\r").encode(),
+            b"v a\r\nv b\re La a a\ne f a b\r\r\ne Lb b b\r",  # mixed, a blank line, a lone \r at the end
+            b"v a\r\nv b\r\nx bad\r\n",  # a parse error's line number
+            b"v a\rv b\re L a\r",
+            FAMILY.encode(),
+            b"\xef\xbb\xbf" + FAMILY.replace("\n", "\r\n").encode(),
+            FAMILY.replace("\n", "\r")[:-40].encode(),  # a JSON error's line and column
+            b'{"vertices": ["a"],\r\n "edges": [}',
+            b"v a\n\xff\n",  # invalid UTF-8
+            b"\xef\xbb\xbfv a\n\xffv b\n",  # its position counts from after the mark
+            b"# " + b"x" * 10_000 + b"\n\xe2\x82",  # cut off at the end, past the first 8 KiB
+            b"\xef\xbbv a\n",
+            b"\xef\xbb\xbf",
+            b"",
+        ],
+        ids=[
+            "graph", "bom", "crlf", "cr", "mixed", "crlf-line-error", "cr-line-error", "family",
+            "bom-crlf-family", "cr-json-error", "crlf-json-error", "not-utf-8", "bom-not-utf-8",
+            "cut-off-tail", "broken-mark", "mark-only", "empty",
+        ],
+    )
+    @pytest.mark.parametrize("command", [["graph-analyze"], ["check-family"]])
+    def test_matches_a_text_mode_read(self, run, monkeypatch, tmp_path, command, content):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        got = run(*command, str(path), "--json")
+        monkeypatch.setattr(cli, "_read_text", text_mode_read)
+        assert got == run(*command, str(path), "--json")
+
+    @pytest.mark.parametrize("name", ["missing", ".", "nul\x00"])
+    def test_unreadable_paths_match_a_text_mode_read(self, run, monkeypatch, tmp_path, name):
+        path = str(tmp_path / name)
+        got = run("graph-analyze", path)
+        assert got[:2] == (2, "") and got[2].startswith(f"error: cannot read {path}: ")
+        monkeypatch.setattr(cli, "_read_text", text_mode_read)
+        assert got == run("graph-analyze", path)
+
 
 class TestNumpyStaysOut:
     """Only ``model-so3 conj-test`` imports numpy; every other command starts without it."""
@@ -1216,7 +1289,9 @@ class TestImportsPerCommand:
 
     No command loads ``dataclasses``, which with ``inspect`` cost a fresh
     process about 20 ms; ``inspect`` comes only with numpy, which
-    ``model-so3 conj-test`` loads.
+    ``model-so3 conj-test`` loads.  No plain call loads ``argparse`` or the
+    ``gettext`` and ``locale`` it brings (about 5 ms of a fresh process);
+    ``--help`` afterwards, in the same process, still prints the full help.
     """
 
     CHILD = (
@@ -1226,8 +1301,12 @@ class TestImportsPerCommand:
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "print(json.dumps(sorted(name.rpartition('.')[2] for name in sys.modules\n"
-        "                        if name in ('numpy', 'dataclasses', 'inspect')\n"
+        "                        if name in ('numpy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n"
         "                        or name.startswith('groupoid_spectrum.'))))\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
     )
 
     @staticmethod
@@ -1240,8 +1319,10 @@ class TestImportsPerCommand:
 
     @pytest.mark.parametrize("family", ["graph", "model", "exact-model"])
     def test_commands_load_only_their_modules(
-        self, family, funnel_file, entry_file, dual_family_file, s_family_file
+        self, monkeypatch, family, funnel_file, entry_file, dual_family_file, s_family_file
     ):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
         exact_model_commands = [
             ["model-green", "verify-eq3", "--n-max", "8", "--json"],
             ["model-dyadic", "demo-c-failure", "--n-max", "4"],
@@ -1278,8 +1359,10 @@ class TestImportsPerCommand:
                 {"digraph", "spectrum", "oracle", "_kernels", "numpy", "dataclasses", "inspect"},
             ),
         }[family]
-        loaded = set(json.loads(self.child(self.CHILD, json.dumps(commands))))
-        assert used <= loaded and not loaded & unused, loaded
+        modules, help_text = self.child(self.CHILD, json.dumps(commands)).split("\n", 1)
+        loaded = set(json.loads(modules))
+        assert used <= loaded and not loaded & (unused | {"argparse", "gettext", "locale"}), loaded
+        assert help_text == cli.build_parser().format_help() + "0\n"
 
     def test_package_import_loads_no_submodule(self):
         code = "import sys, groupoid_spectrum\nprint([m for m in sys.modules if m.startswith('groupoid_spectrum.')])"
@@ -1308,7 +1391,7 @@ class TestImportsPerCommand:
 
 
 class TestParserReuse:
-    """``main`` builds each command's parser, and the full parser, at most once per process.
+    """``main`` reads plain calls from the command table and builds the full parser at most once per process.
 
     Reuse must not change any output: each call matches a fresh process.
     """
@@ -1349,7 +1432,6 @@ class TestParserReuse:
         assert seen[5] == seen[6] == (2, False, "usage:")
         assert seen[7] == (2, False, "usage:")
         assert cli.build_parser() is cli.build_parser()
-        assert cli._command_parser("graph-analyze") is cli._command_parser("graph-analyze")
 
     def test_hook_set_before_the_first_call_is_called(self, funnel_file):
         # nothing is bound yet in the child, so binding must keep the hook
@@ -1381,7 +1463,7 @@ def subparsers(parser: argparse.ArgumentParser) -> dict:
 
 
 class TestDispatch:
-    """A call that names a command is parsed by that command's parser alone (``cli._parse``).
+    """A call in plain form is read from the command table (``cli._read_plain``); any other goes to argparse.
 
     The reference is the full parser: ``build_parser().parse_args`` and then
     the handler (``helpers.run_full_parser``).  ``tests/test_fuzz.py``
@@ -1390,11 +1472,13 @@ class TestDispatch:
 
     def test_hand_picked_argvs_match_the_full_parser(self, monkeypatch, funnel_file):
         monkeypatch.setenv("COLUMNS", "80")
+        spectrum = ["model-so3", "spectrum", "--v", "1,2,2"]
         calls = [
             [],
             ["--help"],
             ["graph-analyze", "-h"],
             ["graph-analyze", funnel_file, "--help"],
+            ["graph-analyze", funnel_file, "--json", "-h"],  # help after a valid call
             ["model-green", "verify-eq3", "-h"],
             ["--", "graph-analyze", funnel_file],
             ["-x", "graph-analyze", funnel_file],
@@ -1402,35 +1486,54 @@ class TestDispatch:
             ["graph-analyzeX", funnel_file],
             ["model-green"],
             ["model-green", "no-such-verb"],
+            ["model-green", "--json", "verify-eq3"],
             ["model-green", "verify-eq3", "--n-max", "2", "extra", "--nope"],
+            ["model-green", "verify-eq3", "--n-max", "2", "--n-max", "3"],  # a repeated option
             ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--", "x"],
+            [*spectrum, "--k", "-3"],  # a value starting with "-", without "="
+            [*spectrum, "--k=-3"],
+            ["model-so3", "spectrum", "--v=1,-2,3", "--k", "3"],
             ["graph-orbits", funnel_file, "extra"],
             ["graph-analyze", funnel_file, "--json", "--text"],
+            ["graph-analyze", funnel_file, "--json=1"],
             ["graph-analyze", funnel_file, "--tr", "--js"],  # abbreviated options
             ["graph-analyze", "--", funnel_file],
+            ["graph-analyze", "--json"],  # a missing positional
+            ["graph-equiv", funnel_file, "--x", "-f:La", "--y", ":La"],  # reads as an option, not a value
+            ["graph-analyze", ""],  # an empty positional
+            ["graph-analyze", "-1"],  # a positional that reads as a negative number
             ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La"],
+            ["graph-equiv", funnel_file, "--x=f:La", "--y=", "--transpose"],
+            ["graph-equiv", funnel_file, "--x=--", "--y", ":La"],  # argparse reads "--" as no value
             ["check-family", funnel_file, "--tol", "inf"],
         ]
         for argv in calls:
             assert run_main(argv) == helpers.run_full_parser(argv), argv
+        # plain calls are read from the table, with the full parser's namespace
+        for argv in (
+            [*spectrum, "--k=-3"],
+            ["graph-analyze", ""],
+            ["graph-equiv", funnel_file, "--x=f:La", "--y=", "--transpose"],
+        ):
+            assert vars(cli._read_plain(argv)) == vars(cli.build_parser().parse_args(argv)), argv
 
-    def test_command_parsers_match_the_full_tree(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
-        commands = subparsers(cli.build_parser())
-        assert list(commands) == list(cli._COMMANDS)
-        pairs = []
-        for name, full in commands.items():
-            own = cli._command_parser(name)
-            pairs.append((own, full))
-            verbs, full_verbs = subparsers(own), subparsers(full)
-            assert list(verbs) == list(full_verbs)
-            pairs += [(verbs[verb], full_verbs[verb]) for verb in verbs]
-        assert len(pairs) == 12  # 7 commands and 5 nested verbs
-        for own, full in pairs:
-            assert own is not full
-            assert own.prog == full.prog
-            assert own.format_help() == full.format_help()
-            assert own.format_usage() == full.format_usage()
+    def test_every_argument_has_help(self):
+        # walks the full tree: each command and verb of the table is a
+        # parser, and each of its arguments and subcommands has a help line
+        parsers = [cli.build_parser()]
+        seen = []
+        for parser in parsers:
+            seen.append(parser.prog)
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                if isinstance(action, argparse._SubParsersAction):
+                    assert all(choice.help for choice in action._choices_actions), parser.prog
+                    parsers += action.choices.values()
+                else:
+                    assert action.help, (parser.prog, action.dest)
+        assert list(subparsers(parsers[0])) == list(cli._COMMANDS)
+        assert len(seen) == 13  # the top level, 7 commands and 5 nested verbs
 
     def test_full_parser_is_built_only_for_help_and_errors(self, funnel_file):
         code = (

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupoid_spectrum.cli import MAX_N, MAX_TRIALS, PROG, build_parser
+from groupoid_spectrum.cli import MAX_N, MAX_TRIALS, PROG, _read_plain, build_parser
 from helpers import DUAL_FAMILY, S_FAMILY, run_full_parser, run_main, strict_json
 
 # derandomized, so the suite runs the same examples every time
@@ -268,7 +268,12 @@ def argvs(draw, workdir):
     options += [(o, draw(st.booleans())) for o in optional]
     for (flag, values), present in draw(st.permutations(options)):
         if present:
-            argv += [flag] if values is None else [flag, draw(values)]
+            if values is None:
+                argv.append(flag)
+            elif draw(st.booleans()):  # the "--opt=value" spelling
+                argv.append(f"{flag}={draw(values)}")
+            else:
+                argv += [flag, draw(values)]
     if not leftover and draw(st.integers(0, 3)) == 3:
         argv.insert(
             draw(st.integers(0, len(argv))),
@@ -304,6 +309,14 @@ class TestArguments:
     def test_dispatch_matches_the_full_parser(self, workdir, data):
         argv, _, _ = data.draw(argvs(workdir))
         assert run_main(argv, ascii_stdout=True) == run_full_parser(argv, ascii_stdout=True), argv
+
+    @FUZZ
+    @given(data=st.data())
+    def test_plain_calls_read_the_full_parsers_namespace(self, workdir, data):
+        argv, _, _ = data.draw(argvs(workdir))
+        args = _read_plain(argv)
+        if args is not None:  # any other argv is the full parser's (the test above)
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
 
 
 class TestCountLimits:
