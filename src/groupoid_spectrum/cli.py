@@ -1034,9 +1034,24 @@ def _read_plain(argv) -> SimpleNamespace | None:
 
 
 def _parse(argv):
-    """The arguments of one call: ``_read_plain``'s namespace, or else ``build_parser().parse_args(argv)``."""
+    """The arguments of one call: ``_read_plain``'s namespace, or else ``build_parser().parse_args(argv)``.
+
+    argparse drops a ``--`` value, even after ``=``, and stores ``[]`` without
+    calling the option's type; a value option holding a list is refused as
+    one given no value.
+    """
     args = _read_plain(argv)
-    return build_parser().parse_args(argv) if args is None else args
+    if args is not None:
+        return args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    leaf = _COMMANDS[args.command][1]
+    if type(leaf) is dict:  # nested verbs
+        leaf = leaf[args.verb][1]
+    for flag, (dest, kind, *_) in leaf[2].items():
+        if type(kind) is not bool and type(getattr(args, dest)) is list:
+            parser.error(f"argument {flag}: expected one argument")
+    return args
 
 
 EXIT_BROKEN_PIPE = 128 + 13  # shell status of a process ended by SIGPIPE

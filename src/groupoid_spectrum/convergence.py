@@ -24,15 +24,11 @@ Three checkers mirror the three ways a convergence hypothesis can resolve:
 
 Hypothesis failures (the premises of a check cannot hold) raise
 ``HypothesisFailure`` rather than returning a verdict.
-
-The Fell limits of period subgroups (``PeriodFamily``, ``FellLimit``,
-``fell_subgroup_limit``) live in ``exact`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .exact import (
@@ -40,28 +36,13 @@ from .exact import (
     AffineSeq,
     CatalogError,
     DyadicSeq,
-    FellLimit,
     InputError,
-    PeriodFamily,
     _is_int,
-    fell_subgroup_limit,
     format_rational,
     parse_rational,
     scale_pow2_affine,
 )
-from .models import (
-    LINE_BRANCH,
-    ArrowDyadic,
-    CharQ,
-    CharSO3,
-    GroupH,
-    PointY,
-    SElem,
-    so3_transport,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .models import LINE_BRANCH, ArrowDyadic, CharQ, GroupH, PointY, SElem
 
 __all__ = [
     "DEFAULT_TESTS",
@@ -74,16 +55,10 @@ __all__ = [
     "CharConvergenceReport",
     "ConditionCVerdict",
     "SConditionVerdict",
-    "SO3ConditionCReport",
-    "PeriodFamily",
-    "FellLimit",
     "FamilySpec",
-    "point_seq_limit",
     "char_seq_converges",
     "condition_c_check",
     "condition_c_on_S_check",
-    "condition_c_check_so3",
-    "fell_subgroup_limit",
     "parse_family",
     "run_family_check",
     "run_family_truncated",
@@ -175,11 +150,6 @@ class PointSeqSpec(Record):
             return cls(branch, AffineSeq.from_json(obj["param"]))
         except CatalogError as exc:
             raise FamilyFormatError(str(exc)) from None
-
-
-def point_seq_limit(spec: PointSeqSpec):
-    """Exact limit of the point sequence, or DIVERGENT."""
-    return spec.limit()
 
 
 # ---------------------------------------------------------------------------
@@ -496,91 +466,6 @@ def condition_c_on_S_check(
             "eventual_exponent": exponent if exponent is not DIVERGENT else "divergent",
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# SO(3) family check (floating point, sampled tails)
-
-
-class SO3ConditionCReport(Record):
-    """Non-certifying SO(3) verdict from sampled tails of a finite family."""
-
-    __slots__ = ("holds", "same_fiber", "chi", "omega", "max_base_residual", "note")
-
-    def __init__(
-        self,
-        holds: bool,
-        same_fiber: bool,
-        chi: CharSO3,
-        omega: CharSO3,
-        max_base_residual: float,
-        note: str,
-    ) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "same_fiber", same_fiber)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "max_base_residual", max_base_residual)
-        object.__setattr__(self, "note", note)
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "same_fiber": self.same_fiber,
-            "chi": self.chi.to_json(),
-            "omega": self.omega.to_json(),
-            "max_base_residual": f"{self.max_base_residual:.3e}",
-            "note": self.note,
-        }
-
-
-def condition_c_check_so3(
-    rotations: list[np.ndarray],
-    chi_family: list[CharSO3],
-    chi: CharSO3,
-    omega: CharSO3,
-    tol: float = 1e-10,
-) -> SO3ConditionCReport:
-    """Sampled check of the separation condition for conjugation families.
-
-    The integer index is discrete, so it must sit at the claimed values
-    exactly (a mismatch is a hypothesis failure); base points are compared
-    within ``tol`` at the family tail.  Transport preserves the index, which
-    is what makes the condition hold whenever the premises do.
-    """
-    import numpy as np
-
-    if len(rotations) != len(chi_family) or not chi_family:
-        raise HypothesisFailure("family of rotations and characters must align and be nonempty")
-    if chi_family[-1].k != chi.k:
-        raise HypothesisFailure(
-            f"chi_i -> chi fails: tail index {chi_family[-1].k} != {chi.k} in the discrete index"
-        )
-    transported = [so3_transport(u, c) for u, c in zip(rotations, chi_family)]
-    if transported[-1].k != omega.k:
-        raise HypothesisFailure(
-            f"gamma_i . chi_i -> omega fails: tail index {transported[-1].k} != {omega.k}"
-        )
-    res_chi = float(np.linalg.norm(np.asarray(chi_family[-1].v) - np.asarray(chi.v)))
-    res_omega = float(np.linalg.norm(np.asarray(transported[-1].v) - np.asarray(omega.v)))
-    max_res = max(res_chi, res_omega)
-    if max_res > tol:
-        raise HypothesisFailure(
-            f"base points do not reach the claimed limits within {tol:g}",
-            {"max_base_residual": f"{max_res:.3e}"},
-        )
-    same_fiber = float(np.linalg.norm(np.asarray(chi.v) - np.asarray(omega.v))) <= tol
-    if not same_fiber:
-        return SO3ConditionCReport(
-            True, False, chi, omega, max_res, "vacuous: limits lie in different fibers"
-        )
-    holds = chi.k == omega.k
-    note = (
-        "transport preserves the integer index, so the limits agree"
-        if holds
-        else "limits differ within one fiber"
-    )
-    return SO3ConditionCReport(holds, True, chi, omega, max_res, note)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .exact import InputError, _unique_keys
 __all__ = [
     "Edge",
     "DiGraph",
-    "FinPath",
     "CycleRep",
     "Violation",
     "InvalidGraphError",
@@ -297,29 +296,6 @@ def require_validated(g: DiGraph) -> None:
     violations = validate_graph(g)
     if violations:
         raise InvalidGraphError(violations)
-
-
-class FinPath(Record):
-    """Nonempty finite path; edges listed head-first (see module docstring)."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: tuple[Edge, ...]) -> None:
-        if not edges:
-            raise ValueError("finite path must contain at least one edge")
-        _check_composable(edges)
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def range_vertex(self) -> str:
-        return self.edges[0].rng
-
-    @property
-    def source_vertex(self) -> str:
-        return self.edges[-1].src
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def _check_composable(edges: tuple[Edge, ...]) -> None:

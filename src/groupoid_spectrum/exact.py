@@ -27,7 +27,6 @@ __all__ = [
     "CatalogError",
     "InputError",
     "DIVERGENT",
-    "Rational",
     "DyadicSeq",
     "AffineSeq",
     "PeriodFamily",
@@ -37,12 +36,8 @@ __all__ = [
     "format_rational",
     "pow2_scale",
     "pow2_sum_float",
-    "rational_inverse",
     "scale_pow2_affine",
 ]
-
-Rational = Fraction
-
 
 class InputError(ValueError):
     """Invalid input: the base of every input error, which the CLI maps to exit code 2."""
@@ -145,14 +140,6 @@ def pow2_sum_float(x: Fraction, p: int, y: Fraction, q: int) -> float:
             s, f = Fraction(1 if s > 0 else -1), k
         total += pow2_scale(s, f)
     return float(total)
-
-
-def rational_inverse(r: Fraction) -> Fraction:
-    """Multiplicative inverse; raises ZeroDivisionError on 0."""
-    r = Fraction(r)
-    if r == 0:
-        raise ZeroDivisionError("0 has no multiplicative inverse")
-    return 1 / r
 
 
 def _is_int(value) -> bool:
@@ -288,15 +275,8 @@ class AffineSeq(Record):
             raise ValueError("sequence index must be >= 0")
         return self.a * i + self.b
 
-    def is_eventually_constant(self) -> bool:
-        return self.a == 0
-
     def limit(self) -> int | _Divergent:
         return self.b if self.a == 0 else DIVERGENT
-
-    def shift(self, offset: int) -> "AffineSeq":
-        """Termwise addition of a constant."""
-        return AffineSeq(self.a, self.b + offset)
 
     def negate(self) -> "AffineSeq":
         return AffineSeq(-self.a, -self.b)
@@ -369,9 +349,6 @@ class FellLimit(Record):
         if not self.convergent:
             return "not convergent"
         return "{0}" if self.period == 0 else f"{self.period}Z"
-
-    def to_json(self) -> dict:
-        return {"convergent": self.convergent, "limit": self.label()}
 
 
 def fell_subgroup_limit(family: PeriodFamily) -> FellLimit:

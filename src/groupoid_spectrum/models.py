@@ -9,8 +9,8 @@ image of the piecewise map
     s |-> (2**(-2k-1), s - 1 - 2k, 0)            for s >= k+1
 
 and the limit line {(0, s, 0)} is its own orbit, tagged LINE_BRANCH.  At
-integer parameters every chart value is exact; the open band (k, k+1) is the
-only place floats appear and only the real-parameter flow ever lands there.
+integer parameters every chart value is exact; the open band (k, k+1), the
+only place floats would appear, is refused (``dyadic_chart``).
 
 The dyadic group H = Q_D x| Z (dyadic rationals by integers, (q,n)(p,m) =
 (q + 2**n p, n+m)) acts on Y through its Z quotient by parameter
@@ -44,15 +44,8 @@ __all__ = [
     "CharSO3",
     "FiberMismatch",
     "dyadic_chart",
-    "green_phi",
-    "green_act",
-    "h_mul",
-    "h_inv",
-    "H_IDENTITY",
-    "dyadic_act",
     "dyadic_act_dual",
     "dyadic_act_S",
-    "counterexample_family",
     "so3_rotation",
     "so3_conj_residual",
     "so3_transport",
@@ -80,30 +73,6 @@ def _chart_parts(k: int, s):
     if s >= k + 1:
         return -2 * k - 1, s - 1 - 2 * k
     raise ValueError(f"parameter {s} lies in the non-exact band ({k}, {k + 1})")
-
-
-def green_phi(n: int, s) -> tuple:
-    """Orbit parametrization of the flow; branch 0 is the line (0, s, 0).
-
-    Exact (Fraction) output wherever the formula is piecewise affine; the
-    open band (n, n+1) of branch n >= 1 uses floats for the half-turn arc.
-    """
-    if n == 0:
-        return (Fraction(0), Fraction(s), Fraction(0))
-    if n < 0:
-        raise ValueError("branch index must be >= 0")
-    sf = Fraction(s)
-    if sf <= n or sf >= n + 1:
-        return dyadic_chart(n, sf)
-    t = float(sf - n)
-    x = math.ldexp(1.0, -2 * n) - t * math.ldexp(1.0, -2 * n - 1)
-    return (x, n * math.cos(math.pi * t), n * math.sin(math.pi * t))
-
-
-def green_act(t, point: tuple[int, "Fraction | float"]) -> tuple:
-    """The flow in orbit coordinates: t . (n, s) = (n, s + t)."""
-    n, s = point
-    return (n, s + t)
 
 
 class PointY(Record):
@@ -161,24 +130,6 @@ class GroupH(Record):
         return {"q": format_rational(self.q), "n": self.n}
 
 
-def h_mul(g: GroupH, h: GroupH) -> GroupH:
-    """(q, n)(p, m) = (q + 2**n p, n + m)."""
-    return GroupH(g.q + pow2_scale(h.q, g.n), g.n + h.n)
-
-
-def h_inv(g: GroupH) -> GroupH:
-    """(q, n)^-1 = (-2**(-n) q, -n)."""
-    return GroupH(-pow2_scale(g.q, -g.n), -g.n)
-
-
-H_IDENTITY = GroupH(Fraction(0), 0)
-
-
-def dyadic_act(g: GroupH, y: PointY) -> PointY:
-    """H acts on Y through its Z quotient, by parameter translation."""
-    return y.translate(g.n)
-
-
 class ArrowDyadic(Record):
     """A transformation-groupoid arrow (h, y): range y, source h^-1 . y."""
 
@@ -187,10 +138,6 @@ class ArrowDyadic(Record):
     def __init__(self, h: GroupH, base: PointY) -> None:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "base", base)
-
-    @property
-    def range(self) -> PointY:
-        return self.base
 
     @property
     def source(self) -> PointY:
@@ -256,20 +203,6 @@ def dyadic_act_S(arrow: ArrowDyadic, s: SElem) -> SElem:
     return SElem(pow2_scale(s.r, arrow.h.n), arrow.base)
 
 
-def counterexample_family(i: int) -> tuple[ArrowDyadic, CharQ]:
-    """The arrow/character pair (gamma_i, chi_i) breaking dual convergence.
-
-    gamma_i = ((0, 2i+1), (2**(-2i-1), 0, 0)) and chi_i = 1-hat at
-    (2**(-2i), 0, 0); the source of gamma_i is the base of chi_i, and
-    gamma_i . chi_i = (2**(-2i-1))-hat.
-    """
-    if i < 0:
-        raise ValueError("family index must be >= 0")
-    gamma = ArrowDyadic(GroupH(Fraction(0), 2 * i + 1), PointY(i, 2 * i + 1))
-    chi = CharQ(Fraction(1), PointY(i, 0))
-    return gamma, chi
-
-
 # ---------------------------------------------------------------------------
 # SO(3): the floating-point model
 #
@@ -322,9 +255,6 @@ class CharSO3(Record):
     @classmethod
     def at(cls, v, k: int) -> "CharSO3":
         return cls((float(v[0]), float(v[1]), float(v[2])), int(k))
-
-    def to_json(self) -> dict:
-        return {"v": list(self.v), "k": self.k}
 
 
 def so3_transport(u_mat: np.ndarray, chi: CharSO3) -> CharSO3:

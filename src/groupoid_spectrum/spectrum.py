@@ -34,11 +34,8 @@ fiber's stabilizer is a single group, so the two limits agree.
 
 from __future__ import annotations
 
-import gc
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
 from ._record import Record
 from .digraph import (
@@ -49,16 +46,14 @@ from .digraph import (
     entry_free_cycles,
     require_validated,
 )
-from .exact import AffineSeq, FellLimit, PeriodFamily, fell_subgroup_limit, format_rational
+from .exact import AffineSeq, FellLimit, PeriodFamily, fell_subgroup_limit
 
 __all__ = [
     "ConditionAReport",
     "ConditionBReport",
     "SpectrumVerdict",
     "EventualPath",
-    "PathChar",
     "ConditionARequired",
-    "FiberMismatchError",
     "check_condition_a",
     "check_condition_b",
     "decide_hausdorff_spectrum",
@@ -66,7 +61,6 @@ __all__ = [
     "shift_equivalent",
     "stabilizer_of_path",
     "stabilizer_record",
-    "transport_char",
     "CONDITION_C_NOTE",
     "ORBIT_REFUSAL",
 ]
@@ -77,10 +71,6 @@ ORBIT_REFUSAL = "orbit space is cycle-indexed only when no cycle has an entry"
 
 class ConditionARequired(RuntimeError):
     """Raised by operations that only make sense on entry-free graphs."""
-
-
-class FiberMismatchError(ValueError):
-    """An arrow was applied to a character based at a different path."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +107,7 @@ class ConditionAReport(Record):
     ``cycle_edges`` and ``run_edges`` are the same data as edge indices, and
     ``cycles``, ``runs`` and ``entries`` as ``CycleRep`` and ``Edge``
     objects: read-only views, built on first access and cached; neither the
-    decision nor the CLI reads them.
+    decision nor the CLI reads them, and ``to_json`` is built from them.
     """
 
     # __dict__ holds the views
@@ -174,32 +164,20 @@ class ConditionAReport(Record):
         return [tuple(map(ids, c)) for c in self.cycle_ranks]
 
     def to_json(self) -> dict:
-        """The report as ``json.dumps`` takes it, with fresh lists and dicts in every item.
+        """The report as ``json.dumps`` takes it: every item built from its own (cycle, entry) pair.
 
-        The cyclic garbage collector is paused while the items are built: they
-        are four small containers per entry and hold no reference cycles, so
-        the collections their allocation triggers would find nothing to free.
+        The CLI writes the same bytes from the ranks (``cli.cmd_graph_analyze``).
         """
-        edge_ids, cycles = self.ranked_ids(), self.cycle_ids()
-        entries, discontinuity = [], []
-        records: dict[int, dict] = {}  # stabilizer record per cycle length
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for k, run in self.run_ranks:
-                ids = cycles[k]
-                if len(ids) not in records:
-                    records[len(ids)] = stabilizer_record(len(ids))
-                record = records[len(ids)]
-                entry_ids = list(map(edge_ids.__getitem__, run))
-                entries += [{"cycle": list(ids), "entry": e} for e in entry_ids]
-                discontinuity += [{"cycle": list(ids), "entry": e, **record} for e in entry_ids]
-        finally:
-            if enabled:
-                gc.enable()
-        out = {"pass": self.passed, "cycles": list(map(list, cycles)), "entries": entries}
+        out = {
+            "pass": self.passed,
+            "cycles": [list(c.edge_ids()) for c in self.cycles],
+            "entries": [{"cycle": list(c.edge_ids()), "entry": e.id} for c, e in self.entries],
+        }
         if not self.passed:
-            out["stabilizer_discontinuity"] = discontinuity
+            out["stabilizer_discontinuity"] = [
+                {"cycle": list(c.edge_ids()), "entry": e.id, **stabilizer_record(len(c))}
+                for c, e in self.entries
+            ]
         return out
 
 
@@ -343,7 +321,7 @@ def orbits(g: DiGraph) -> tuple[CycleRep, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Eventually periodic paths and their characters
+# Eventually periodic paths
 
 
 class EventualPath(Record):
@@ -368,15 +346,6 @@ class EventualPath(Record):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
-    def edge_at(self, i: int) -> Edge:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
-    @property
-    def range_vertex(self) -> str:
-        return self.prefix[0].rng if self.prefix else self.cycle[0].rng
-
     def cycle_rep(self) -> CycleRep:
         return CycleRep(self.cycle)
 
@@ -392,26 +361,6 @@ class EventualPath(Record):
             prefix.pop()
             cycle = [cycle[-1]] + cycle[:-1]
         return EventualPath(tuple(prefix), tuple(cycle))
-
-    def shift(self) -> "EventualPath":
-        """Drop the first edge (the one-sided shift)."""
-        if self.prefix:
-            return EventualPath(self.prefix[1:], self.cycle)
-        return EventualPath((), self.cycle[1:] + self.cycle[:1])
-
-    def vertices_on(self) -> frozenset[str]:
-        verts = set(CycleRep(self.cycle).vertices)
-        for e in self.prefix:
-            verts.add(e.src)
-            verts.add(e.rng)
-        return verts
-
-    def denotes_same_path(self, other: "EventualPath") -> bool:
-        """Edgewise equality of the denoted infinite paths."""
-        window = max(len(self.prefix), len(other.prefix)) + lcm(
-            len(self.cycle), len(other.cycle)
-        )
-        return all(self.edge_at(i) == other.edge_at(i) for i in range(window))
 
     def to_json(self) -> dict:
         return {
@@ -437,52 +386,3 @@ def stabilizer_of_path(x: EventualPath) -> int:
     """
     minimal = x.minimize()
     return 0 if minimal.prefix else len(minimal.cycle)
-
-
-class PathChar(Record):
-    """A character of the period group of an eventually periodic path.
-
-    The period group is nZ (n = head period of ``base``); ``angle`` is the
-    rotation number of the generator n, a rational in [0, 1).  Paths with
-    period 0 admit only the trivial character.
-    """
-
-    __slots__ = ("base", "angle")
-
-    def __init__(self, base: EventualPath, angle: Fraction) -> None:
-        angle = Fraction(angle) % 1
-        if stabilizer_of_path(base) == 0 and angle != 0:
-            raise ValueError("path with trivial period group only carries angle 0")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "angle", angle)
-
-    def evaluate(self, lag: int) -> Fraction:
-        """Rotation number of the character at group element ``lag``."""
-        period = stabilizer_of_path(self.base)
-        if period == 0:
-            if lag != 0:
-                raise ValueError("lag outside the trivial period group")
-            return Fraction(0)
-        if lag % period != 0:
-            raise ValueError(f"lag {lag} outside the period group {period}Z")
-        return (self.angle * (lag // period)) % 1
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "angle": format_rational(self.angle),
-            "period": stabilizer_of_path(self.base),
-        }
-
-
-def transport_char(y: EventualPath, lag: int, chi: PathChar) -> PathChar:
-    """Move a character along an arrow (y, lag, x) to the fiber over y.
-
-    Conjugation by the arrow identifies the period groups of x and y, and on
-    those groups it is the identity, so the angle is unchanged.  The lag is
-    arrow metadata; only shift equivalence of the endpoints matters.
-    """
-    if not shift_equivalent(chi.base, y):
-        raise FiberMismatchError("arrow endpoints are not shift equivalent")
-    del lag
-    return PathChar(y, chi.angle)

@@ -1,4 +1,4 @@
-"""Deterministic graph corpora for verification sweeps and benchmarks.
+"""Deterministic graph corpora for the verification sweeps of the tests.
 
 Validated graphs are exactly those where every vertex has at least one
 in-range edge, so labeled enumeration factors through per-vertex nonempty
@@ -12,7 +12,7 @@ import random
 from itertools import combinations, product
 from typing import Iterator
 
-from .digraph import DiGraph
+from groupoid_spectrum.digraph import DiGraph
 
 __all__ = [
     "enumerate_validated_simple",

@@ -11,13 +11,11 @@ from pathlib import Path
 from unittest import mock
 
 import groupoid_spectrum
+from corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum import _kernels, cli
 from groupoid_spectrum.cli import main
-from groupoid_spectrum.convergence import PeriodFamily, fell_subgroup_limit
-from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
-from groupoid_spectrum.digraph import DiGraph, Edge
-from groupoid_spectrum.exact import AffineSeq
-from groupoid_spectrum.spectrum import stabilizer_record
+from groupoid_spectrum.digraph import DiGraph
+from groupoid_spectrum.exact import AffineSeq, PeriodFamily, fell_subgroup_limit
 
 
 # The documented dual-space counterexample, and the same arrows in the S space.
@@ -76,36 +74,15 @@ def run_main(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str
 
 
 def run_full_parser(argv: list[str], ascii_stdout: bool = False) -> tuple[int, str, str]:
-    """``run_main`` with ``argv`` parsed by ``build_parser().parse_args``, then the handler run.
+    """``run_main`` with every call parsed by ``_parse``'s full-parser path, then the handler run.
 
-    The reference for ``main``'s dispatch, which reads a call in plain form
-    from the command table and passes every other call to that parser.
+    That path is ``build_parser().parse_args`` and the refusal of a value
+    argparse stores as a list.  The reference for ``main``'s dispatch, which
+    reads a call in plain form from the command table and passes every
+    other call to that path.
     """
-    with mock.patch.object(cli, "_parse", lambda args: cli.build_parser().parse_args(args)):
+    with mock.patch.object(cli, "_read_plain", lambda args: None):
         return run_main(argv, ascii_stdout)
-
-
-def condition_a_json(report) -> dict:
-    """``ConditionAReport.to_json`` by definition: every item built from its own (cycle, entry) pair.
-
-    The reference the report's bytes are checked against, kept apart from the
-    per-cycle rendering of the library and the CLI.
-    """
-    out = {
-        "pass": report.passed,
-        "cycles": [list(c.edge_ids()) for c in report.cycles],
-        "entries": [{"cycle": list(c.edge_ids()), "entry": e.id} for c, e in report.entries],
-    }
-    if not report.passed:
-        out["stabilizer_discontinuity"] = [
-            {
-                "cycle": list(c.edge_ids()),
-                "entry": e.id,
-                **stabilizer_record(len(c)),
-            }
-            for c, e in report.entries
-        ]
-    return out
 
 
 def strict_json(text: str):

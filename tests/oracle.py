@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._record import Record
-from .digraph import CycleRep, DiGraph, Edge
-from .spectrum import EventualPath, decide_hausdorff_spectrum
+from groupoid_spectrum._record import Record
+from groupoid_spectrum.digraph import CycleRep, DiGraph, Edge
+from groupoid_spectrum.spectrum import EventualPath, decide_hausdorff_spectrum
 
 __all__ = [
     "OracleReport",
     "naive_simple_cycles",
     "naive_entries",
     "naive_reach_sets",
+    "edge_at",
+    "vertices_on",
     "enumerate_eventual_paths",
     "naive_shift_classes",
     "oracle_suite",
@@ -88,6 +90,18 @@ def naive_reach_sets(g: DiGraph) -> dict[str, frozenset[str]]:
     return sets
 
 
+def edge_at(x: EventualPath, i: int) -> Edge:
+    """The i-th edge of the infinite path x, head first."""
+    if i < len(x.prefix):
+        return x.prefix[i]
+    return x.cycle[(i - len(x.prefix)) % len(x.cycle)]
+
+
+def vertices_on(x: EventualPath) -> frozenset[str]:
+    """Every vertex the infinite path x visits."""
+    return frozenset(e.rng for e in x.cycle).union(*((e.src, e.rng) for e in x.prefix))
+
+
 def enumerate_eventual_paths(
     g: DiGraph, max_prefix: int, cycles: set[tuple[str, ...]] | None = None
 ) -> list[EventualPath]:
@@ -129,7 +143,7 @@ def enumerate_eventual_paths(
 
 
 def _tails_agree(x: EventualPath, y: EventualPath, a: int, b: int, window: int) -> bool:
-    return all(x.edge_at(a + i) == y.edge_at(b + i) for i in range(window))
+    return all(edge_at(x, a + i) == edge_at(y, b + i) for i in range(window))
 
 
 def naive_shift_classes(paths: list[EventualPath]) -> list[list[EventualPath]]:
@@ -237,8 +251,8 @@ def oracle_suite(g: DiGraph, budgets: Sequence[int]) -> list[OracleReport]:
     sep_memo: dict[tuple[frozenset, frozenset], bool] = {}
 
     def separated(x: EventualPath, y: EventualPath) -> bool:
-        from_x = frozenset().union(*(reach[v] for v in x.vertices_on()))
-        from_y = frozenset().union(*(reach[v] for v in y.vertices_on()))
+        from_x = frozenset().union(*(reach[v] for v in vertices_on(x)))
+        from_y = frozenset().union(*(reach[v] for v in vertices_on(y)))
         key = (from_x, from_y)
         if key not in sep_memo:
             sep_memo[key] = any(

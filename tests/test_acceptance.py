@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import helpers
+from corpus import enumerate_validated_multi, enumerate_validated_simple, random_corpus
 from groupoid_spectrum.convergence import (
     CharSeqSpec,
     DyadicArrowFamily,
@@ -26,11 +27,6 @@ from groupoid_spectrum.convergence import (
     SElemSeqSpec,
     char_seq_converges,
     condition_c_on_S_check,
-)
-from groupoid_spectrum.corpus import (
-    enumerate_validated_multi,
-    enumerate_validated_simple,
-    random_corpus,
 )
 from groupoid_spectrum.exact import AffineSeq, DyadicSeq
 from groupoid_spectrum.models import (
@@ -48,8 +44,8 @@ from groupoid_spectrum.models import (
     so3_spectrum_point,
     so3_transport,
 )
-from groupoid_spectrum.oracle import naive_entries, naive_simple_cycles, oracle_suite
 from groupoid_spectrum.spectrum import check_condition_a, decide_hausdorff_spectrum
+from oracle import naive_entries, naive_simple_cycles, oracle_suite
 
 SO3_TOL = 1e-10
 DEMO_TIME_LIMIT = 1.0

@@ -3,40 +3,32 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import helpers
 from groupoid_spectrum.convergence import (
-    DEFAULT_TESTS,
     CharSeqSpec,
     DyadicArrowFamily,
     FamilyFormatError,
-    FellLimit,
     HypothesisFailure,
-    PeriodFamily,
     PointSeqSpec,
     SElemSeqSpec,
     char_seq_converges,
     condition_c_check,
-    condition_c_check_so3,
     condition_c_on_S_check,
-    fell_subgroup_limit,
     parse_family,
-    point_seq_limit,
     run_family_check,
     run_family_truncated,
 )
-from groupoid_spectrum.exact import DIVERGENT, AffineSeq, DyadicSeq
-from groupoid_spectrum.models import (
-    LINE_BRANCH,
-    CharQ,
-    CharSO3,
-    PointY,
-    SElem,
-    random_rotation,
-    so3_transport,
+from groupoid_spectrum.exact import (
+    DIVERGENT,
+    AffineSeq,
+    DyadicSeq,
+    FellLimit,
+    PeriodFamily,
+    fell_subgroup_limit,
 )
+from groupoid_spectrum.models import LINE_BRANCH, CharQ, PointY, SElem
 
 ORIGIN = PointY(LINE_BRANCH, 0)
 
@@ -72,7 +64,7 @@ class TestPointSequences:
         ],
     )
     def test_limits(self, branch, a, b, expected):
-        got = point_seq_limit(PointSeqSpec(branch, AffineSeq(a, b)))
+        got = PointSeqSpec(branch, AffineSeq(a, b)).limit()
         assert got == expected or got is expected
 
     def test_index_mode_limit_sits_on_the_line(self):
@@ -328,45 +320,6 @@ class TestFellLimits:
         for family in zoo:
             window = max(family.period_at(i) for i in range(12)) + 2
             assert helpers.fell_probe_agrees(family, window), family
-
-
-class TestSO3Check:
-    def build_family(self, k_tail=2, k_limit=2, off_axis=False, far=False):
-        rng = np.random.default_rng(5)
-        u = random_rotation(rng)
-        axis = np.array([0.0, 0.0, 1.0])
-        v = u @ axis if not off_axis else np.array([1.0, 0.0, 0.0])
-        chi_family = [CharSO3.at(axis, k_tail) for _ in range(5)]
-        rotations = [u for _ in range(5)]
-        chi = CharSO3.at(axis + (1.0 if far else 0.0), k_limit)
-        omega = so3_transport(u, CharSO3.at(axis, k_limit)) if not off_axis else CharSO3.at(v, k_limit)
-        return rotations, chi_family, chi, omega
-
-    def test_aligned_family_holds(self):
-        rotations, chi_family, chi, omega = self.build_family()
-        report = condition_c_check_so3(rotations, chi_family, chi, omega)
-        assert report.holds
-        assert report.max_base_residual <= 1e-10
-
-    def test_identity_family_shares_fiber(self):
-        axis = (0.0, 0.0, 1.0)
-        chi = CharSO3.at(axis, 2)
-        report = condition_c_check_so3([np.eye(3)] * 4, [chi] * 4, chi, chi)
-        assert report.holds and report.same_fiber
-
-    def test_index_mismatch_fails_hypotheses(self):
-        rotations, chi_family, chi, omega = self.build_family(k_limit=3)
-        with pytest.raises(HypothesisFailure, match="discrete index"):
-            condition_c_check_so3(rotations, chi_family, CharSO3.at(chi.v, 3), omega)
-
-    def test_far_base_fails_hypotheses(self):
-        rotations, chi_family, chi, omega = self.build_family(far=True)
-        with pytest.raises(HypothesisFailure, match="claimed limits"):
-            condition_c_check_so3(rotations, chi_family, chi, omega)
-
-    def test_empty_family_fails_hypotheses(self):
-        with pytest.raises(HypothesisFailure):
-            condition_c_check_so3([], [], CharSO3.at((1, 0, 0), 0), CharSO3.at((1, 0, 0), 0))
 
 
 DUAL_FAMILY = {

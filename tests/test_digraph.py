@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum import _kernels, digraph
-from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum.digraph import (
     CycleRep,
     DiGraph,
     Edge,
-    FinPath,
     GraphParseError,
     InvalidGraphError,
     entry_free_cycles,
@@ -32,8 +31,8 @@ from groupoid_spectrum.digraph import (
     require_validated,
     validate_graph,
 )
-from groupoid_spectrum.oracle import naive_entries, naive_reach_sets, naive_simple_cycles
 from groupoid_spectrum.spectrum import check_condition_a
+from oracle import naive_entries, naive_reach_sets, naive_simple_cycles
 
 G3_TEXT = """\
 # two loops feeding a common sink
@@ -737,19 +736,3 @@ class TestCycleRep:
         short = CycleRep((Edge("z", "a", "a"),))
         assert short.sort_key() < long_cycle.sort_key()
 
-
-class TestFinPath:
-    def test_endpoints(self):
-        g = helpers.graph_two_loops_funnel()
-        p = FinPath((g.edge_by_id["f"], g.edge_by_id["La"]))
-        assert p.range_vertex == "t"
-        assert p.source_vertex == "a"
-        assert len(p) == 2
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            FinPath(())
-
-    def test_rejects_non_composable(self):
-        with pytest.raises(ValueError, match="do not compose"):
-            FinPath((Edge("x", "a", "b"), Edge("y", "c", "d")))

@@ -15,7 +15,6 @@ from groupoid_spectrum.exact import (
     parse_rational,
     pow2_scale,
     pow2_sum_float,
-    rational_inverse,
     scale_pow2_affine,
 )
 
@@ -56,14 +55,6 @@ class TestRationalHelpers:
     @given(rationals, small_ints)
     def test_pow2_scale_inverts(self, r, n):
         assert pow2_scale(pow2_scale(r, n), -n) == r
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rational_inverse(Fraction(0))
-
-    @given(rationals.filter(lambda r: r != 0))
-    def test_inverse_multiplies_to_one(self, r):
-        assert r * rational_inverse(r) == 1
 
 
 class TestDyadicSeq:
@@ -224,8 +215,7 @@ class TestAffineSeq:
         assert seq.limit() is DIVERGENT
         assert AffineSeq.constant(4).limit() == 4
 
-    def test_shift_negate(self):
-        assert AffineSeq(2, 1).shift(3) == AffineSeq(2, 4)
+    def test_negate(self):
         assert AffineSeq(2, 1).negate() == AffineSeq(-2, -1)
 
     def test_negative_index_rejected(self):

@@ -3,10 +3,10 @@
 import random
 
 import helpers
+from corpus import random_validated_graph
 from groupoid_spectrum import _kernels
-from groupoid_spectrum.corpus import random_validated_graph
 from groupoid_spectrum.digraph import CycleRep, DiGraph
-from groupoid_spectrum.oracle import naive_simple_cycles
+from oracle import naive_simple_cycles
 
 
 def kernel_cycles(head, out: list[list[int]]) -> list[tuple[int, ...]]:

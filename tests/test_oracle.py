@@ -1,9 +1,10 @@
 """The naive route must agree with the fast route everywhere it is defined."""
 
 import helpers
-from groupoid_spectrum import oracle, spectrum
-from groupoid_spectrum.corpus import enumerate_validated_simple, random_corpus
-from groupoid_spectrum.oracle import (
+import oracle
+from corpus import enumerate_validated_simple, random_corpus
+from groupoid_spectrum import spectrum
+from oracle import (
     enumerate_eventual_paths,
     naive_entries,
     naive_reach_sets,

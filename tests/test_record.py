@@ -14,21 +14,20 @@ from groupoid_spectrum.convergence import (
     CharSeqSpec,
     SConditionVerdict,
     SElemSeqSpec,
-    SO3ConditionCReport,
     condition_c_check,
     parse_family,
 )
-from groupoid_spectrum.digraph import CycleRep, Edge, FinPath, Violation
+from groupoid_spectrum.digraph import CycleRep, Edge, Violation
 from groupoid_spectrum.exact import DyadicSeq, FellLimit, PeriodFamily
 from groupoid_spectrum.models import ArrowDyadic, CharQ, CharSO3, GroupH, PointY, SElem
-from groupoid_spectrum.oracle import oracle_suite
-from groupoid_spectrum.spectrum import EventualPath, PathChar, decide_hausdorff_spectrum
+from groupoid_spectrum.spectrum import EventualPath, decide_hausdorff_spectrum
+from oracle import oracle_suite
 
 for module in pkgutil.iter_modules(groupoid_spectrum.__path__):  # so every record class is defined
     importlib.import_module(f"groupoid_spectrum.{module.name}")
 
 LOOP = Edge("L", "a", "a")
-OUT = Edge("t", "a", "b")  # leaves the loop: a path through it has period 0
+OUT = Edge("t", "a", "b")  # leaves the loop: alone, it does not close up
 
 
 def samples() -> dict[type, Record]:
@@ -40,7 +39,6 @@ def samples() -> dict[type, Record]:
     condition_c = condition_c_check(family, chi_spec, chi, omega)
     point = PointY(0, 1)
     s, t = SElem(Fraction(1, 2), point), SElem(Fraction(1, 2), point)
-    so3_chi = CharSO3((1.0, 0.0, 0.0), 2)
     records = [
         graph,
         verdict,
@@ -56,20 +54,17 @@ def samples() -> dict[type, Record]:
         family.n,
         LOOP,
         Violation("empty-graph", "", "graph has no vertices"),
-        FinPath((LOOP,)),
         CycleRep((LOOP,)),
         EventualPath((), (LOOP,)),
-        PathChar(EventualPath((), (LOOP,)), Fraction(1, 3)),
         PeriodFamily((2, 4), (1,)),
         FellLimit(True, 2),
         point,
         GroupH(Fraction(1, 2), 1),
         ArrowDyadic(GroupH(Fraction(1, 2), 1), point),
         s,
-        so3_chi,
+        CharSO3((1.0, 0.0, 0.0), 2),
         SElemSeqSpec(family.base, DyadicSeq.constant(0)),
         SConditionVerdict(True, "zero-parameter", s, t, {"note": "a note"}),
-        SO3ConditionCReport(True, False, so3_chi, CharSO3((0.0, 1.0, 0.0), 2), 0.0, "a note"),
         spec,
         *oracle_suite(graph, (1,)),
     ]
@@ -81,12 +76,7 @@ SAMPLES = samples()
 # for each record class that validates: field changes it must refuse, and the message
 REFUSED = {
     CycleRep: ({"edges": (OUT,)}, "cycle does not close up"),
-    FinPath: ({"edges": ()}, "finite path must contain at least one edge"),
     EventualPath: ({"cycle": ()}, "cycle must contain at least one edge"),
-    PathChar: (
-        {"base": EventualPath((OUT,), (LOOP,))},
-        "path with trivial period group only carries angle 0",
-    ),
     PeriodFamily: ({"tail": ()}, "repeating tail pattern must be nonempty"),
     PointY: ({"branch": -2}, "branch must be a chart index >= 0 or LINE_BRANCH"),
     GroupH: ({"q": Fraction(1, 3)}, "1/3 is not a dyadic rational"),
