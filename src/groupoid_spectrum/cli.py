@@ -118,8 +118,7 @@ def _emit(report: dict | None, lines, as_json: bool) -> None:
     consumed one chunk at a time, so a text report is never held whole.
     """
     if as_json:
-        _write_json(sys.stdout.write, report)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return
     encoding = getattr(sys.stdout, "encoding", None)  # None for a StringIO
     lines = iter(lines)
@@ -134,59 +133,15 @@ def _emit(report: dict | None, lines, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 # indent-2 JSON writer
 #
-# Writes exactly what ``json.dumps(report, indent=2)`` would, in pieces.  A
-# graph report is its fixed skeleton and lists rendered from per-cycle
-# templates; ``_write_json`` writes strings, ints, booleans and None of the
-# other reports directly, and everything else goes through the stdlib.
+# A graph report is written in pieces, exactly as ``json.dumps(report,
+# indent=2)`` would write it: its fixed skeleton, and lists rendered from
+# per-cycle templates.  The other reports are small and go through
+# ``json.dumps`` whole (``_emit``).
 
-
-class _Pads(dict):
-    """The newline and indent that open a line ``depth`` levels deep, built once per depth."""
-
-    def __missing__(self, depth: int) -> str:
-        pad = self[depth] = "\n" + "  " * depth
-        return pad
-
-
-_PAD = _Pads()
-
-# json.dumps of a scalar, by its exact type: a bool is not rendered as an int,
-# and subclasses, floats and the rest go to json.dumps itself
-_SCALARS = {
-    str: _quote,
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: int.__repr__,
-    type(None): lambda _: "null",
-}
+# the newline and indent that open a line ``depth`` levels deep; a graph report nests 6 deep at most
+_PAD = tuple("\n" + "  " * depth for depth in range(7))
 _BOOLS = ("false", "true")  # json.dumps of False and True, indexed by them
 _fixed = cache(_quote)  # a fixed string of the graph reports, quoted once per process
-
-
-def _write_json(write, value, depth: int = 0) -> None:
-    """Write ``value`` as ``json.dumps(value, indent=2)`` renders it ``depth`` levels deep.
-
-    Dict keys must be strings.  Scalars and non-empty dicts are written
-    here; lists and empty dicts go through ``json.dumps``.
-    """
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        write(scalar(value))
-    elif isinstance(value, dict) and value:
-        inner = _PAD[depth + 1]
-        opener = "{" + inner
-        for key, item in value.items():
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                write(opener + _quote(key) + ": " + scalar(item))
-            else:
-                write(opener + _quote(key) + ": ")
-                _write_json(write, item, depth + 1)
-            opener = "," + inner
-        write(_PAD[depth] + "}")
-    elif isinstance(value, (dict, list, tuple)):
-        write(json.dumps(value, indent=2).replace("\n", _PAD[depth]))
-    else:
-        write(json.dumps(value))
 
 
 def _write_list(write, blocks, depth: int) -> None:
@@ -295,11 +250,12 @@ def _read_text(path: str) -> str:
     """The UTF-8 text of an input file, a byte-order mark dropped and newlines read as text mode reads them.
 
     The file is decoded whole, so a cut-off byte-order mark is a decode
-    error like any other cut-off sequence, not an empty file.
+    error like any other cut-off sequence, not an empty file.  The mark is
+    cut from the bytes: the ``utf-8-sig`` codec does the same in Python.
     """
     try:
         with open(path, "rb") as file:
-            text = file.read().decode("utf-8-sig")
+            text = file.read().removeprefix(b"\xef\xbb\xbf").decode()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
     if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
@@ -642,14 +598,15 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    if env is not None:
-        import argparse  # for the error _int_in raises
-
-        try:
-            return _int_in(0)(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise InputError(f"{SEED_ENV} must be an integer >= 0, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise InputError(f"{SEED_ENV} must be an integer >= 0, got {env!r}")
 
 
 def cmd_so3_conj(args) -> int:

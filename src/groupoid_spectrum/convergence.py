@@ -101,10 +101,6 @@ class PointSeqSpec(Record):
 
     __slots__ = ("branch", "param")
 
-    def __init__(self, branch: int | None, param: AffineSeq) -> None:
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "param", param)
-
     def point_at(self, i: int) -> PointY:
         return PointY(i if self.branch is None else self.branch, self.param(i))
 
@@ -161,10 +157,6 @@ class CharSeqSpec(Record):
 
     __slots__ = ("base", "parameter")
 
-    def __init__(self, base: PointSeqSpec, parameter: DyadicSeq) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "parameter", parameter)
-
     def char_at(self, i: int) -> CharQ:
         return CharQ(self.parameter(i), self.base.point_at(i))
 
@@ -173,25 +165,12 @@ class CharSeqSpec(Record):
 
 
 class CharConvergenceReport(Record):
-    """Outcome of an exact dual-convergence check, with per-test phase rows."""
+    """Outcome of an exact dual-convergence check, with per-test phase rows.
+
+    ``parameter_limit`` is the exact limit of the parameters, or DIVERGENT.
+    """
 
     __slots__ = ("converges", "base_limit", "parameter_limit", "candidate", "rows", "reason")
-
-    def __init__(
-        self,
-        converges: bool,
-        base_limit: PointY,
-        parameter_limit: Fraction | object,
-        candidate: CharQ,
-        rows: tuple[dict, ...],
-        reason: str,
-    ) -> None:
-        object.__setattr__(self, "converges", converges)
-        object.__setattr__(self, "base_limit", base_limit)
-        object.__setattr__(self, "parameter_limit", parameter_limit)
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {
@@ -262,11 +241,6 @@ class DyadicArrowFamily(Record):
 
     __slots__ = ("q", "n", "base")
 
-    def __init__(self, q: DyadicSeq, n: AffineSeq, base: PointSeqSpec) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "base", base)
-
     def arrow_at(self, i: int) -> ArrowDyadic:
         return ArrowDyadic(GroupH(self.q(i), self.n(i)), self.base.point_at(i))
 
@@ -281,24 +255,6 @@ class ConditionCVerdict(Record):
     """Verdict of the separation condition along one family."""
 
     __slots__ = ("holds", "same_fiber", "chi", "omega", "chi_report", "omega_report", "note")
-
-    def __init__(
-        self,
-        holds: bool,
-        same_fiber: bool,
-        chi: CharQ,
-        omega: CharQ,
-        chi_report: CharConvergenceReport,
-        omega_report: CharConvergenceReport,
-        note: str,
-    ) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "same_fiber", same_fiber)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "chi_report", chi_report)
-        object.__setattr__(self, "omega_report", omega_report)
-        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         return {
@@ -373,10 +329,6 @@ class SElemSeqSpec(Record):
 
     __slots__ = ("base", "parameter")
 
-    def __init__(self, base: PointSeqSpec, parameter: DyadicSeq) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "parameter", parameter)
-
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "r": self.parameter.to_json()}
 
@@ -388,11 +340,7 @@ class SConditionVerdict(Record):
         self, holds: bool, branch: str, s: SElem, t: SElem, details: dict | None = None
     ) -> None:
         # branch: "zero-parameter" | "free-exponent" | "vacuous-different-fibers"
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "details", {} if details is None else details)
+        super().__init__(holds, branch, s, t, {} if details is None else details)
 
     def to_json(self) -> dict:
         return {
@@ -473,25 +421,13 @@ def condition_c_on_S_check(
 
 
 class FamilySpec(Record):
-    """Parsed family description: arrows plus a fiber-data family and limits."""
+    """Parsed family description: arrows plus a fiber-data family and limits.
+
+    ``space`` is "dual" (characters, ``CharSeqSpec`` and ``CharQ`` limits) or
+    "S" (fiber group elements, ``SElemSeqSpec`` and ``SElem`` limits).
+    """
 
     __slots__ = ("space", "family", "seq", "limit_chi", "limit_omega", "tests")
-
-    def __init__(
-        self,
-        space: str,  # "dual" | "S"
-        family: DyadicArrowFamily,
-        seq: CharSeqSpec | SElemSeqSpec,
-        limit_chi: CharQ | SElem,
-        limit_omega: CharQ | SElem,
-        tests: tuple[Fraction, ...],
-    ) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "limit_chi", limit_chi)
-        object.__setattr__(self, "limit_omega", limit_omega)
-        object.__setattr__(self, "tests", tests)
 
     def to_json(self) -> dict:
         out = {

@@ -51,12 +51,9 @@ __all__ = [
 
 
 class Edge(Record):
-    __slots__ = ("id", "src", "rng")
+    """Edge ``id`` from vertex ``src`` to vertex ``rng``, its range."""
 
-    def __init__(self, id: str, src: str, rng: str) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "rng", rng)
+    __slots__ = ("id", "src", "rng")
 
 
 class GraphParseError(InputError):
@@ -70,15 +67,14 @@ class GraphParseError(InputError):
 
 
 class Violation(Record):
-    """One reason a graph fails validation."""
+    """One reason a graph fails validation.
+
+    ``kind`` is "empty-graph", "duplicate-vertex", "duplicate-edge",
+    "undeclared-endpoint" or "no-range-edge"; ``subject`` is the id it is
+    about ("" for an empty graph), and ``detail`` the message.
+    """
 
     __slots__ = ("kind", "subject", "detail")
-
-    def __init__(self, kind: str, subject: str, detail: str) -> None:
-        # kind: "empty-graph" | "duplicate-vertex" | "duplicate-edge" | "undeclared-endpoint" | "no-range-edge"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "subject": self.subject, "detail": self.detail}
@@ -102,20 +98,6 @@ class DiGraph(Record):
 
     # __dict__ holds the cached properties
     __slots__ = ("vertices", "edge_ids", "src", "dst", "names", "__dict__")
-
-    def __init__(
-        self,
-        vertices: tuple[str, ...],
-        edge_ids: tuple[str, ...],
-        src: tuple[int, ...],
-        dst: tuple[int, ...],
-        names: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edge_ids", edge_ids)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "names", names)
 
     @classmethod
     def build(cls, vertices, edges) -> "DiGraph":
@@ -329,13 +311,13 @@ class CycleRep(Record):
             raise ValueError("cycle is not simple: repeated vertex")
         ids = [e.id for e in edges]
         k = ids.index(min(ids))
-        object.__setattr__(self, "edges", edges[k:] + edges[:k])
+        super().__init__(edges[k:] + edges[:k])
 
     @classmethod
     def _checked(cls, edges: tuple[Edge, ...]) -> "CycleRep":
         """The cycle of ``edges``, which ``entry_free_cycles`` has checked and rotated."""
         rep = object.__new__(cls)
-        object.__setattr__(rep, "edges", edges)
+        Record.__init__(rep, edges)
         return rep
 
     @property

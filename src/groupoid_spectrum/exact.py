@@ -188,10 +188,7 @@ class DyadicSeq(Record):
             gamma = pow2_scale(alpha, delta) + gamma
             alpha = Fraction(0)
             beta = delta = 0
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "gamma", gamma)
+        super().__init__(alpha, beta, delta, gamma)
 
     @classmethod
     def constant(cls, value: Fraction | int | str) -> "DyadicSeq":
@@ -262,10 +259,6 @@ class AffineSeq(Record):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
     @classmethod
     def constant(cls, value: int) -> "AffineSeq":
         return cls(0, value)
@@ -324,8 +317,7 @@ class PeriodFamily(Record):
                 raise ValueError("periods must be >= 0")
             if tail.a < 0 or tail(len(transient)) < 0:
                 raise ValueError("affine tail must stay >= 0")
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "transient", transient)
+        super().__init__(tail, transient)
 
     def period_at(self, i: int) -> int:
         if i < len(self.transient):
@@ -337,13 +329,9 @@ class PeriodFamily(Record):
 
 
 class FellLimit(Record):
-    """Limit of the subgroups p_i Z in the Fell topology, when it exists."""
+    """Limit of the subgroups p_i Z in the Fell topology: ``period`` p of pZ, or None when not convergent."""
 
     __slots__ = ("convergent", "period")
-
-    def __init__(self, convergent: bool, period: int | None) -> None:
-        object.__setattr__(self, "convergent", convergent)
-        object.__setattr__(self, "period", period)
 
     def label(self) -> str:
         if not self.convergent:

@@ -87,8 +87,7 @@ class PointY(Record):
     def __init__(self, branch: int, param: int) -> None:
         if branch < LINE_BRANCH:
             raise ValueError("branch must be a chart index >= 0 or LINE_BRANCH")
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "param", param)
+        super().__init__(branch, param)
 
     def embed(self) -> tuple[Fraction, Fraction, Fraction]:
         if self.branch == LINE_BRANCH:
@@ -123,8 +122,7 @@ class GroupH(Record):
         d = q.denominator
         if d & (d - 1):
             raise ValueError(f"{q} is not a dyadic rational")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
+        super().__init__(q, n)
 
     def to_json(self) -> dict:
         return {"q": format_rational(self.q), "n": self.n}
@@ -134,10 +132,6 @@ class ArrowDyadic(Record):
     """A transformation-groupoid arrow (h, y): range y, source h^-1 . y."""
 
     __slots__ = ("h", "base")
-
-    def __init__(self, h: GroupH, base: PointY) -> None:
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "base", base)
 
     @property
     def source(self) -> PointY:
@@ -157,8 +151,7 @@ class CharQ(Record):
     __slots__ = ("r", "base")
 
     def __init__(self, r: Fraction, base: PointY) -> None:
-        object.__setattr__(self, "r", Fraction(r))
-        object.__setattr__(self, "base", base)
+        super().__init__(Fraction(r), base)
 
     def to_json(self) -> dict:
         return {"r": format_rational(self.r), "base": self.base.to_json()}
@@ -174,8 +167,7 @@ class SElem(Record):
         d = r.denominator
         if d & (d - 1):
             raise ValueError(f"{r} is not a dyadic rational")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "base", base)
+        super().__init__(r, base)
 
     def to_json(self) -> dict:
         return {"r": format_rational(self.r), "base": self.base.to_json()}
@@ -247,10 +239,6 @@ class CharSO3(Record):
     """Character datum (base point v in R^3, integer index k)."""
 
     __slots__ = ("v", "k")
-
-    def __init__(self, v: tuple[float, float, float], k: int) -> None:
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "k", k)
 
     @classmethod
     def at(cls, v, k: int) -> "CharSO3":

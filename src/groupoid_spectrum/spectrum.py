@@ -113,18 +113,6 @@ class ConditionAReport(Record):
     # __dict__ holds the views
     __slots__ = ("graph", "order", "cycle_ranks", "run_ranks", "__dict__")
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        order: tuple[int, ...],
-        cycle_ranks: tuple[tuple[int, ...], ...],
-        run_ranks: tuple[tuple[int, tuple[int, ...]], ...],
-    ) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cycle_ranks", cycle_ranks)
-        object.__setattr__(self, "run_ranks", run_ranks)
-
     @property
     def passed(self) -> bool:
         return not self.run_ranks
@@ -201,13 +189,6 @@ class ConditionBReport(Record):
 
     __slots__ = ("status", "condition_a", "certificates")
 
-    def __init__(
-        self, status: str, condition_a: ConditionAReport, certificates: tuple[tuple[str, str], ...]
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "condition_a", condition_a)
-        object.__setattr__(self, "certificates", certificates)
-
     @property
     def cycles(self) -> tuple[CycleRep, ...]:
         """Condition A's cycles, as ``CycleRep`` objects."""
@@ -279,11 +260,9 @@ def check_condition_b(g: DiGraph, report_a: ConditionAReport) -> ConditionBRepor
 
 
 class SpectrumVerdict(Record):
-    __slots__ = ("condition_a", "condition_b")
+    """Conditions A and B of one graph; the graph is Hausdorff iff A passed."""
 
-    def __init__(self, condition_a: ConditionAReport, condition_b: ConditionBReport) -> None:
-        object.__setattr__(self, "condition_a", condition_a)
-        object.__setattr__(self, "condition_b", condition_b)
+    __slots__ = ("condition_a", "condition_b")
 
     @property
     def hausdorff(self) -> bool:
@@ -343,8 +322,7 @@ class EventualPath(Record):
                     f"prefix ending at {prefix[-1].src!r} does not meet "
                     f"cycle starting at {cycle[0].rng!r}"
                 )
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+        super().__init__(prefix, cycle)
 
     def cycle_rep(self) -> CycleRep:
         return CycleRep(self.cycle)

@@ -189,20 +189,6 @@ class OracleReport(Record):
         "details",
     )
 
-    def __init__(
-        self,
-        condition_a_agrees: bool,
-        entries_agree: bool,
-        orbit_count_agrees: bool | None,
-        condition_b_agrees: bool | None,
-        details: dict,
-    ) -> None:
-        object.__setattr__(self, "condition_a_agrees", condition_a_agrees)
-        object.__setattr__(self, "entries_agree", entries_agree)
-        object.__setattr__(self, "orbit_count_agrees", orbit_count_agrees)
-        object.__setattr__(self, "condition_b_agrees", condition_b_agrees)
-        object.__setattr__(self, "details", details)
-
     @property
     def all_agree(self) -> bool:
         return (

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import math
 import pkgutil
 import re
 import subprocess
@@ -502,55 +501,6 @@ class TestReportBytes:
         assert len(json.loads(out)["condition_b"]["certificates"]) == 120
 
 
-# JSON values for the writer: bools next to 0 and 1, ints past 2**64, floats
-# with their special values, and strings with control characters, non-ASCII
-# characters and lone surrogates
-json_texts = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
-    ["", "café", "\x00", "\x1f", "\n", '"\\', "\u2028", "\ud800", "x\udfffy", "\U0001f600"]
-)
-json_scalars = st.one_of(
-    st.booleans(),
-    st.sampled_from([0, 1, -1]),
-    st.none(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    st.integers(min_value=-(2**200), max_value=-(2**64)),
-    st.floats(),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]),
-    json_texts,
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(json_texts, kids, max_size=4),
-    max_leaves=12,
-)
-
-
-class TestJsonWriter:
-    """``_write_json`` writes exactly what ``json.dumps(value, indent=2)`` does."""
-
-    @staticmethod
-    def written(value) -> str:
-        parts = []
-        cli._write_json(parts.append, value)
-        return "".join(parts)
-
-    @given(json_values)
-    @settings(max_examples=300, derandomize=True)
-    def test_equals_json_dumps(self, value):
-        assert self.written(value) == json.dumps(value, indent=2)
-
-    @given(json_texts, json_texts)
-    @settings(max_examples=200, derandomize=True)
-    def test_strings_and_keys(self, key, text):
-        assert self.written(text) == json.dumps(text)
-        assert self.written({key: text, "nested": {key: [text]}}) == json.dumps(
-            {key: text, "nested": {key: [text]}}, indent=2
-        )
-
-
 # ids and file names that JSON escapes: quotes, backslashes and non-ASCII
 # characters, none of them whitespace or '#'
 escaped_ids = st.text(st.sampled_from('ab"\\é\u2603\U0001f600'), min_size=1, max_size=3)
@@ -752,6 +702,12 @@ class TestModelSO3:
         code, _, err = run("model-so3", "conj-test", "--trials", "5")
         assert code == 2
         assert "must be an integer" in err
+
+    @pytest.mark.parametrize("seed", ["0", "-0", " 7\n", "+3", "1_0", "٣"])
+    def test_env_seed_reads_as_the_seed_option_does(self, run, monkeypatch, seed):
+        monkeypatch.setenv("GROUPOID_SPECTRUM_SEED", seed)
+        code, out, _ = run("model-so3", "conj-test", "--trials", "2", "--json")
+        assert code == 0 and json.loads(out)["seed"] == cli._int_in(0)(seed)
 
     def test_spectrum(self, run):
         code, out, _ = run("model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json")
@@ -1369,6 +1325,12 @@ class TestImportsPerCommand:
         loaded = set(json.loads(modules))
         assert used <= loaded and not loaded & (unused | {"argparse", "gettext", "locale"}), loaded
         assert help_text == cli.build_parser().format_help() + "0\n"
+
+    def test_seed_from_the_environment_loads_no_argparse(self, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV, "3")
+        commands = [["model-so3", "conj-test", "--trials", "2", "--json"], ["model-so3", "conj-test"]]
+        modules, _ = self.child(self.CHILD, json.dumps(commands)).split("\n", 1)
+        assert not set(json.loads(modules)) & {"argparse", "gettext", "locale"}
 
     def test_every_package_module_is_loaded_by_some_command(
         self, monkeypatch, funnel_file, entry_file, dual_family_file, s_family_file

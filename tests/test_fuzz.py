@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupoid_spectrum.cli import MAX_N, MAX_TRIALS, PROG, _read_plain, build_parser
+from groupoid_spectrum.cli import _COMMANDS, MAX_N, MAX_TRIALS, PROG, _read_plain, build_parser
 from helpers import DUAL_FAMILY, S_FAMILY, run_full_parser, run_main, strict_json
 
 # derandomized, so the suite runs the same examples every time
@@ -207,9 +207,33 @@ vectors = st.lists(floats_text, min_size=3, max_size=3).map(",".join) | csv(floa
 above_limits = st.integers(MAX_TRIALS + 1, 10**30)  # above both count limits
 
 
+def _leaves():
+    """Each leaf of the command table, with the command (and verb) that names it."""
+    for command, (_, spec) in _COMMANDS.items():
+        if type(spec) is dict:  # nested verbs
+            for verb, (_, leaf) in spec.items():
+                yield [command, verb], leaf
+        else:
+            yield [command], spec
+
+
+LEAVES = list(_leaves())
+# values drawn in place of a well-formed one: the separator, a negative number,
+# a short option and the empty string; the separator most, since argparse
+# drops it even after "="
+odd_values = st.just("--") | st.sampled_from(["--", "-1", "-x", ""])
+
+
 @st.composite
 def argvs(draw, workdir):
-    """A subcommand with its positionals and options, sometimes broken, and maybe a junk token.
+    """A call of a leaf of ``cli._COMMANDS``, with its positionals and options, sometimes broken.
+
+    The grammar is the command table's: every command and verb, its
+    positionals and its options, each value drawn by its option's kind (or,
+    for files, path literals, vectors and test points, by its dest), so a new
+    option is fuzzed as soon as the table declares it.  A broken call has
+    values of any form, ``odd_values``, prefix abbreviations, a repeated
+    option or both flags of the output pair, or a junk token.
 
     Hypothesis favours the least value of a draw, so that value picks the well-formed branch.
     Returns the argv, whether it asks for JSON, and its leftover: in about one draw in five,
@@ -218,69 +242,67 @@ def argvs(draw, workdir):
     """
     leftover = draw(st.integers(0, 4)) == 4
 
-    def either(valid, anything):  # the leftover branch draws only values the parser takes
-        return valid if leftover else anything
-
-    def file(name):  # mostly the right file, sometimes another or none
+    def file(*names):  # a right file; else another, or none
         files = [str(workdir / f) for f in ("funnel.graph", "dual.json", "s.json", "missing")]
-        right = st.just(str(workdir / name))
-        return either(right, st.one_of(*[right] * 3, st.sampled_from(files), st.text(max_size=6)))
+        right = st.sampled_from([str(workdir / name) for name in names])
+        return right, st.sampled_from(files) | st.text(max_size=6)
 
-    counts = either(st.integers(1, 39).map(str), as_text(st.integers(-3, 39) | above_limits))
-    integers = either(st.integers(0, 99).map(str), as_text(st.integers()))
-    tests = either(csv(st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12))), csv(rational_text))
-    tolerance = either(st.floats(0, 1).map(repr), floats_text)
-    vector = either(st.lists(st.floats(0, 9).map(repr), min_size=3, max_size=3).map(",".join), vectors)
-    literals = either(literal_pairs, path_literals)
-    graph = [file("funnel.graph")]
-    command, positionals, required, optional = draw(
-        st.sampled_from(
-            [
-                (["graph-analyze"], graph, [], [("--transpose", None)]),
-                (["graph-orbits"], graph, [], [("--transpose", None)]),
-                (["graph-equiv"], graph, [("--x", literals), ("--y", literals)], [("--transpose", None)]),
-                (["model-green", "verify-eq3"], [], [], [("--n-max", counts)]),
-                (
-                    ["model-dyadic", "demo-c-failure"],
-                    [],
-                    [],
-                    [("--n-max", counts), ("--tests", tests)],
-                ),
-                (["model-dyadic", "check-c-on-s"], [], [("--family", file("s.json"))], []),
-                (
-                    ["model-so3", "conj-test"],
-                    [],
-                    [],
-                    [("--trials", counts), ("--seed", integers), ("--tol", tolerance)],
-                ),
-                (["model-so3", "spectrum"], [], [("--v", vector), ("--k", integers)], []),
-                (
-                    ["check-family"],
-                    [file("dual.json")],
-                    [],
-                    [("--tests", tests), ("--truncate", integers), ("--tol", tolerance)],
-                ),
-            ]
-        )
-    )
-    argv = list(command) + [draw(p) for p in positionals]
-    options = [(o, leftover or draw(st.integers(0, 7)) < 7) for o in required]
-    options += [(o, draw(st.booleans())) for o in optional]
-    for (flag, values), present in draw(st.permutations(options)):
-        if present:
-            if values is None:
-                argv.append(flag)
-            elif draw(st.booleans()):  # the "--opt=value" spelling
-                argv.append(f"{flag}={draw(values)}")
+    # per dest, or else per kind: a value the parser takes, and any value
+    by_dest = {
+        "graph": file("funnel.graph"),
+        "family": file("dual.json", "s.json"),
+        "x": (literal_pairs, path_literals),
+        "y": (literal_pairs, path_literals),
+        "v": (st.lists(st.floats(0, 9).map(repr), min_size=3, max_size=3).map(",".join), vectors),
+        "tests": (csv(st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12))), csv(rational_text)),
+    }
+    by_kind = {
+        None: (st.text(max_size=6).filter(lambda text: text[:1] != "-"), st.text(max_size=6)),
+        int: (st.integers(0, 99).map(str), as_text(st.integers())),
+    }
+    by_type_name = {  # the table's own type functions: bounded counts and tolerances
+        "int": (st.integers(1, 39).map(str), as_text(st.integers(-3, 39) | above_limits)),
+        "float": (st.floats(0, 1).map(repr), floats_text),
+    }
+
+    def value(dest, kind):  # the leftover branch draws only values the parser takes
+        if dest in by_dest:
+            valid, anything = by_dest[dest]
+        else:
+            valid, anything = by_kind[kind] if kind in by_kind else by_type_name[kind.__name__]
+        return valid if leftover else st.one_of(valid, anything, odd_values)
+
+    command, (_, positionals, options) = draw(st.sampled_from(LEAVES))
+    argv = command + [draw(value(name, None)) for name in positionals]
+    flags = {}  # the flags of each dest: an output pair shares one
+    for flag, (dest, kind, _, required, _) in options.items():
+        flags.setdefault(dest, []).append((flag, dest, kind, required))
+    given = []
+    for choices in flags.values():
+        option = draw(st.sampled_from(choices))
+        if leftover and option[3] or draw(st.integers(0, 7)) < (7 if option[3] else 4):
+            given.append(option)
+    if not leftover and draw(st.integers(0, 7)) == 7:  # a repeat, or the other of a pair
+        given.append(draw(st.sampled_from([option for choices in flags.values() for option in choices])))
+    as_json = False
+    for flag, dest, kind, _ in draw(st.permutations(given)):
+        if not leftover and len(flag) > 3 and draw(st.integers(0, 7)) == 7:  # a prefix abbreviation
+            flag = flag[: draw(st.integers(3, len(flag) - 1))]
+        if type(kind) is bool:
+            argv.append(flag)
+            as_json = kind if dest == "json" else as_json
+        else:
+            text = draw(value(dest, kind))
+            # the "--opt=value" spelling; always for "--", which given apart would only end the options
+            if text == "--" or draw(st.booleans()):
+                argv.append(f"{flag}={text}")
             else:
-                argv += [flag, draw(values)]
+                argv += [flag, text]
     if not leftover and draw(st.integers(0, 3)) == 3:
         argv.insert(
             draw(st.integers(0, len(argv))),
             draw(st.sampled_from(["--nope", "-x", "--", "extra", "--json", "--text"])),
         )
-    as_json = draw(st.booleans())
-    argv += ["--json"] if as_json else []
     if not leftover:
         return argv, as_json, None
     extra = draw(st.sampled_from(["--nope", "-x", "extra", "--nope=1", "é"]))

@@ -103,6 +103,7 @@ def test_record_semantics(cls):
     values = {f: getattr(record, f) for f in record._fields}
     twin = cls(**values)
     assert twin is not record and twin == record and not twin != record
+    assert cls(*values.values()) == record
     try:
         hash(tuple(values.values()))
     except TypeError:  # a dict among the fields, as in a report's details: unhashable, as before
@@ -135,3 +136,25 @@ def test_same_fields_other_class_is_not_equal():
     assert CharQ(Fraction(1, 2), point) != SElem(Fraction(1, 2), point)
     base = parse_family(helpers.DUAL_FAMILY).family.base
     assert CharSeqSpec(base, DyadicSeq.constant(1)) != SElemSeqSpec(base, DyadicSeq.constant(1))
+
+
+def test_constructor_refuses_a_wrong_call():
+    usage = r"^Edge\(id, src, rng\) "
+    with pytest.raises(TypeError, match=usage + "takes 3 values, got 2$"):
+        Edge("e", "a")
+    with pytest.raises(TypeError, match=usage + "takes 3 values, got 4$"):
+        Edge("e", "a", "b", "c")
+    with pytest.raises(TypeError, match=usage + "takes 3 values, got 4$"):
+        Edge("e", "a", "b", "c", id="f")
+    with pytest.raises(TypeError, match=usage + "has no field 'dst'$"):
+        Edge("e", "a", dst="b")
+    with pytest.raises(TypeError, match=usage + "is missing field 'rng'$"):
+        Edge("e", src="a")
+    with pytest.raises(TypeError, match=usage + "got field 'id' twice$"):
+        Edge("e", "a", "b", id="f")
+    with pytest.raises(TypeError, match=usage + "got field 'src' twice$"):
+        Edge("e", "a", src="a", rng="b")
+    with pytest.raises(TypeError, match=r"^FellLimit\(convergent, period\) is missing field 'convergent'$"):
+        FellLimit(period=2)
+    assert Edge("e", rng="b", src="a") == Edge(id="e", src="a", rng="b") == Edge("e", "a", "b")
+
