@@ -8,11 +8,27 @@ given in closed form.
 
 The exports below are loaded on first access (PEP 562), so importing the
 package loads no submodule and each command starts with only what it runs.
+The input error and the JSON key check that every command uses are defined
+here, where no submodule has to be loaded for them.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """Invalid input: the base of every input error, which the CLI maps to exit code 2."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON inputs' ``object_pairs_hook``: a repeated key is a ValueError, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return obj
+
 
 # export name -> the submodule that defines it
 _EXPORTS = {
@@ -49,9 +65,6 @@ _EXPORTS = {
             "DIVERGENT",
             "AffineSeq",
             "DyadicSeq",
-            "FellLimit",
-            "PeriodFamily",
-            "fell_subgroup_limit",
             "pow2_scale",
             "scale_pow2_affine",
         ),
@@ -78,10 +91,13 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "EventualPath",
+            "FellLimit",
+            "PeriodFamily",
             "SpectrumVerdict",
             "check_condition_a",
             "check_condition_b",
             "decide_hausdorff_spectrum",
+            "fell_subgroup_limit",
             "orbits",
             "shift_equivalent",
             "stabilizer_of_path",

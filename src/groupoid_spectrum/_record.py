@@ -9,8 +9,10 @@ its arguments has its own ``__init__``, which ends in ``super().__init__``.
 The base also gives what the standard library's frozen data classes give:
 assignment and deletion raise ``AttributeError``; equality and hashing go
 over the field values, and only records of the same class compare equal; a
-``Name(field=value, ...)`` repr; and ``replace``, which builds a new record
-through the constructor, so validation runs again.
+``Name(field=value, ...)`` repr; ``replace``, which builds a new record
+through the constructor, so validation runs again; and copying and pickling,
+which rebuild the record through the constructor from its field values too,
+so cached views are not carried over.
 
 The package does not use the standard library's data class decorator: its
 module imports ``inspect``, and each frozen class it builds runs ``exec``
@@ -85,6 +87,10 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        """The constructor and the field values: ``copy`` and ``pickle`` rebuild the record through it."""
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
     def replace(self, **changes):
         """A new record with the given fields changed, built and validated by the constructor."""

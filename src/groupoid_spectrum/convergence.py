@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import InputError
 from ._record import Record
 from .exact import (
     DIVERGENT,
     AffineSeq,
     CatalogError,
     DyadicSeq,
-    InputError,
     _is_int,
     format_rational,
     parse_rational,

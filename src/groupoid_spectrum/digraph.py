@@ -28,9 +28,8 @@ from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, compress
 
-from . import _kernels
+from . import InputError, _kernels, _unique_keys
 from ._record import Record
-from .exact import InputError, _unique_keys
 
 __all__ = [
     "Edge",

@@ -9,10 +9,11 @@ the model groupoids need:
 * ``AffineSeq``: i |-> a*i + b  (integer coefficients)
 
 Both expose exact term evaluation and an exact limit, where the limit is
-either a rational or the ``DIVERGENT`` sentinel.  The Fell limits of period
-subgroup sequences (``PeriodFamily``, ``FellLimit``, ``fell_subgroup_limit``)
-are exact limits of catalog sequences too, so they live here, where the graph
-decision reads them without loading the convergence engine.
+either a rational or the ``DIVERGENT`` sentinel.  Only the commands that
+compute with rationals load this module, and with it ``fractions`` and
+``decimal``: the graph decision reads its Fell limits of period subgroups
+from ``spectrum``, and ``InputError`` is defined at the package root and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import re
 from fractions import Fraction
 
+from . import InputError
 from ._record import Record
 
 __all__ = [
@@ -29,9 +31,6 @@ __all__ = [
     "DIVERGENT",
     "DyadicSeq",
     "AffineSeq",
-    "PeriodFamily",
-    "FellLimit",
-    "fell_subgroup_limit",
     "parse_rational",
     "format_rational",
     "pow2_scale",
@@ -39,21 +38,9 @@ __all__ = [
     "scale_pow2_affine",
 ]
 
-class InputError(ValueError):
-    """Invalid input: the base of every input error, which the CLI maps to exit code 2."""
-
 
 class CatalogError(InputError):
     """An operation would leave the closed sequence catalog."""
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The JSON inputs' ``object_pairs_hook``: a repeated key is a ValueError, not a silent overwrite."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen: set[str] = set()
-        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
-    return obj
 
 
 class _Divergent:
@@ -289,70 +276,3 @@ class AffineSeq(Record):
             if _INT_RE.fullmatch(obj.strip()):
                 return cls.constant(int(obj))
         raise CatalogError(f"not an affine sequence spec: {obj!r} (expected 'affine:a*i+b' or an integer)")
-
-
-# ---------------------------------------------------------------------------
-# Fell limits of period subgroups of Z
-
-
-class PeriodFamily(Record):
-    """A family of periods p_i >= 0 (p = 0 denotes the trivial subgroup).
-
-    ``transient`` lists finitely many initial values; ``tail`` is either an
-    affine sequence or a repeating pattern.
-    """
-
-    __slots__ = ("tail", "transient")
-
-    def __init__(self, tail: AffineSeq | tuple[int, ...], transient: tuple[int, ...] = ()) -> None:
-        values = list(transient)
-        if isinstance(tail, tuple):
-            if not tail:
-                raise ValueError("repeating tail pattern must be nonempty")
-            values += list(tail)
-            if any(p < 0 for p in values):
-                raise ValueError("periods must be >= 0")
-        else:
-            if any(p < 0 for p in values):
-                raise ValueError("periods must be >= 0")
-            if tail.a < 0 or tail(len(transient)) < 0:
-                raise ValueError("affine tail must stay >= 0")
-        super().__init__(tail, transient)
-
-    def period_at(self, i: int) -> int:
-        if i < len(self.transient):
-            return self.transient[i]
-        j = i - len(self.transient)
-        if isinstance(self.tail, tuple):
-            return self.tail[j % len(self.tail)]
-        return self.tail(i)
-
-
-class FellLimit(Record):
-    """Limit of the subgroups p_i Z in the Fell topology: ``period`` p of pZ, or None when not convergent."""
-
-    __slots__ = ("convergent", "period")
-
-    def label(self) -> str:
-        if not self.convergent:
-            return "not convergent"
-        return "{0}" if self.period == 0 else f"{self.period}Z"
-
-
-def fell_subgroup_limit(family: PeriodFamily) -> FellLimit:
-    """Fell limit of p_i Z in the subgroup space of Z.
-
-    Subgroup sequences of a discrete group converge iff membership of each
-    element stabilizes: an eventually constant period p gives pZ, periods
-    growing without bound give the trivial subgroup, and a non-constant
-    repeating pattern oscillates (membership of the smallest nonzero period
-    never stabilizes), so it does not converge.
-    """
-    tail = family.tail
-    if isinstance(tail, AffineSeq):
-        if tail.a > 0:
-            return FellLimit(True, 0)
-        return FellLimit(True, tail.b)
-    if all(p == tail[0] for p in tail):
-        return FellLimit(True, tail[0])
-    return FellLimit(False, None)

@@ -51,6 +51,7 @@ __all__ = [
     "so3_transport",
     "so3_spectrum_point",
     "so3_norm_squared",
+    "quaternion_rotation",
     "random_rotation",
 ]
 
@@ -202,37 +203,77 @@ def dyadic_act_S(arrow: ArrowDyadic, s: SElem) -> SElem:
 # numbers, so that only ``conj-test`` loads it.  The orbit invariant |v| needs
 # neither: it is taken in ``math``, with the fused multiply-adds that numpy's
 # norm of three floats rounds like (``so3_norm_squared``).
+#
+# The matrix functions take one case or a stack of n, along a leading axis,
+# and one case is the stack of one: each case of a stack gets the same bits
+# it gets alone.  That holds because every step is elementwise or per case:
+# the norms are per row (``_row_norms``), cos and sin are ``math``'s, one
+# angle at a time, and matmul runs each case of a stack as it runs one pair.
 
 
-def so3_rotation(axis, theta: float) -> np.ndarray:
-    """Rotation matrix about ``axis`` (any nonzero vector) by angle theta."""
-    import numpy as np
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``rows``, (n, d), bit for bit ``np.linalg.norm`` of the row alone.
 
-    w = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    x, y, z = w / norm
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) * math.cos(theta) + math.sin(theta) * k + (1 - math.cos(theta)) * np.outer(
-        w / norm, w / norm
-    )
-
-
-def so3_conj_residual(v_mat: np.ndarray, axis, theta: float, orth_tol: float = 1e-9) -> float:
-    """Max-entry residual of V R_w(theta) V^T against R_{Vw}(theta).
-
-    V must be orthogonal within ``orth_tol`` (its transpose is used as the
-    inverse).
+    That norm is the root of the row's dot product with itself, and matmul
+    takes a stack of such products in the same dot kernel; ``norm(axis=1)``
+    and ``einsum`` add in other orders and differ in the last bit on about
+    one row in nine.
     """
     import numpy as np
 
-    v_mat = np.asarray(v_mat, dtype=float)
-    if np.abs(v_mat @ v_mat.T - np.eye(3)).max() > orth_tol:
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _apply(mats: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each matrix of ``mats``, (n, 3, 3), applied to its point of ``points``, (n, 3)."""
+    import numpy as np
+
+    return np.matmul(mats, points[:, :, None])[:, :, 0]
+
+
+def so3_rotation(axis, theta) -> np.ndarray:
+    """Rotation matrix about ``axis`` (any nonzero vector) by angle theta.
+
+    Axes of shape (n, 3), with n angles or one for all, give the n
+    matrices, shape (n, 3, 3).
+    """
+    import numpy as np
+
+    w = np.asarray(axis, dtype=float)
+    rows = w.reshape(-1, 3)
+    norms = _row_norms(rows)
+    if not norms.all():
+        raise ValueError("rotation axis must be nonzero")
+    units = rows / norms[:, None]
+    angles = np.broadcast_to(np.asarray(theta, dtype=float), len(rows)).tolist()
+    cos = np.array([math.cos(t) for t in angles])[:, None, None]
+    sin = np.array([math.sin(t) for t in angles])[:, None, None]
+    x, y, z = units.T
+    zero = np.zeros(len(rows))
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    rotations = np.eye(3) * cos + sin * k + (1 - cos) * (units[:, :, None] * units[:, None, :])
+    return rotations.reshape(w.shape[:-1] + (3, 3))
+
+
+def so3_conj_residual(v_mat, axis, theta, orth_tol: float = 1e-9):
+    """Max-entry residual of V R_w(theta) V^T against R_{Vw}(theta).
+
+    V must be orthogonal within ``orth_tol`` (its transpose is used as the
+    inverse).  One V gives a float; a stack of n, shape (n, 3, 3), with n
+    axes and n angles (or one for all) gives the array of the n residuals.
+    """
+    import numpy as np
+
+    v = np.asarray(v_mat, dtype=float)
+    mats = v.reshape(-1, 3, 3)
+    inverses = mats.transpose(0, 2, 1)
+    if (np.abs(mats @ inverses - np.eye(3)).max(axis=(1, 2)) > orth_tol).any():
         raise ValueError("matrix is not orthogonal within tolerance")
-    lhs = v_mat @ so3_rotation(axis, theta) @ v_mat.T
-    rhs = so3_rotation(v_mat @ np.asarray(axis, dtype=float), theta)
-    return float(np.abs(lhs - rhs).max())
+    axes = np.asarray(axis, dtype=float).reshape(-1, 3)
+    lhs = mats @ so3_rotation(axes, theta) @ inverses
+    rhs = so3_rotation(_apply(mats, axes), theta)
+    residuals = np.abs(lhs - rhs).max(axis=(1, 2))
+    return residuals if v.ndim == 3 else float(residuals[0])
 
 
 class CharSO3(Record):
@@ -245,11 +286,20 @@ class CharSO3(Record):
         return cls((float(v[0]), float(v[1]), float(v[2])), int(k))
 
 
-def so3_transport(u_mat: np.ndarray, chi: CharSO3) -> CharSO3:
-    """Conjugation moves the base point and keeps the integer index."""
+def so3_transport(u_mat, chi):
+    """Conjugation moves the base point and keeps the integer index.
+
+    A stack of n matrices, shape (n, 3, 3), moves a sequence of n
+    characters, each by its own matrix, into a list.
+    """
     import numpy as np
 
-    return CharSO3.at(np.asarray(u_mat, dtype=float) @ np.asarray(chi.v), chi.k)
+    one = isinstance(chi, CharSO3)
+    chis = (chi,) if one else chi
+    mats = np.asarray(u_mat, dtype=float).reshape(-1, 3, 3)
+    points = _apply(mats, np.array([c.v for c in chis], dtype=float)).tolist()
+    moved = [CharSO3.at(point, c.k) for point, c in zip(points, chis)]
+    return moved[0] if one else moved
 
 
 def _fma(x: float, y: float, z: float) -> float:
@@ -293,17 +343,21 @@ def so3_spectrum_point(chi: CharSO3) -> tuple[float, int]:
     return (math.sqrt(so3_norm_squared(chi.v)), chi.k)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation via a normalized Gaussian quaternion."""
+def quaternion_rotation(q) -> np.ndarray:
+    """The rotation of the unit quaternion q / |q|; quaternions of shape (n, 4) give the n matrices."""
     import numpy as np
 
-    q = rng.normal(size=4)
-    q = q / np.linalg.norm(q)
-    a, b, c, d = q
-    return np.array(
-        [
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-        ]
-    )
+    q = np.asarray(q, dtype=float)
+    rows = q.reshape(-1, 4)
+    a, b, c, d = (rows / _row_norms(rows)[:, None]).T
+    entries = [
+        a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c),
+        2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b),
+        2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d,
+    ]
+    return np.stack(entries, axis=1).reshape(q.shape[:-1] + (3, 3))
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random rotation via a normalized Gaussian quaternion."""
+    return quaternion_rotation(rng.normal(size=4))

@@ -30,6 +30,11 @@ When both pass, the remaining separation condition for convergent character
 sequences holds automatically: an arrow between two characters in the same
 fiber conjugates one stabilizer character onto the other, and the limit
 fiber's stabilizer is a single group, so the two limits agree.
+
+The Fell limits of period subgroups of Z (``PeriodFamily``, ``FellLimit``,
+``fell_subgroup_limit``) live here, with the stabilizer records that read
+them.  They need only integers, so a graph command loads neither ``exact``
+nor the ``fractions`` and ``decimal`` modules behind it.
 """
 
 from __future__ import annotations
@@ -46,17 +51,19 @@ from .digraph import (
     entry_free_cycles,
     require_validated,
 )
-from .exact import AffineSeq, FellLimit, PeriodFamily, fell_subgroup_limit
 
 __all__ = [
     "ConditionAReport",
     "ConditionBReport",
     "SpectrumVerdict",
     "EventualPath",
+    "FellLimit",
+    "PeriodFamily",
     "ConditionARequired",
     "check_condition_a",
     "check_condition_b",
     "decide_hausdorff_spectrum",
+    "fell_subgroup_limit",
     "orbits",
     "shift_equivalent",
     "stabilizer_of_path",
@@ -74,11 +81,78 @@ class ConditionARequired(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Fell limits of period subgroups of Z
+
+
+class PeriodFamily(Record):
+    """A family of periods p_i >= 0 (p = 0 denotes the trivial subgroup).
+
+    ``transient`` lists finitely many initial values; ``tail`` is either an
+    affine sequence (``exact.AffineSeq``) or a repeating pattern, a tuple.
+    """
+
+    __slots__ = ("tail", "transient")
+
+    def __init__(self, tail, transient: tuple[int, ...] = ()) -> None:
+        values = list(transient)
+        if isinstance(tail, tuple):
+            if not tail:
+                raise ValueError("repeating tail pattern must be nonempty")
+            values += list(tail)
+            if any(p < 0 for p in values):
+                raise ValueError("periods must be >= 0")
+        else:
+            if any(p < 0 for p in values):
+                raise ValueError("periods must be >= 0")
+            if tail.a < 0 or tail(len(transient)) < 0:
+                raise ValueError("affine tail must stay >= 0")
+        super().__init__(tail, transient)
+
+    def period_at(self, i: int) -> int:
+        if i < len(self.transient):
+            return self.transient[i]
+        j = i - len(self.transient)
+        if isinstance(self.tail, tuple):
+            return self.tail[j % len(self.tail)]
+        return self.tail(i)
+
+
+class FellLimit(Record):
+    """Limit of the subgroups p_i Z in the Fell topology: ``period`` p of pZ, or None when not convergent."""
+
+    __slots__ = ("convergent", "period")
+
+    def label(self) -> str:
+        if not self.convergent:
+            return "not convergent"
+        return "{0}" if self.period == 0 else f"{self.period}Z"
+
+
+def fell_subgroup_limit(family: PeriodFamily) -> FellLimit:
+    """Fell limit of p_i Z in the subgroup space of Z.
+
+    Subgroup sequences of a discrete group converge iff membership of each
+    element stabilizes: an eventually constant period p gives pZ, periods
+    growing without bound give the trivial subgroup, and a non-constant
+    repeating pattern oscillates (membership of the smallest nonzero period
+    never stabilizes), so it does not converge.
+    """
+    tail = family.tail
+    if not isinstance(tail, tuple):  # an affine tail i |-> a*i + b, with a >= 0
+        if tail.a > 0:
+            return FellLimit(True, 0)
+        return FellLimit(True, tail.b)
+    if all(p == tail[0] for p in tail):
+        return FellLimit(True, tail[0])
+    return FellLimit(False, None)
+
+
+# ---------------------------------------------------------------------------
 # Condition A
 
 
-# the Fell limit of the approximating paths' subgroups, the same for every entry
-_APPROX_LIMIT = fell_subgroup_limit(PeriodFamily(tail=AffineSeq.constant(0)))
+# the Fell limit of the approximating paths' subgroups, constant period 0, the same for every entry
+_APPROX_LIMIT = fell_subgroup_limit(PeriodFamily((0,)))
 
 
 def stabilizer_record(period: int) -> dict:

@@ -15,7 +15,8 @@ from corpus import enumerate_validated_simple, random_corpus
 from groupoid_spectrum import _kernels, cli
 from groupoid_spectrum.cli import main
 from groupoid_spectrum.digraph import DiGraph
-from groupoid_spectrum.exact import AffineSeq, PeriodFamily, fell_subgroup_limit
+from groupoid_spectrum.exact import AffineSeq
+from groupoid_spectrum.spectrum import PeriodFamily, fell_subgroup_limit
 
 
 # The documented dual-space counterexample, and the same arrows in the S space.

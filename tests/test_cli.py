@@ -1249,7 +1249,13 @@ class TestImportsPerCommand:
     ``model-so3 conj-test`` loads.  No plain call loads ``argparse`` or the
     ``gettext`` and ``locale`` it brings (about 5 ms of a fresh process);
     ``--help`` afterwards, in the same process, still prints the full help.
+    Only the commands that compute with rationals load ``exact`` and the
+    ``fractions``, ``decimal`` and ``numbers`` modules behind it; the graph
+    commands read their Fell limits from ``spectrum``.
     """
+
+    WATCHED = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers")
+    RATIONAL = {"exact", "fractions", "decimal", "numbers"}  # the rational catalog and what it loads
 
     CHILD = (
         "import contextlib, io, json, sys\n"
@@ -1258,7 +1264,7 @@ class TestImportsPerCommand:
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "print(json.dumps(sorted(name.rpartition('.')[2] for name in sys.modules\n"
-        "                        if name in ('numpy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n"
+        f"                        if name in {WATCHED!r}\n"
         "                        or name.startswith('groupoid_spectrum.'))))\n"
         "try:\n"
         "    main(['--help'])\n"
@@ -1295,7 +1301,7 @@ class TestImportsPerCommand:
                     ["graph-equiv", funnel_file, "--x", "f:La", "--y", ":La", "--json"],
                 ],
                 {"digraph", "spectrum"},
-                {"convergence", "models", "oracle", "numpy", "dataclasses", "inspect"},
+                {"convergence", "models", "oracle", "numpy", "dataclasses", "inspect", *TestImportsPerCommand.RATIONAL},
             ),
             "model": (
                 [
@@ -1303,13 +1309,13 @@ class TestImportsPerCommand:
                     ["model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json"],
                     ["model-so3", "conj-test", "--trials", "5", "--json"],
                 ],
-                {"convergence", "models", "numpy"},
+                {"convergence", "models", "numpy", *TestImportsPerCommand.RATIONAL},
                 {"digraph", "spectrum", "oracle", "_kernels", "dataclasses"},
             ),
             # numpy imports inspect, so only the commands without it can show inspect unloaded
             "exact-model": (
                 exact_model_commands,
-                {"convergence", "models"},
+                {"convergence", "models", *TestImportsPerCommand.RATIONAL},
                 {"digraph", "spectrum", "oracle", "_kernels", "numpy", "dataclasses", "inspect"},
             ),
         }
@@ -1342,8 +1348,15 @@ class TestImportsPerCommand:
         families = self.families(funnel_file, entry_file, dual_family_file, s_family_file).values()
         commands = [argv for calls, _, _ in families for argv in calls]
         modules, _ = self.child(self.CHILD, json.dumps(commands)).split("\n", 1)
-        loaded = set(json.loads(modules)) - {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
+        loaded = set(json.loads(modules)) - set(self.WATCHED)
         assert loaded == {module.name for module in pkgutil.iter_modules(groupoid_spectrum.__path__)}
+
+    def test_cli_import_loads_no_rational_catalog(self):
+        code = (
+            "import sys, groupoid_spectrum.cli\n"
+            f"print(sorted(m for m in sys.modules if m in {self.WATCHED!r} or m.startswith('groupoid_spectrum')))"
+        )
+        assert self.child(code) == "['groupoid_spectrum', 'groupoid_spectrum.cli']\n"
 
     def test_package_import_loads_no_submodule(self):
         code = "import sys, groupoid_spectrum\nprint([m for m in sys.modules if m.startswith('groupoid_spectrum.')])"

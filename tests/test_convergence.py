@@ -20,15 +20,9 @@ from groupoid_spectrum.convergence import (
     run_family_check,
     run_family_truncated,
 )
-from groupoid_spectrum.exact import (
-    DIVERGENT,
-    AffineSeq,
-    DyadicSeq,
-    FellLimit,
-    PeriodFamily,
-    fell_subgroup_limit,
-)
+from groupoid_spectrum.exact import DIVERGENT, AffineSeq, DyadicSeq
 from groupoid_spectrum.models import LINE_BRANCH, CharQ, PointY, SElem
+from groupoid_spectrum.spectrum import FellLimit, PeriodFamily, fell_subgroup_limit
 
 ORIGIN = PointY(LINE_BRANCH, 0)
 

@@ -23,6 +23,7 @@ from groupoid_spectrum.models import (
     dyadic_act_dual,
     dyadic_chart,
     _fma,
+    quaternion_rotation,
     random_rotation,
     so3_conj_residual,
     so3_norm_squared,
@@ -251,6 +252,98 @@ class TestSO3:
     def test_char_at_coerces(self):
         chi = CharSO3.at(np.array([1, 0, 0]), 2)
         assert chi.v == (1.0, 0.0, 0.0)
+
+
+# A scalar reference for the stacked SO(3) functions: one case at a time,
+# with numpy's one-vector norm, outer product and 2-D matmul.
+
+
+def scalar_rotation(axis, theta: float) -> np.ndarray:
+    w = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(w))
+    x, y, z = w / norm
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) * math.cos(theta) + math.sin(theta) * k + (1 - math.cos(theta)) * np.outer(
+        w / norm, w / norm
+    )
+
+
+def scalar_residual(v_mat: np.ndarray, axis, theta: float) -> float:
+    lhs = v_mat @ scalar_rotation(axis, theta) @ v_mat.T
+    rhs = scalar_rotation(v_mat @ np.asarray(axis, dtype=float), theta)
+    return float(np.abs(lhs - rhs).max())
+
+
+def scalar_quaternion_rotation(q: np.ndarray) -> np.ndarray:
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ]
+    )
+
+
+def conj_trials(seed: int, trials: int):
+    """The quaternions, axes, angles and indices ``conj-test`` draws, in its order."""
+    rng = np.random.default_rng(seed)
+    quaternions, axes, angles, indices = [], [], [], []
+    for _ in range(trials):
+        quaternions.append(rng.normal(size=4))
+        axis = rng.normal(size=3)
+        while float(np.linalg.norm(axis)) < 1e-8:
+            axis = rng.normal(size=3)
+        axes.append(axis * 10.0 ** rng.integers(-150, 151))  # norms far from 1 too
+        angles.append(float(rng.uniform(0.0, 2.0 * math.pi)))
+        indices.append(int(rng.integers(-5, 6)))
+    return np.array(quaternions), np.array(axes), angles, indices
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSO3Stacks:
+    """A stack of SO(3) cases gets, bit for bit, what each case gets alone and what the scalar reference gets."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stacks_match_single_cases_and_the_scalar_reference(self, seed):
+        quaternions, axes, angles, indices = conj_trials(seed, 100)
+        v_mats = quaternion_rotation(quaternions)
+        rotations = so3_rotation(axes, angles)
+        residuals = so3_conj_residual(v_mats, axes, angles)
+        chis = [CharSO3.at(axis, k) for axis, k in zip(axes, indices)]
+        moved = so3_transport(v_mats, chis)
+        assert v_mats.shape == rotations.shape == (100, 3, 3) and residuals.shape == (100,)
+        for i, (q, axis, theta, chi) in enumerate(zip(quaternions, axes, angles, chis)):
+            reference = scalar_quaternion_rotation(q)
+            assert same_bits(v_mats[i], reference) and same_bits(quaternion_rotation(q), reference)
+            assert same_bits(so3_rotation(axis, theta), scalar_rotation(axis, theta))
+            assert same_bits(rotations[i], scalar_rotation(axis, theta))
+            residual = scalar_residual(reference, axis, theta)
+            assert same_bits(residuals[i], residual)
+            assert same_bits(so3_conj_residual(reference, axis, theta), residual)
+            image = CharSO3.at(reference @ np.asarray(chi.v), chi.k)
+            assert moved[i] == image == so3_transport(reference, chi)
+
+    def test_random_rotation_is_the_quaternion_drawn(self):
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(100):
+            assert same_bits(random_rotation(rng), scalar_quaternion_rotation(replay.normal(size=4)))
+
+    def test_one_angle_for_a_stack(self):
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+        assert same_bits(so3_rotation(axes, 0.5), [scalar_rotation(axis, 0.5) for axis in axes])
+        v_mats = np.stack([np.eye(3)] * 3)
+        assert same_bits(so3_conj_residual(v_mats, axes, 0.5), [0.0, 0.0, 0.0])
+
+    def test_one_bad_case_refuses_the_stack(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            so3_rotation([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="orthogonal"):
+            so3_conj_residual(np.stack([np.eye(3), np.eye(3) * 2]), np.ones((2, 3)), [1.0, 2.0])
 
 
 def fraction_fma(x: float, y: float, z: float) -> float:

@@ -1,6 +1,8 @@
 """Value records: frozen, compared and hashed by field values, revalidated by ``replace``."""
 
+import copy
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 from operator import attrgetter
@@ -18,9 +20,9 @@ from groupoid_spectrum.convergence import (
     parse_family,
 )
 from groupoid_spectrum.digraph import CycleRep, Edge, Violation
-from groupoid_spectrum.exact import DyadicSeq, FellLimit, PeriodFamily
+from groupoid_spectrum.exact import DyadicSeq
 from groupoid_spectrum.models import ArrowDyadic, CharQ, CharSO3, GroupH, PointY, SElem
-from groupoid_spectrum.spectrum import EventualPath, decide_hausdorff_spectrum
+from groupoid_spectrum.spectrum import EventualPath, FellLimit, PeriodFamily, decide_hausdorff_spectrum
 from oracle import oracle_suite
 
 for module in pkgutil.iter_modules(groupoid_spectrum.__path__):  # so every record class is defined
@@ -122,6 +124,32 @@ def test_record_semantics(cls):
         changes, message = REFUSED[cls]
         with pytest.raises(ValueError, match=f"^{message}$"):
             record.replace(**changes)
+
+
+@pytest.mark.parametrize("cls", sorted(SAMPLES, key=by_name), ids=by_name)
+def test_copy_and_pickle_rebuild_the_record(cls):
+    record = SAMPLES[cls]
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+        assert repr(twin) == repr(record)
+        with pytest.raises(AttributeError):  # still frozen
+            setattr(twin, record._fields[0], None)
+
+
+def test_copies_are_built_by_the_constructor():
+    seq = DyadicSeq(1, -1, 0, 0)
+    assert copy.deepcopy(seq) == seq
+    # the constructor runs again: the copy of a cycle stored past it, unrotated, starts at its least id
+    rotated = CycleRep((Edge("b", "x", "y"), Edge("a", "y", "x")))
+    forced = object.__new__(CycleRep)
+    Record.__init__(forced, tuple(reversed(rotated.edges)))
+    assert forced.edges[0].id == "b" and copy.copy(forced).edges[0].id == "a"
+    # cached views are not carried over
+    report = decide_hausdorff_spectrum(helpers.graph_loop_with_entry()).condition_a
+    report.cycles
+    assert "cycles" in report.__dict__
+    for twin in (copy.copy(report), pickle.loads(pickle.dumps(report))):
+        assert "cycles" not in twin.__dict__ and twin.cycles == report.cycles
 
 
 def test_replace_normalizes_again():
