@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
+from errno import EISDIR
 from functools import cache, lru_cache
 from itertools import combinations, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
+from stat import S_ISDIR
 from types import SimpleNamespace
 
 from . import InputError, __version__, _unique_keys
@@ -247,16 +249,34 @@ def _write_head(write, command: str, args) -> None:
     )
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # looked up once: a missing name costs an exception
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of an input file, a byte-order mark dropped and newlines read as text mode reads them.
 
-    The file is decoded whole, so a cut-off byte-order mark is a decode
-    error like any other cut-off sequence, not an empty file.  The mark is
-    cut from the bytes: the ``utf-8-sig`` codec does the same in Python.
+    A file is read in four system calls, not through ``open()``'s buffered
+    stack: open, fstat, one read of its size plus a byte, and close.  A read
+    that does not return exactly the size (a file that grew or shrank since
+    the fstat, or a pipe or device, whose size reads 0) goes on to end of
+    file.  Errors carry ``open()``'s messages, a directory's included.  The
+    file is decoded whole, so a cut-off byte-order mark is a decode error
+    like any other cut-off sequence, not an empty file.  The mark is cut
+    from the bytes: the ``utf-8-sig`` codec does the same in Python.
     """
     try:
-        with open(path, "rb") as file:
-            text = file.read().removeprefix(b"\xef\xbb\xbf").decode()
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            st = os.fstat(fd)
+            if S_ISDIR(st.st_mode):  # os.open opens a directory, which open() refuses
+                raise IsADirectoryError(EISDIR, os.strerror(EISDIR), path)
+            chunks = [os.read(fd, st.st_size + 1)]
+            if len(chunks[0]) != st.st_size:
+                while chunks[-1]:
+                    chunks.append(os.read(fd, 1 << 16))
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).removeprefix(b"\xef\xbb\xbf").decode()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from None
     if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
@@ -611,7 +631,10 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_so3_conj(args) -> int:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise InputError(f"model-so3 conj-test needs numpy, which does not import: {exc}") from None
 
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)

@@ -139,7 +139,7 @@ def test_criterion_04_corpus_sweep_matches_oracle():
         total += 1
         fast = check_condition_a(g)
         slow_cycles = naive_simple_cycles(g)
-        slow_entries = naive_entries(g)
+        slow_entries = naive_entries(g, slow_cycles)
         ok = (
             {c.edge_ids() for c in fast.cycles} == slow_cycles
             and {(c.edge_ids(), e.id) for c, e in fast.entries} == slow_entries

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import os
 import pkgutil
 import re
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -709,6 +711,19 @@ class TestModelSO3:
         code, out, _ = run("model-so3", "conj-test", "--trials", "2", "--json")
         assert code == 0 and json.loads(out)["seed"] == cli._int_in(0)(seed)
 
+    def test_conj_without_numpy_exits_2(self):
+        child = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # import numpy raises ImportError\n"
+            "from groupoid_spectrum.cli import main\n"
+            "sys.exit(main(['model-so3', 'conj-test', '--trials', '2']))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1 and "numpy" in out.stderr
+
     def test_spectrum(self, run):
         code, out, _ = run("model-so3", "spectrum", "--v", "1,2,2", "--k", "3", "--json")
         assert code == 0
@@ -1191,6 +1206,100 @@ class TestReadInput:
         assert got[:2] == (2, "") and got[2].startswith(f"error: cannot read {path}: ")
         monkeypatch.setattr(cli, "_read_text", text_mode_read)
         assert got == run("graph-analyze", path)
+
+    @pytest.mark.parametrize("name", ["directory", "missing", "empty", "nul", "dev-null"])
+    @pytest.mark.parametrize("command", [["graph-analyze"], ["check-family"]])
+    def test_special_paths_match_a_text_mode_read(self, run, monkeypatch, tmp_path, command, name):
+        path = {
+            "directory": str(tmp_path),
+            "missing": str(tmp_path / "missing"),
+            "empty": "",
+            "nul": str(tmp_path / "nul\x00"),
+            "dev-null": "/dev/null",
+        }[name]
+        got = run(*command, path, "--json")
+        monkeypatch.setattr(cli, "_read_text", text_mode_read)
+        assert got == run(*command, path, "--json")
+
+    # a child that runs one command with the os-level read, or with the text-mode reference
+    PIPE_CHILD = (
+        "import sys\n"
+        "from groupoid_spectrum import cli\n"
+        "if sys.argv[1] == 'text-mode':\n"
+        "    from test_cli import text_mode_read\n"
+        "    cli._read_text = text_mode_read\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            (["graph-analyze"], b"\xef\xbb\xbf# " + b"x" * 200_000 + b"\r\n" + GRAPH.replace("\n", "\r\n").encode()),
+            (["check-family"], b"\r\n" * 100_000 + FAMILY.encode()),
+            (["graph-analyze"], b""),
+            (["check-family"], b"{" + b" " * 100_000 + b"\n\xff"),
+        ],
+        ids=["graph", "family", "empty", "not-utf-8"],
+    )
+    def test_a_pipe_is_read_to_its_end(self, command, content):
+        # a pipe's size reads 0, so its first read takes a byte; the rest, longer than a pipe's buffer, takes several
+        env = child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+        got, want = [
+            subprocess.run(
+                [sys.executable, "-c", self.PIPE_CHILD, read, *command, "/dev/stdin", "--json"],
+                input=content,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            for read in ("os-level", "text-mode")
+        ]
+        assert got.returncode in (0, 2), got.stderr
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+
+    @pytest.mark.parametrize(
+        "most, size_shift, reads",
+        [(None, 0, 1), (7, 0, None), (None, -1000, 3), (None, 1000, 2), (None, None, 5)],
+        ids=["one-read", "short-reads", "grew", "shrank", "size-reads-0"],
+    )
+    def test_a_file_is_read_to_its_end(self, monkeypatch, tmp_path, most, size_shift, reads):
+        # 140,041 bytes: past two of the 64 KiB reads that follow a first read of the wrong size
+        path = tmp_path / "input"
+        path.write_bytes(b"\xef\xbb\xbf# " + "é".encode() * 70_000 + b"\r\n" + self.GRAPH.encode())
+        real_read, real_fstat, calls = cli.os.read, cli.os.fstat, []
+
+        def read(fd, n):
+            calls.append(n)
+            return real_read(fd, n if most is None else min(n, most))
+
+        def fstat(fd):  # the size as it read before the file grew or shrank
+            st = real_fstat(fd)
+            return SimpleNamespace(st_mode=st.st_mode, st_size=0 if size_shift is None else st.st_size + size_shift)
+
+        monkeypatch.setattr(cli.os, "read", read)
+        monkeypatch.setattr(cli.os, "fstat", fstat)
+        assert cli._read_text(str(path)) == text_mode_read(str(path))
+        assert reads is None or len(calls) == reads
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_reads_leave_no_file_descriptor_open(self, tmp_path):
+        good = tmp_path / "good"
+        good.write_bytes(self.GRAPH.encode())
+        bad = tmp_path / "not-utf-8"
+        bad.write_bytes(b"v a\n\xff\n")
+        reads = [(str(good), True), ("/dev/null", True), (str(bad), False), (str(tmp_path), False),
+                 (str(tmp_path / "missing"), False), ("", False), ("nul\x00", False)]
+        before = len(list(Path("/proc/self/fd").iterdir()))
+        for i in range(1000):
+            path, readable = reads[i % len(reads)]
+            try:
+                cli._read_text(path)
+            except InputError:
+                assert not readable, path
+            else:
+                assert readable, path
+        assert len(list(Path("/proc/self/fd").iterdir())) == before
 
 
 class TestNumpyStaysOut:
