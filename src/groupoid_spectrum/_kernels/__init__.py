@@ -10,26 +10,23 @@ BACKEND = "python"
 __all__ = ["BACKEND", "components", "simple_cycles"]
 
 
-def components(out: list[list[int]], head, roots=None, index=None) -> list[list[int]]:
+def components(out: list[list[int]], head) -> list[list[int]]:
     """The strongly connected components with a cycle, sources first (Tarjan 1972, iterative).
 
     A component has a cycle when it has more than one vertex or a loop, an
-    arc that does not lower its tail's link.  The search starts from each of
-    ``roots`` (default: every vertex) whose ``index`` is -1 (default: every
-    vertex).  A vertex whose component is complete gets the index n =
-    ``len(out)``, above every visit number, so it never lowers a link: a
-    caller leaves a vertex out by giving it that index.
+    arc that does not lower its tail's link.  A vertex whose component is
+    complete gets the index n = ``len(out)``, above every visit number, so
+    it never lowers a link.
     """
     n = len(out)
-    index = [-1] * n if index is None else index  # visit number, then n
-    # the lowest visit number reached; a search from given roots visits few vertices
-    low: list[int] | dict[int, int] = [0] * n if roots is None else {}
+    index = [-1] * n  # visit number, then n
+    low = [0] * n  # the lowest visit number reached
     looped = set()
     stack: list[int] = []
     found: list[list[int]] = []  # reverse topological order
     counter = 0
-    for root in range(n) if roots is None else roots:
-        if index[root] >= 0:
+    for root in range(n):
+        if index[root] >= 0 or not out[root]:  # done, or a component without a cycle
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -74,50 +71,75 @@ def components(out: list[list[int]], head, roots=None, index=None) -> list[list[
     return found[::-1]
 
 
-def simple_cycles(head, out: list[list[int]], parts: list[list[int]]) -> list[tuple[int, ...]]:
-    """All simple cycles in ``parts``, the ``components``, as tuples of arcs in traversal order.
+def simple_cycles(head, tail, into: list[list[int]], parts: list[list[int]]) -> list[tuple[int, ...]]:
+    """Each simple cycle in ``parts``, the ``components``, once: its arcs in path order, the least first.
 
-    Johnson's algorithm (1975): search each part with blocking from the
-    vertex its component search reached first, then the cyclic components
-    of the rest, over the same lists with every other vertex left out.  Each
-    search finds a cycle, so the time is O((V + E)(C + 1)) for C cycles.
-    Parallel arcs yield distinct cycles; the output order is deterministic.
+    Arc r runs from ``tail[r]`` to ``head[r]``; ``into[v]`` lists the arcs
+    into v, ascending.  Johnson's search (1975) from each arc r in a part,
+    in order, walks back from ``tail[r]`` over the arcs above r; each walk
+    to ``head[r]`` is a cycle.  Searches that find none add up their work,
+    and past the cost of a split the parts become the cyclic components of
+    the arcs from r on, so the time is O((V + E)(C + 1)) for C cycles.
     """
-    index = [len(out)] * len(out)  # components visits only the vertices reset to -1
-    todo = [list(part) for part in parts]
-    cycles: list[tuple[int, ...]] = []
-    while todo:
-        part = todo.pop()
-        s = part.pop()  # a component's last vertex is the one its search reached first
-        _circuits(out, head, {s, *part}, s, cycles)
-        if part:
-            for v in part:
-                index[v] = -1
-            todo += components(out, head, part, index)
+    ins = [()] * len(into)  # per vertex, the arcs into it not yet passed, descending
+    for part in parts:
+        for v in part:
+            ins[v] = into[v][::-1]
+    waste, cost, cycles = 0, len(head) + len(into), []  # cost: of a split
+    for r, h in enumerate(head):
+        while ins[h] and ins[h][-1] == r:  # r lies in a part, and every arc left is above it
+            t = tail[r]
+            if t == h:
+                cycles.append((r,))
+            elif ins[t]:
+                waste += _circuits(ins, tail, r, h, t, cycles, cost - waste)
+                if waste > cost:  # the search stopped: split, and search from r again
+                    _split(ins, tail)
+                    waste = 0
+                    continue
+            ins[h].pop()
+            break
     return cycles
 
 
-def _circuits(out, head, inside: set[int], s: int, cycles: list) -> None:
-    """Johnson's blocked search for the cycles through ``s`` and ``inside``."""
-    blocked = {s}
-    waiting: dict[int, set[int]] = {}  # w -> vertices to unblock with w
-    path: list[int] = []
-    frames = [[s, iter(out[s]), False]]  # vertex, arcs left, found a cycle
+def _split(ins, tail) -> None:
+    """Keep in ``ins`` only the arcs inside the cyclic components of the arcs it holds."""
+    label = [-1] * len(ins)
+    for k, part in enumerate(components(ins, tail)):  # the arcs reversed: the same components
+        for v in part:
+            label[v] = k
+    for v, k in enumerate(label):
+        if ins[v]:
+            ins[v] = [e for e in ins[v] if label[tail[e]] == k] if k >= 0 else ()
+
+
+def _circuits(ins, tail, r: int, h: int, t: int, cycles: list, budget: int) -> int:
+    """Johnson's blocked search back from ``t`` to ``h``: the cycles whose least arc is r.
+
+    Returns 0 if it found one, else its work, the vertices it pushed and
+    their in-degrees; it stops once that passes ``budget``.
+    """
+    blocked, waiting = {h, t}, {}  # waiting: w -> the vertices to unblock with w
+    path, found, work = [r], len(cycles), 1 + len(ins[t])
+    frames = [(t, iter(ins[t]), found)]  # vertex, arcs left, cycles before it
     while frames:
-        frame = frames[-1]
-        for j in frame[1]:
-            w = head[j]
-            if w == s:
-                cycles.append((*path, j))
-                frame[2] = True
-            elif w in inside and w not in blocked:
-                path.append(j)
+        v, arcs, before = frames[-1]
+        for e in arcs:
+            w = tail[e]
+            if w == h:
+                cycles.append((*path, e))
+            elif w not in blocked:
+                work += 1 + len(ins[w])
+                if work > budget and len(cycles) == found:
+                    return work
+                path.append(e)
                 blocked.add(w)
-                frames.append([w, iter(out[w]), False])
+                frames.append((w, iter(ins[w]), len(cycles)))
                 break
         else:
-            v, _, found = frames.pop()
-            if found:
+            frames.pop()
+            path.pop()
+            if len(cycles) > before:  # v's search found a cycle
                 stack = [v]
                 while stack:
                     u = stack.pop()
@@ -125,8 +147,6 @@ def _circuits(out, head, inside: set[int], s: int, cycles: list) -> None:
                         blocked.discard(u)
                         stack += waiting.pop(u, ())
             else:
-                for j in out[v]:
-                    waiting.setdefault(head[j], set()).add(v)
-            if frames:
-                path.pop()
-                frames[-1][2] |= found
+                for e in ins[v]:
+                    waiting.setdefault(tail[e], set()).add(v)
+    return 0 if len(cycles) > found else work

@@ -193,25 +193,30 @@ def _entry_tail(record, length: int, depth: int) -> str:
     return fields + _PAD[depth] + "}"
 
 
-def _write_entries(write, runs: list[tuple[int, str, list[str]]], depth: int, record=None) -> None:
+def _write_entries(
+    write, runs: list[tuple[int, str, list[str]]], depth: int, record=None, heads=None
+) -> list[str]:
     """Write the ``entries`` list ``depth`` deep, or ``stabilizer_discontinuity`` given ``record``.
 
     ``runs`` comes from ``_ranked_report``.  Every item opens with the cycle
     and the entry, so each cycle's items are one join of its quoted entry ids
     between that head and a tail, written apart.  The tail closes an entries
     item, after the rest of a stabilizer item given ``record`` (``_entry_tail``).
+    Returns the heads, which a second list as deep takes as ``heads``.
     """
-    pad = _PAD[depth + 2]
+    if heads is None:
+        pad = _PAD[depth + 2]
+        heads = [f'{{{pad}"cycle": {_id_list(cycle, depth + 2)},{pad}"entry": ' for _, cycle, _ in runs]
     item = "," + _PAD[depth + 1]
     opener = "[" + _PAD[depth + 1]
-    for length, cycle, ids in runs:
-        head = f'{{{pad}"cycle": {_id_list(cycle, depth + 2)},{pad}"entry": '
+    for (length, _, ids), head in zip(runs, heads):
         tail = _entry_tail(record, length, depth + 1)
         write(opener + head)
         write((tail + item + head).join(ids))
         write(tail)
         opener = item
     write("[]" if opener[0] == "[" else _PAD[depth] + "]")
+    return heads
 
 
 def _certificate_blocks(quoted, certificates, depth: int):
@@ -322,10 +327,10 @@ def cmd_graph_analyze(args) -> int:
     write(f'\n  "condition_a": {{\n    "pass": {_BOOLS[a.passed]},\n    "cycles": ')
     _write_list(write, map(_id_list, cycles, repeat(3)), 2)
     write(',\n    "entries": ')
-    _write_entries(write, runs, 2)
+    heads = _write_entries(write, runs, 2)
     if not a.passed:
         write(',\n    "stabilizer_discontinuity": ')
-        _write_entries(write, runs, 2, stabilizer_record)
+        _write_entries(write, runs, 2, stabilizer_record, heads)
     b_pass = "true" if b.status == "pass" else '"skipped"'
     write(f'\n  }},\n  "condition_b": {{\n    "pass": {b_pass},\n    "certificates": ')
     _write_list(write, _certificate_blocks(cycles, b.certificates, 3), 2)

@@ -347,53 +347,48 @@ def entry_free_cycles(
 
     Only the edges into cycle vertices are ranked: the cycle edges and their
     entries.  ``g.pointer_cycles`` decides condition A in O(V + E) and, when
-    it holds, gives all the cycles.  Otherwise one Tarjan search of the
-    kernel finds the cyclic components, and one pass over the ranks lists,
-    per cycle vertex, its out-edges inside its component, for Johnson's
-    search, and all its in-edges: a cycle's entries are the other edges into
-    its vertices.  The search runs in time bounded by the output.  Every
-    cycle gets ``CycleRep``'s checks, on the ranks.
+    it holds, gives all the cycles.  Otherwise the kernel finds the cyclic
+    components, then each cycle once, from its least rank, by a search
+    rooted at each edge, in time bounded by the output.  A cycle's entries
+    are the other edges into its vertices.  Every cycle gets ``CycleRep``'s
+    checks, on the ranks.
     """
     pointer = g.pointer_cycles  # None when condition A fails
     if pointer:
-        order = tuple(sorted(sorted(chain.from_iterable(pointer[0])), key=g.edge_ids.__getitem__))
-        rank = dict(zip(order, range(len(order))))
-        found = [tuple(map(rank.__getitem__, arcs)) for arcs in pointer[0]]
-        heads_of = list(map(g.dst.__getitem__, order))  # per rank, the edge's head and tail
-        tails_of = list(map(g.src.__getitem__, order))
+        ranked = sorted(chain.from_iterable(pointer[0]))
     else:
-        n = len(g.names)
-        out: list[list[int]] = [[] for _ in range(n)]  # per vertex, the indices of its out-edges
+        out: list[list[int]] = [[] for _ in g.names]  # per vertex, the indices of its out-edges
         for j, s in enumerate(g.src):
             out[s].append(j)
         parts = _kernels.components(out, g.dst)
-        part_of = [0] * n  # 1 + the position of a vertex's component, 0 off every cycle
-        inner: list = [None] * n  # per cycle vertex, the ranks of its out-edges inside its component
-        into: list = [None] * n  # and of all its in-edges
-        for k, part in enumerate(parts, 1):
-            for v in part:
-                part_of[v] = k
-                inner[v], into[v] = [], []
+        on_cycle = set(chain.from_iterable(parts))
         # the edges into cycle vertices: the cycle edges and their entries
-        ranked = compress(range(len(g.dst)), map(part_of.__getitem__, g.dst))
-        order = tuple(sorted(ranked, key=g.edge_ids.__getitem__))
-        heads_of = list(map(g.dst.__getitem__, order))
-        tails_of = list(map(g.src.__getitem__, order))
-        for r, (s, d) in enumerate(zip(tails_of, heads_of)):
+        ranked = compress(range(len(g.dst)), map(on_cycle.__contains__, g.dst))
+    order = tuple(sorted(ranked, key=g.edge_ids.__getitem__))
+    heads_of = list(map(g.dst.__getitem__, order))  # per rank, the edge's head and tail
+    tails_of = list(map(g.src.__getitem__, order))
+    if pointer:
+        rank = dict(zip(order, range(len(order))))
+        found = [tuple(map(rank.__getitem__, reversed(arcs))) for arcs in pointer[0]]  # path order
+        found = [c[k:] + c[:k] for c in found for k in [c.index(min(c))]]  # from the least rank
+    else:
+        into: list[list[int]] = [[] for _ in g.names]  # per vertex, the ranks of its in-edges
+        for r, d in enumerate(heads_of):
             into[d].append(r)
-            if part_of[s] == part_of[d]:
-                inner[s].append(r)
-        found = _kernels.simple_cycles(heads_of, inner, parts)
-    cycles = []
-    for ranks in found:  # traversal order: each edge's tail is the previous edge's head
-        heads = list(map(heads_of.__getitem__, ranks))
-        if heads:
-            heads.insert(0, heads.pop())  # per edge, the head of the edge before it
-        if not heads or list(map(tails_of.__getitem__, ranks)) != heads or len(set(heads)) < len(heads):
-            CycleRep(tuple(g.edges.at([order[r] for r in reversed(ranks)])))  # raises CycleRep's error
-        k = ranks.index(min(ranks))
-        cycles.append(ranks[k::-1] + ranks[:k:-1])  # path order, from the least rank
-    cycles.sort()
+        found = _kernels.simple_cycles(heads_of, tails_of, into, parts)
+    # CycleRep's checks on the ranks, for all the cycles at once: in path order each edge's
+    # tail is the next edge's head, a cycle visits each vertex once, and its least rank is first
+    heads, tails = heads_of.__getitem__, tails_of.__getitem__
+    nexts = chain.from_iterable(c[1:] + c[:1] for c in found)
+    if (
+        not all(found)
+        or list(map(tails, chain.from_iterable(found))) != list(map(heads, nexts))
+        or any(len(set(map(heads, c))) < len(c) or min(c) != c[0] for c in found)
+    ):
+        for ranks in found:
+            CycleRep(tuple(g.edges.at([order[r] for r in ranks])))  # raises CycleRep's error, if any
+        raise ValueError("a cycle does not start at its least rank")
+    cycles = sorted(found)
     cycles.sort(key=len)  # stable: by length, then by ranks
     if pointer:
         return order, tuple(cycles), ()

@@ -259,6 +259,40 @@ def kernel_components(g: DiGraph) -> dict[str, int]:
     return of
 
 
+def kernel_cycles(n: int, arcs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The kernel's cycles of the (tail, head) ``arcs`` on n vertices, ranked by position.
+
+    The kernel's arrays: each arc's head and tail, per vertex the ranks of
+    its in-arcs, ascending, and the cyclic components.
+    """
+    tail, head = [s for s, _ in arcs], [d for _, d in arcs]
+    out: list[list[int]] = [[] for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for r, (s, d) in enumerate(arcs):
+        out[s].append(r)
+        into[d].append(r)
+    return _kernels.simple_cycles(head, tail, into, _kernels.components(out, head))
+
+
+def graph_kernel_cycles(g: DiGraph) -> list[tuple[int, ...]]:
+    """The kernel's cycles of g, with its edges ranked by index: edge indices in path order."""
+    return kernel_cycles(len(g.names), list(zip(g.src, g.dst)))
+
+
+def assert_canonical(arcs: list[tuple[int, int]], cycles: list[tuple[int, ...]]) -> None:
+    """Each cycle of the (tail, head) ``arcs`` comes out once, in path order, from its least rank.
+
+    Path order: each arc's tail is the next arc's head, and the last arc's
+    tail the first arc's head; a simple cycle visits each head once.
+    """
+    assert len(set(cycles)) == len(cycles)
+    for c in cycles:
+        heads = [arcs[r][1] for r in c]
+        assert [arcs[r][0] for r in c] == heads[1:] + heads[:1], c
+        assert len(set(heads)) == len(heads), c
+        assert c[0] == min(c), c
+
+
 def assert_components_match_reach(g: DiGraph, reach: dict[str, frozenset[str]]) -> None:
     """The kernel's strongly connected components with a cycle agree with a reachability table."""
     of = kernel_components(g)

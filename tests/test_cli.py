@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, and determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import pkgutil
@@ -324,6 +325,56 @@ class TestReportBytes:
         assert run("graph-analyze", str(as_json)) == (0, "\n".join(text) + "\n", "")
         monkeypatch.setattr(cli, "EMIT_CHUNK", 7)  # the text report is written in many chunks
         assert run("graph-analyze", str(as_json)) == (0, "\n".join(text) + "\n", "")
+
+    # sha256 of the reports of graph-analyze --json, graph-analyze --text and
+    # graph-orbits --json, read from the relative path "g.graph", on graphs
+    # where condition A fails; pinned from the reports of the vertex-rooted
+    # cycle search, so the bytes of the fail path stay checked without it
+    PINNED = {
+        "k5": (
+            "a6185217b4f2e04ffb717d386e653ae57b8f6a700244ceace77be9a857321066",
+            "e459bdde702e7e97ded568f1b675b83538d8f9bb4dfd973058c566e6e2919aa2",
+            "7c100d887f54c47e46ff1e66a9ade4ec5dbd9a290f125b81c5bdfc9b0a7ae291",
+        ),
+        "k7": (
+            "3b690cf73812affbb82691c86580c671c9373418898c0ce905466508bc4ec8fd",
+            "e1c5e05336c0bc77c815ef1b5f3900286420a418c82f6c611c7c82319eb796cd",
+            "c1723823a7c1015e8a91da4c750e1aca5e8062e7dfabd19b779cb2ed885c76fb",
+        ),
+        "bouquet150": (
+            "94ceb231b54a9be638a1bed4cb3b525fdfdbc669659f6020dd458b67bfa97e67",
+            "ffc26a18896ce6384e0f64e9f3305c2ee453d1beff606714f9992fddc174125e",
+            "b5a769ffff0ccef0deac5acd906678a23f4a0423a7ff643990ff4364356bae24",
+        ),
+        "dense3_6": (
+            "7770bff4f971f106e8f8dfc7e8f583c1163eaf56bd7410bbf633719a8a7469fb",
+            "f2522edae08347e09ae85f591a32c360db8867b2921527854d87f4e181acb05b",
+            "fb72ad4de90c26d5944207ee0003d463807c5bba30c20e9220956d91869c55e3",
+        ),
+        "escaped": (
+            "eba1ea162da49a949cd497bcdd12d4afb0ebcc33f6db9ecfbc0a8f4679269c04",
+            "8a5c71122aced55273d2afd64ada9a6021c84e41a811c76ea43a0d2738c713bb",
+            "80de4116c2f2aaa6a3db2e551482e74d6b16faa950f5531da6cce3c865c30194",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_fail_path_reports_are_pinned(self, run, tmp_path, monkeypatch, name):
+        g = {
+            "k5": lambda: helpers.complete_graph(5),
+            "k7": lambda: helpers.complete_graph(7),
+            "bouquet150": lambda: helpers.bouquet(150),
+            "dense3_6": lambda: helpers.random_dense(3, 6),
+            "escaped": lambda: next(TestReportBytes.escaped_graphs()),
+        }[name]()
+        assert not check_condition_a(g).passed
+        monkeypatch.chdir(tmp_path)
+        Path("g.graph").write_text(graph_to_text(g), encoding="utf-8")
+        commands = (["graph-analyze", "--json"], ["graph-analyze", "--text"], ["graph-orbits", "--json"])
+        for (command, flag), digest in zip(commands, self.PINNED[name]):
+            code, out, _ = run(command, "g.graph", flag)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, flag)
 
     def test_refused_graph_orbits_json(self, run, tmp_path):
         path = str(tmp_path / "g.graph")

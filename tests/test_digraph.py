@@ -8,6 +8,7 @@ from datetime import timedelta
 from itertools import chain
 from math import comb, factorial
 from operator import attrgetter
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -486,6 +487,8 @@ class TestCycles:
         g = DiGraph.build(["a", "b"], [("x", "a", "b"), ("y", "b", "a"), ("p", "a", "a")])
         assert entry_free_cycles(g)[0] == (2, 0, 1)
         cases = [((), "at least one edge"), ((1,), "close"), ((0, 0), "not simple"), ((1, 1), "compose")]
+        # y then x is a cycle in path order, which must start at x, its least rank
+        cases.append(((2, 1), "least rank"))
         for arcs, message in cases:
             monkeypatch.setattr(_kernels, "simple_cycles", lambda *_, arcs=arcs: [arcs])
             with pytest.raises(ValueError, match=message):
@@ -561,10 +564,10 @@ def kernel_route(g: DiGraph):
     for j, d in enumerate(g.dst):
         into.setdefault(d, []).append(j)
     found = []
-    out = helpers.out_lists(g)
-    for arcs in _kernels.simple_cycles(g.dst, out, _kernels.components(out, g.dst)):
-        # kernel output is in traversal order; path convention is its reverse
-        found.append((CycleRep(tuple(g.edges.at(arcs[::-1]))), arcs))
+    cycles = helpers.graph_kernel_cycles(g)  # edges ranked by index
+    helpers.assert_canonical(list(zip(g.src, g.dst)), cycles)  # each once, in path order, least first
+    for arcs in cycles:
+        found.append((CycleRep(tuple(g.edges.at(arcs))), arcs))
     found.sort(key=lambda pair: pair[0].sort_key())
     runs = []
     for c, arcs in found:
@@ -708,6 +711,44 @@ class TestRoutes:
                 assert cycle_ids == naive_simple_cycles(g)
             if len(set(g.edge_ids)) == len(g.edge_ids):
                 assert {(c.edge_ids(), e.id) for c, e in report.entries} == naive_entries(g)
+
+
+class TestSearchBound:
+    """The cycle search rooted at each edge costs O((V + E)(C + 1)) for C cycles."""
+
+    @pytest.mark.parametrize("falling", [False, True], ids=["rising", "falling"])
+    def test_ring_with_an_entry(self, falling):
+        # edge ids rising or falling along a ring of 20,000 vertices, and one
+        # entry: a search from every edge that never split the ring again would
+        # cost the square of its length, minutes
+        n = 20_000
+        ids = [f"r{n - 1 - i if falling else i:05d}" for i in range(n)]
+        ring = [(ids[i], f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+        g = DiGraph.build([f"v{i}" for i in range(n)] + ["x"], ring + [("x", "x", "v0")])
+        start = perf_counter()
+        report = check_condition_a(g)
+        elapsed = perf_counter() - start
+        (cycle,) = report.cycle_ids()
+        assert sorted(cycle) == sorted(ids) and cycle[0] == min(ids)
+        assert [(c.edge_ids(), e.id) for c, e in report.entries] == [(cycle, "x")]
+        assert elapsed < 5.0
+
+    def test_loops_above_a_long_chain_rank_three_edges(self):
+        # README's example: a loop with an entry and a second loop, above a
+        # chain of 100,000 vertices; only the edges into the loops' vertices rank
+        g = helpers.two_loop_chain(100_000)
+        g = DiGraph.build(g.vertices, [*g.edges, ("x", "q", "p")])
+        report = check_condition_a(g)
+        assert [g.edge_ids[j] for j in report.order] == ["Lp", "Lq", "x"]
+        assert report.cycle_ids() == [("Lp",), ("Lq",)]
+        assert [(c.edge_ids(), e.id) for c, e in report.entries] == [(("Lp",), "x")]
+
+    def test_complete_graph_on_eight_vertices(self):
+        # K8: sum over k of C(8, k) (k - 1)! cycles, each vertex of a k-cycle entered 6 times
+        order, cycles, runs = entry_free_cycles(helpers.complete_graph(8))
+        assert len(cycles) == 16_064
+        assert sum(len(run) for _, run in runs) == 657_552
+        assert all(c[0] == min(c) for c in cycles)
 
 
 class TestCycleRep:
